@@ -21,6 +21,7 @@ from .network import (
     build_braiding_network,
     element_unitary,
     evolve,
+    evolve_amplitudes,
     propagate_algebraic,
     single_particle_matrix,
 )

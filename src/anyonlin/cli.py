@@ -342,6 +342,9 @@ def _haar_check(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     if args.haar_check:
         return _haar_check(args)
+    if args.phi:
+        raise CliError("--phi applies only to --haar-check; a circuit takes phi "
+                       "from its document")
     if not args.circuit:
         raise CliError("compile needs --circuit FILE (or --haar-check N)")
     try:

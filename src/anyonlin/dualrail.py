@@ -32,7 +32,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .fock import AnyonSpec, StateVector, enumerate_sector, number_expectation
-from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, evolve
+from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, \
+    evolve_amplitudes
 
 __all__ = [
     "CompileError",
@@ -253,7 +254,9 @@ def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Netw
 def run_circuit(spec: AnyonSpec, layout: LogicalLayout,
                 gates: Sequence[LogicalGate], bits: str) -> StateVector:
     """Physical state after evolving the encoded input through the circuit."""
-    return evolve(compile_circuit(layout, gates), encode(spec, layout, bits))
+    start = encode(spec, layout, bits)
+    vec = evolve_amplitudes(compile_circuit(layout, gates), start.sector, start.to_vector())
+    return StateVector.from_vector(start.sector, vec)
 
 
 def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
@@ -265,15 +268,18 @@ def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
 
 def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
                     gates: Sequence[LogicalGate]) -> np.ndarray:
-    """2^n x 2^n matrix of the compiled circuit on the code space."""
+    """2^n x 2^n matrix of the compiled circuit on the code space.
+
+    All 2^n encoded inputs go through the block kernel as one
+    (dim, 2^n) batch, and the code-space rows are read off directly.
+    """
     n = layout.num_qubits
-    network = compile_circuit(layout, gates)
-    mat = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
-    for col in range(2 ** n):
-        bits = format(col, f"0{n}b")
-        out = evolve(network, encode(spec, layout, bits))
-        mat[:, col], _ = decode(layout, out)
-    return mat
+    sector = enumerate_sector(layout.m, layout.n_particles, spec)
+    rows = [sector.index[layout.code_occupation(format(idx, f"0{n}b"))]
+            for idx in range(2 ** n)]
+    inputs = np.zeros((sector.dim, 2 ** n), dtype=np.complex128)
+    inputs[rows, np.arange(2 ** n)] = 1.0
+    return evolve_amplitudes(compile_circuit(layout, gates), sector, inputs)[rows]
 
 
 def auxiliary_occupations(layout: LogicalLayout, state: StateVector) -> list[float]:

@@ -299,17 +299,14 @@ def apply_create(state: StateVector, i: int) -> StateVector:
     """Apply the anyonic creation operator on mode i (1-based).
 
     The result lives in the sector with one more particle, built on
-    demand.  A fermionic creation on an already full sector degenerates
-    to the zero vector, which is returned on the input sector since no
-    target sector exists.
+    demand.  On a full fermionic sector (n_total = m) that sector does
+    not exist and EmptySectorError is raised.
     """
     sector = state.sector
     spec = sector.spec
     _check_mode(sector.m, i)
     phi = spec.phi
     fermionic = spec.is_fermionic
-    if fermionic and sector.n_total + 1 > sector.m:
-        return StateVector.zero(sector)
     target = enumerate_sector(sector.m, sector.n_total + 1, spec)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.amps.items():

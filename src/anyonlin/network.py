@@ -11,10 +11,15 @@ multimode interferometers are *defined* by such networks rather than by
 an m x m matrix; two different networks with the same single-particle
 matrix can act differently on multi-particle states.
 
-Two independent evolution paths are provided:
+Three independent evolution paths are provided:
 
-* ``evolve``: exact spectral path; every element's Hermitian generator
-  is diagonalized on the sector and exponentiated.
+* ``evolve``: exact dense spectral path; every element's Hermitian
+  generator is diagonalized on the whole sector and exponentiated.  It
+  is the reference the other paths are tested against.
+* ``evolve_amplitudes``: block kernel on (dim,) or (dim, k) amplitude
+  arrays; each beam splitter acts on blocks of fixed pair total as the
+  phi = 0 rotation dressed by a diagonal winding phase, so nothing of
+  size dim x dim is built.  The dual-rail circuits run through it.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -46,6 +51,7 @@ from .fock import (
     AnyonSpec,
     FockSector,
     StateVector,
+    _basis_tuples,
     apply_create,
     enumerate_sector,
     vacuum_state,
@@ -63,6 +69,7 @@ __all__ = [
     "element_generator",
     "element_unitary",
     "evolve",
+    "evolve_amplitudes",
     "propagate_algebraic",
     "build_braiding_network",
     "single_particle_matrix",
@@ -197,6 +204,109 @@ def evolve(network: Network, state: StateVector) -> StateVector:
     for element in network.elements:
         vec = element_unitary(state.sector, element).mat @ vec
     return StateVector.from_vector(state.sector, vec)
+
+
+@lru_cache(maxsize=16)
+def _occupations(m: int, n_total: int, cap: int) -> np.ndarray:
+    """The sector basis as a read-only (dim, m) integer array."""
+    occ = np.array(_basis_tuples(m, n_total, cap), dtype=np.int64).reshape(-1, m)
+    occ.setflags(write=False)
+    return occ
+
+
+@dataclass(frozen=True)
+class _BlockFamily:
+    """All beam-splitter blocks of one pair total N = n_lo + n_hi.
+
+    Row b of ``idx`` lists the sector positions of the states that share
+    every occupation outside (lo, hi), ordered by n_lo = k0, k0 + 1, ...;
+    ``winding`` holds k(k - 1)/2 + s k for each of them, where s counts
+    the particles strictly between lo and hi.
+    """
+
+    n_pair: int
+    k0: int
+    idx: np.ndarray
+    winding: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _block_families(m: int, n_total: int, cap: int, lo: int, hi: int
+                    ) -> tuple[_BlockFamily, ...]:
+    """Gather indices of BS_{lo,hi} on a sector shape; independent of phi.
+
+    States are sorted by their occupations outside (lo, hi), then by
+    n_lo; a run of equal outside occupations is one block.  Blocks of a
+    single state are left out: the hop vanishes on them.
+    """
+    occ = _occupations(m, n_total, cap)
+    k = occ[:, lo - 1]
+    rest = np.delete(occ, [lo - 1, hi - 1], axis=1)
+    order = np.lexsort((k,) + tuple(rest.T[::-1]))
+    rest = rest[order]
+    starts = np.flatnonzero(np.r_[True, np.any(rest[1:] != rest[:-1], axis=1)])
+    lengths = np.diff(np.r_[starts, len(order)])
+    n_pair = occ[order[starts], lo - 1] + occ[order[starts], hi - 1]
+    between = occ[order[starts], lo:hi - 1].sum(axis=1)
+    families = []
+    for n in sorted(set(n_pair[lengths > 1].tolist())):
+        pick = np.flatnonzero((n_pair == n) & (lengths > 1))
+        size = int(lengths[pick[0]])
+        idx = order[starts[pick][:, None] + np.arange(size)]
+        kk = k[idx]
+        winding = kk * (kk - 1) / 2.0 + between[pick][:, None] * kk
+        for arr in (idx, winding):
+            arr.setflags(write=False)
+        families.append(_BlockFamily(int(n), int(kk[0, 0]), idx, winding))
+    return tuple(families)
+
+
+@lru_cache(maxsize=256)
+def _pair_hop_eigh(n_pair: int, k0: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the phi = 0 pair hop on n_lo = k0 .. k0 + size - 1.
+
+    The hop is real tridiagonal with entries sqrt((k + 1)(N - k)); a
+    capped bosonic sector truncates it to the allowed range of n_lo.
+    """
+    kk = np.arange(k0, k0 + size - 1)
+    off = np.sqrt((kk + 1.0) * (n_pair - kk))
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
+def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
+    """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
+
+    Block kernel, an exact path independent of ``element_unitary``: a
+    phase shifter multiplies each basis amplitude by exp(i tau n_i).
+    BS_ij conserves n_i + n_j and leaves every other mode alone, so it
+    splits into blocks of at most n + 1 states.  On a block of pair
+    total N the beam splitter is D W_N(theta) D†, where W_N is the
+    phi = 0 hop exponentiated through a cached small eigendecomposition
+    and D_k = exp(i phi (k(k-1)/2 + s k)) (-1)^{s k} dresses it with the
+    statistical winding of the k = n_lo particles (the sign only for
+    fermions).  Nothing of size dim x dim is built.
+    """
+    if network.m != sector.m:
+        raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
+    out = np.array(amps, dtype=np.complex128)
+    if out.ndim not in (1, 2) or out.shape[0] != sector.dim:
+        raise ValueError(f"amplitudes of shape {out.shape} do not fit sector dim {sector.dim}")
+    batch = out.reshape(sector.dim, -1)
+    shape = (sector.m, sector.n_total, sector.cap)
+    # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
+    phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
+    for element in network.elements:
+        if isinstance(element, PhaseShifter):
+            n_mode = _occupations(*shape)[:, element.mode - 1]
+            batch *= np.exp(1j * element.tau * n_mode)[:, None]
+            continue
+        lo, hi = sorted((element.mode_i, element.mode_j))
+        for fam in _block_families(*shape, lo, hi):
+            vals, vecs = _pair_hop_eigh(fam.n_pair, fam.k0, fam.idx.shape[1])
+            w = (vecs * np.exp(1j * element.theta * vals)) @ vecs.T
+            dress = np.exp(1j * phi * fam.winding)[:, :, None]
+            batch[fam.idx] = dress * (w @ (dress.conj() * batch[fam.idx]))
+    return out
 
 
 @dataclass(frozen=True)

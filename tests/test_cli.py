@@ -190,6 +190,31 @@ def test_compile_command_cp_phase(tmp_path):
     assert doc["leakage"] < 1e-10
 
 
+def test_compile_phi_without_haar_check_is_rejected(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"qubits": 1, "phi": 1.0, "gates": []}))
+    code, out = run_cli(["compile", "--circuit", str(circuit), "--phi", "pi/2"])
+    assert code == 2
+    assert out == ""
+    assert "phi from its document" in capsys.readouterr().err
+
+
+def test_compile_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a CLI process tens of milliseconds of import time
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({
+        "qubits": 2, "phi": 1.0, "class": "fermionic",
+        "gates": [{"type": "rx", "q": 1, "gamma": 0.3}, {"type": "cp", "a": 1, "b": 2}],
+    }))
+    script = ("import sys\n"
+              "from anyonlin.cli import main\n"
+              f"code = main(['compile', '--circuit', {str(circuit)!r}, '--input', '11'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_compile_haar_check_mode():
     code, out = run_cli(["compile", "--haar-check", "10", "--seed", "5"])
     assert code == 0

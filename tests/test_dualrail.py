@@ -10,6 +10,7 @@ from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
     decode, encode, evolve
 from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp, \
     compile_single_qubit, euler_zxz, logical_unitary, run_circuit, simulate_circuit
+from anyonlin import network as network_module
 from anyonlin.network import BeamSplitter, Network
 
 from conftest import PHI_GRID, both_classes, haar_unitary, phase_align
@@ -36,6 +37,12 @@ def cp_mat(phi):
     return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)])
 
 
+def cp_embed(phi, a, b, n):
+    """CP(phi) between qubits a and b of n; qubit 1 is the leading bit."""
+    both = [(idx >> (n - a)) & 1 and (idx >> (n - b)) & 1 for idx in range(2 ** n)]
+    return np.diag([cmath.exp(1j * phi) if hit else 1.0 for hit in both])
+
+
 def circuit_oracle(gates, phi, n):
     """Dense 2^n matrix of the logical circuit."""
     total = np.eye(2 ** n, dtype=complex)
@@ -49,8 +56,7 @@ def circuit_oracle(gates, phi, n):
                 @ rz_mat(gate.delta)
             factor = embed(u, gate.qubit, n)
         elif isinstance(gate, CP):
-            assert n == 2 and (gate.qubit_a, gate.qubit_b) == (1, 2)
-            factor = cp_mat(phi)
+            factor = cp_embed(phi, gate.qubit_a, gate.qubit_b, n)
         total = factor @ total
     return total
 
@@ -259,3 +265,73 @@ def test_compile_circuit_concatenates_elements():
     net = compile_circuit(layout, gates)
     assert net.m == layout.m
     assert len(net.elements) == 3 + 7
+
+
+def dense_logical_unitary(spec, layout, gates):
+    """Column by column through the spectral evolve and decode."""
+    n = layout.num_qubits
+    network = compile_circuit(layout, gates)
+    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for col in range(2 ** n):
+        out = evolve(network, encode(spec, layout, format(col, f"0{n}b")))
+        mat[:, col], _ = decode(layout, out)
+    return mat
+
+
+def test_logical_unitary_matches_per_column_spectral_evolution():
+    # three bosonic qubits (dim 792) run at one phi: each dense matrix costs ~0.5 s
+    rng = np.random.default_rng(5)
+    cases = [(1, 1.3, [U1(1, 0.2, 1.1, 2.3, -0.7)]),
+             (1, math.pi, [U1(1, *euler_zxz(haar_unitary(rng)))]),
+             (2, 1.3, [U1(1, *euler_zxz(haar_unitary(rng))), CP(1, 2), Rx(2, 0.4)]),
+             (2, math.pi, [CP(1, 2), U1(2, *euler_zxz(haar_unitary(rng))), Rz(1, -0.9)]),
+             (3, 2.2, [U1(2, *euler_zxz(haar_unitary(rng))), CP(2, 3)])]
+    for qubits, phi, gates in cases:
+        layout = LogicalLayout(qubits)
+        for spec in both_classes(phi):
+            got = logical_unitary(spec, layout, gates)
+            want = dense_logical_unitary(spec, layout, gates)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_four_qubit_circuit_against_dense_oracle():
+    # bosonic sector dim 19448: out of reach of dense sector matrices
+    rng = np.random.default_rng(44)
+    layout = LogicalLayout(4)
+    phi = 1.1
+    gates = [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 5)]
+    gates += [CP(1, 2), CP(2, 3), CP(3, 4)]
+    want = circuit_oracle(gates, phi, 4)
+    for spec in both_classes(phi):
+        got = logical_unitary(spec, layout, gates)
+        assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
+        leakage = 1.0 - np.sum(np.abs(got) ** 2, axis=0)
+        assert np.max(np.abs(leakage)) <= 1e-10
+        final = run_circuit(spec, layout, gates, "0110")
+        amps, leak = decode(layout, final)
+        assert abs(leak) <= 1e-10
+        assert np.max(np.abs(amps - got[:, 0b0110])) <= 1e-12
+
+
+def test_circuit_paths_build_no_sector_matrix(monkeypatch):
+    # logical_unitary and run_circuit never reach the dense sector
+    # unitaries; every eigendecomposition is of one block, at most n + 1
+    def no_dense(*args):
+        raise AssertionError("dense sector unitary requested")
+
+    sizes = []
+
+    def eigh_spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real_eigh(a, *args, **kwargs)
+
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(network_module, "_element_unitary_cached", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    network_module._pair_hop_eigh.cache_clear()
+    layout = LogicalLayout(3)
+    gates = [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2), Rx(3, 0.5), CP(2, 3)]
+    for spec in both_classes(0.9):
+        logical_unitary(spec, layout, gates)
+        run_circuit(spec, layout, gates, "011")
+    assert sizes and max(sizes) <= layout.n_particles + 1

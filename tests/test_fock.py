@@ -119,6 +119,18 @@ def test_fermionic_double_creation_is_zero_map():
     assert apply_create(one, 2).norm() == 0.0
 
 
+def test_fermionic_creation_on_full_sector_raises():
+    # no sector with m + 1 fermions on m modes exists, so no zero vector
+    # can carry the right particle number
+    spec = AnyonSpec.fermionic(0.9)
+    full = StateVector.basis_state(enumerate_sector(2, 2, spec), (1, 1))
+    for mode in (1, 2):
+        with pytest.raises(EmptySectorError):
+            apply_create(full, mode)
+    zero = apply_create(StateVector.basis_state(enumerate_sector(2, 1, spec), (1, 0)), 1)
+    assert zero.norm() == 0.0 and zero.sector.n_total == 2
+
+
 def test_annihilate_vacuum_and_empty_modes():
     for spec in both_classes(1.3):
         assert apply_annihilate(vacuum_state(2, spec), 1).norm() == 0.0

@@ -11,8 +11,9 @@ from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, 
     build_braiding_network, element_unitary, enumerate_sector, evolve, \
     propagate_algebraic, single_particle_matrix
 from anyonlin.fock import StateVector, apply_create, vacuum_state
-from anyonlin.network import ModeMismatchError, UnsupportedPropagationError
-from anyonlin.operators import creation_matrix
+from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, \
+    evolve_amplitudes
+from anyonlin.operators import creation_matrix, quadratic_matrix
 
 from conftest import PHI_GRID, both_classes, state_deviation, states_close
 
@@ -268,3 +269,102 @@ def test_network_json_round_trip():
     assert doc["m"] == 3
     assert doc["elements"][0] == {"type": "bs", "i": 2, "j": 3, "theta": math.pi / 2}
     assert Network.from_jsonable(doc) == net
+
+
+# ------------------------------------------------------------- block kernel
+
+KERNEL_PHIS = (0.0, 1.3, math.pi, 2 * math.pi - 1e-9)
+
+
+def kernel_unitary(sector, element):
+    """Sector matrix of one element through the block kernel, column by column."""
+    return evolve_amplitudes(Network(sector.m, (element,)), sector,
+                             np.eye(sector.dim, dtype=complex))
+
+
+def test_block_kernel_matches_dense_unitary_on_every_ordered_pair():
+    # full sectors hold every pattern of occupied intermediate modes, so
+    # long-range pairs see each string winding s
+    theta = 0.77
+    worst = 0.0
+    for phi in KERNEL_PHIS:
+        for spec in both_classes(phi):
+            for m in range(2, 7):
+                for n in (1, 2, 3):
+                    if spec.is_fermionic and n > m:
+                        continue
+                    sector = enumerate_sector(m, n, spec)
+                    if sector.dim > 40:     # keeps the dense oracle cheap
+                        continue
+                    for i, j in itertools.permutations(range(1, m + 1), 2):
+                        el = BeamSplitter(i, j, theta)
+                        dev = np.max(np.abs(kernel_unitary(sector, el)
+                                            - element_unitary(sector, el).mat))
+                        worst = max(worst, float(dev))
+    assert worst <= 1e-12
+
+
+def test_block_kernel_long_range_pair_with_four_bosons():
+    # blocks of up to five states and windings s up to 4 across modes 2..5
+    for phi in (1.3, 2 * math.pi - 1e-9):
+        sector = enumerate_sector(6, 4, AnyonSpec.bosonic(phi))
+        for i, j in ((6, 1), (2, 5)):
+            el = BeamSplitter(i, j, -1.1)
+            dev = np.max(np.abs(kernel_unitary(sector, el) - element_unitary(sector, el).mat))
+            assert dev <= 1e-12
+
+
+def test_block_kernel_on_vacuum_and_full_fermionic_sector():
+    for phi in KERNEL_PHIS:
+        spec_b, spec_f = both_classes(phi)
+        for sector in (enumerate_sector(3, 0, spec_b), enumerate_sector(3, 0, spec_f),
+                       enumerate_sector(4, 4, spec_f)):
+            for el in (BeamSplitter(1, 3, 0.9), BeamSplitter(3, 2, 0.4), PhaseShifter(2, 0.6)):
+                dev = np.max(np.abs(kernel_unitary(sector, el)
+                                    - element_unitary(sector, el).mat))
+                assert dev <= 1e-12
+
+
+def test_block_kernel_on_capped_bosonic_sectors():
+    # cap < n truncates each block; the oracle exponentiates the hop of
+    # the uncapped sector compressed onto the capped states
+    for phi in (0.0, 1.3, math.pi):
+        spec = AnyonSpec.bosonic(phi)
+        for m, n, cap in ((3, 3, 2), (4, 4, 2), (3, 5, 2), (4, 3, 1)):
+            capped = enumerate_sector(m, n, spec, cap=cap)
+            full = enumerate_sector(m, n, spec)
+            keep = [full.index[occ] for occ in capped.basis]
+            for i, j in itertools.permutations(range(1, m + 1), 2):
+                hop = quadratic_matrix(full, i, j).mat + quadratic_matrix(full, j, i).mat
+                vals, vecs = np.linalg.eigh(0.83 * hop[np.ix_(keep, keep)])
+                want = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+                got = kernel_unitary(capped, BeamSplitter(i, j, 0.83))
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_kernel_batch_and_vector_match_spectral_evolve():
+    rng = np.random.default_rng(11)
+    net = Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
+                      BeamSplitter(2, 4, 1.2), PhaseShifter(4, -0.3)))
+    for phi in KERNEL_PHIS:
+        for spec in both_classes(phi):
+            sector = enumerate_sector(4, 2, spec)
+            batch = rng.normal(size=(sector.dim, 3)) + 1j * rng.normal(size=(sector.dim, 3))
+            got = evolve_amplitudes(net, sector, batch)
+            assert got.shape == (sector.dim, 3)
+            for col in range(3):
+                ref = evolve(net, StateVector.from_vector(sector, batch[:, col], prune=0.0))
+                assert np.max(np.abs(got[:, col] - ref.to_vector())) <= 1e-12
+                vec = evolve_amplitudes(net, sector, batch[:, col])
+                assert vec.shape == (sector.dim,)
+                assert np.max(np.abs(vec - got[:, col])) <= 1e-15
+
+
+def test_block_kernel_rejects_mismatched_inputs():
+    sector = enumerate_sector(3, 2, AnyonSpec.bosonic(0.5))
+    with pytest.raises(ModeMismatchError):
+        evolve_amplitudes(Network(2, ()), sector, np.ones(sector.dim))
+    with pytest.raises(ValueError):
+        evolve_amplitudes(Network(3, ()), sector, np.ones(sector.dim + 1))
+    with pytest.raises(ValueError):
+        evolve_amplitudes(Network(3, ()), sector, np.ones((sector.dim, 2, 2)))
