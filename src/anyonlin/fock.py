@@ -136,7 +136,7 @@ class FockSector:
     representations are reproducible bit-for-bit across runs.
     """
 
-    __slots__ = ("spec", "m", "n_total", "cap", "basis", "index")
+    __slots__ = ("spec", "m", "n_total", "cap", "basis", "index", "_hash")
 
     def __init__(self, spec: AnyonSpec, m: int, n_total: int, cap: int,
                  basis: tuple[tuple[int, ...], ...]):
@@ -146,6 +146,9 @@ class FockSector:
         self.cap = cap
         self.basis = basis
         self.index = {occ: pos for pos, occ in enumerate(basis)}
+        # sectors key the unitary caches, so hash once; numbers only, since
+        # their hashes (unlike the enum's) are the same in every process
+        self._hash = hash((spec.phi, spec.is_fermionic, m, n_total, cap))
 
     @property
     def dim(self) -> int:
@@ -164,14 +167,16 @@ class FockSector:
                (other.spec, other.m, other.n_total, other.cap)
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.m, self.n_total, self.cap))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"FockSector(m={self.m}, n_total={self.n_total}, cap={self.cap}, "
                 f"dim={self.dim}, {self.spec.particle_class.value}, phi={self.spec.phi:g})")
 
 
-@lru_cache(maxsize=None)
+# bounded because every new phi makes new sectors; 256 matches the dense
+# unitary cache, whose keys hold that many sectors alive anyway
+@lru_cache(maxsize=256)
 def _sector_cached(spec: AnyonSpec, m: int, n_total: int, cap: int) -> FockSector:
     basis = _basis_tuples(m, n_total, cap)
     if not basis:

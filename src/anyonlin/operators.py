@@ -124,7 +124,9 @@ def quadratic_matrix(sector: FockSector, i: int, j: int) -> OperatorMatrix:
 
     Composed from the annihilation rule on mode j followed by the
     creation rule on mode i, so a single phase convention governs both
-    this and every state-level operation.
+    this and every state-level operation.  On a capped bosonic sector
+    the result is compressed onto the sector: raised states with an
+    occupation above the cap are dropped.
     """
     dim = sector.dim
     mat = np.zeros((dim, dim), dtype=np.complex128)
@@ -134,7 +136,9 @@ def quadratic_matrix(sector: FockSector, i: int, j: int) -> OperatorMatrix:
         lowered = apply_annihilate(StateVector.basis_state(sector, occ), j)
         raised = apply_create(lowered, i)
         for out_occ, amp in raised.amps.items():
-            mat[sector.index[out_occ], col] = amp
+            row = sector.index.get(out_occ)
+            if row is not None:
+                mat[row, col] = amp
     return OperatorMatrix(sector, mat)
 
 

@@ -1,5 +1,12 @@
 """Shared grids and comparison helpers for the test suite."""
 
+import os
+
+# The dense oracles call BLAS on small matrices, where extra BLAS threads
+# only contend for the CPU; this must run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import math
 
 import numpy as np

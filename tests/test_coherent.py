@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from anyonlin.coherent import DegenerateStateError, ExactGreater, ExactLess, \
     deformed_binomial_prefactor, displacement, displacement_product_factor, \
     evolve_family, evolve_truncated, generalized_coherent_state, kerr_interconvert, \
     mirror_cat, mirror_network, two_mode_family_state
-from anyonlin.fock import apply_create, vacuum_state
-from anyonlin.network import single_particle_matrix
+from anyonlin.fock import StateVector, apply_create, enumerate_sector, vacuum_state
+from anyonlin.network import evolve, single_particle_matrix
 
 TR = Truncation(40)
 
@@ -324,6 +325,91 @@ def test_family_evolution_matches_brute_force():
             brute = evolve_truncated(start, net, spec)
             closed = two_mode_family_state(evolve_family(fam, net, spec), spec, TR)
             assert abs(1.0 - brute.normalized().fidelity(closed)) < 1e-8
+
+
+def shellwise_oracle(state, network, spec):
+    """Per-shell StateVector route through ``evolve``: (amplitudes, lost probability)."""
+    n_max = state.n_max
+    out = np.zeros_like(state.amps)
+    lost = 0.0
+    for n in range(2 * n_max + 1):
+        entries = {(l, n - l): state.amps[l, n - l]
+                   for l in range(max(0, n - n_max), min(n, n_max) + 1)
+                   if state.amps[l, n - l] != 0.0}
+        if not entries:
+            continue
+        evolved = evolve(network, StateVector(enumerate_sector(2, n, spec), entries))
+        for (l, k), amp in evolved.amps.items():
+            if l <= n_max and k <= n_max:
+                out[l, k] += amp
+            else:
+                lost += abs(amp) ** 2
+    return out, lost
+
+
+def test_evolve_truncated_is_byte_identical_to_shellwise_evolve():
+    networks = (mirror_network(),
+                Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
+                            BeamSplitter(2, 1, -0.35))))
+    families = (SingleMode(0.8, 1), SingleMode(0.6 - 0.3j, 2),
+                Type1(0.5, 0.3j), Type2(-0.2, 0.6))
+    # network outside family: one network's n_max = 40 shells fill most of
+    # the 256-entry unitary cache
+    for n_max in (3, 8, 40):
+        for phi in (0.0, 1.1, math.pi):
+            spec = AnyonSpec.bosonic(phi)
+            for net in networks:
+                for fam in families:
+                    start = two_mode_family_state(fam, spec, Truncation(n_max))
+                    want, lost = shellwise_oracle(start, net, spec)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        got = evolve_truncated(start, net, spec)
+                    assert got.amps.tobytes() == want.tobytes()
+                    warned = [w for w in caught if w.category is TruncationRiskWarning]
+                    assert bool(warned) == (lost > 1e-12)
+
+
+def test_evolve_truncated_reads_signed_zero_parts_as_positive_zero():
+    # the shellwise route adds every kept amplitude into zeros
+    amps = np.array([[complex(-0.6, -0.0), complex(-0.0, 0.5)],
+                     [complex(0.4, -0.0), 0.3j]])
+    spec = AnyonSpec.bosonic(1.1)
+    for net in (Network(2, ()), Network(2, (PhaseShifter(2, 0.0),))):
+        want, _ = shellwise_oracle(TruncatedState(amps), net, spec)
+        got = evolve_truncated(TruncatedState(amps), net, spec)
+        assert got.amps.tobytes() == want.tobytes()
+        parts = got.amps.view(np.float64)
+        assert not np.any((parts == 0.0) & np.signbit(parts))
+
+
+def test_evolve_truncated_warns_on_probability_past_cutoff():
+    spec = AnyonSpec.bosonic(1.1)
+    start = two_mode_family_state(Type1(0.9, 0.9), spec, Truncation(3))
+    net = Network(2, (BeamSplitter(1, 2, math.pi / 4),))
+    want, lost = shellwise_oracle(start, net, spec)
+    assert lost > 1e-3
+    with pytest.warns(TruncationRiskWarning, match="dropped probability"):
+        got = evolve_truncated(start, net, spec)
+    assert got.amps.tobytes() == want.tobytes()
+    assert abs(1.0 - got.norm() ** 2 - lost) < 1e-12
+
+
+def test_evolve_truncated_rejects_fermions():
+    start = two_mode_family_state(SingleMode(0.5, 1), AnyonSpec.bosonic(1.0), Truncation(4))
+    with pytest.raises(ValueError):
+        evolve_truncated(start, mirror_network(), AnyonSpec.fermionic(1.0))
+
+
+def test_mirror_cat_makes_no_state_vector_round_trip(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("StateVector round trip on the truncated path")
+
+    monkeypatch.setattr(StateVector, "to_vector", refuse)
+    monkeypatch.setattr(StateVector, "from_vector", refuse)
+    spec = AnyonSpec.bosonic(math.pi)
+    for truncation in (Truncation(12), TR):     # a fresh cutoff builds its unitaries too
+        assert mirror_cat(0.7, spec, truncation).num_modes == 2
 
 
 def test_exact_families_refuse_linear_optics():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, EmptySectorError, enumerate_sector, number_expectation
-from anyonlin.fock import StateVector, apply_annihilate, apply_create, sign_eps, \
-    state_to_jsonable, vacuum_state
+from anyonlin.fock import StateVector, _sector_cached, apply_annihilate, apply_create, \
+    sign_eps, state_to_jsonable, vacuum_state
 from anyonlin.operators import annihilation_matrix, creation_matrix
 
 from conftest import PHI_GRID, both_classes, state_deviation
@@ -70,6 +70,19 @@ def test_phi_reduced_mod_2pi():
     assert AnyonSpec("fermionic", 0.25).is_fermionic
     with pytest.raises(ValueError):
         AnyonSpec.bosonic(math.inf)
+
+
+def test_sector_cache_stays_bounded_over_a_phi_sweep():
+    first = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
+    for phi in np.linspace(0.001, 6.0, 3000):
+        enumerate_sector(3, 2, AnyonSpec.fermionic(float(phi)))
+    info = _sector_cached.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 3000
+    again = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
+    assert again is not first                # evicted and rebuilt
+    assert again == first and hash(again) == hash(first)
+    assert again.basis == first.basis and again.index == first.index
 
 
 def test_sign_eps():

@@ -342,6 +342,23 @@ def test_block_kernel_on_capped_bosonic_sectors():
                 assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_dense_unitary_on_capped_bosonic_sectors_matches_block_kernel():
+    # quadratic_matrix compresses chi†_i chi_j onto the capped states
+    for phi in (0.0, 0.5, math.pi):
+        spec = AnyonSpec.bosonic(phi)
+        for m, n, cap in ((3, 3, 2), (4, 4, 2), (3, 5, 2), (4, 3, 1)):
+            capped = enumerate_sector(m, n, spec, cap=cap)
+            full = enumerate_sector(m, n, spec)
+            keep = [full.index[occ] for occ in capped.basis]
+            for i, j in itertools.permutations(range(1, m + 1), 2):
+                assert np.array_equal(quadratic_matrix(capped, i, j).mat,
+                                      quadratic_matrix(full, i, j).mat[np.ix_(keep, keep)])
+                el = BeamSplitter(i, j, 0.4)
+                dev = np.max(np.abs(element_unitary(capped, el).mat
+                                    - kernel_unitary(capped, el)))
+                assert dev <= 1e-12
+
+
 def test_block_kernel_batch_and_vector_match_spectral_evolve():
     rng = np.random.default_rng(11)
     net = Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
