@@ -28,9 +28,9 @@ import numpy as np
 
 from .coherent import Truncation, cat_closed_form, mirror_cat, mirror_network
 from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, run_circuit
-from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector, state_to_jsonable
-from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, \
-    element_unitary, evolve, single_particle_matrix
+from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector, sector_dim
+from .network import BeamSplitter, Network, PhaseShifter, _apply_dense, \
+    build_braiding_network, evolve, single_particle_matrix
 
 __all__ = [
     "CliError",
@@ -45,6 +45,18 @@ __all__ = [
 
 class CliError(ValueError):
     """Validation or parse failure; maps to exit code 2."""
+
+
+#: Largest sector the dense commands accept: a dim^2 complex matrix of 256 MiB.
+MAX_DENSE_DIM = 4096
+#: Largest sector ``compile`` accepts; the block kernel holds only (dim,) vectors.
+MAX_KERNEL_DIM = 10 ** 6
+
+
+def _check_dim(m: int, n_total: int, spec: AnyonSpec, limit: int) -> None:
+    dim = sector_dim(m, n_total, spec.is_fermionic)
+    if dim > limit:
+        raise CliError(f"sector dimension {dim} exceeds the limit of {limit}")
 
 
 _PI_RE = re.compile(r"^([+-]?)(?:(\d+)\s*\*\s*)?pi(?:\s*/\s*(\d+))?$", re.IGNORECASE)
@@ -174,7 +186,9 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     totals = {sum(occ) for _, occ in terms}
     if len(totals) > 1:
         raise CliError("all kets must carry the same total particle number")
-    sector = enumerate_sector(m, totals.pop(), spec)
+    n_total = totals.pop()
+    _check_dim(m, n_total, spec, MAX_DENSE_DIM)
+    sector = enumerate_sector(m, n_total, spec)
     amps: dict[tuple[int, ...], complex] = {}
     for coef, occ in terms:
         amps[occ] = amps.get(occ, 0.0) + coef
@@ -191,9 +205,11 @@ def _fmt(x: float) -> float:
     return float(format(float(x), ".17g"))
 
 
-def _amplitude_entries(state: StateVector) -> list[dict]:
-    return [{"occ": entry["occ"], "re": _fmt(entry["re"]), "im": _fmt(entry["im"])}
-            for entry in state_to_jsonable(state, eps=1e-12)]
+def _entries(label: str, items) -> list[dict]:
+    """Output rows {label: key, "re": ..., "im": ...} of (key, amplitude) pairs
+    whose amplitude exceeds 1e-12 in magnitude."""
+    return [{label: key, "re": _fmt(amp.real), "im": _fmt(amp.imag)}
+            for key, amp in items if abs(amp) > 1e-12]
 
 
 def _emit(doc: dict, table: bool) -> None:
@@ -219,7 +235,8 @@ def _state_doc(args: argparse.Namespace, input_text: str, state: StateVector) ->
         "input": input_text,
         "phi": _fmt(parse_angle(args.phi)),
         "class": args.particle_class,
-        "amplitudes": _amplitude_entries(state),
+        "amplitudes": _entries("occ", ((list(occ), state.amps[occ])
+                                       for occ in state.sector.basis if occ in state.amps)),
     }
 
 
@@ -269,9 +286,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _check_norm(out)
     doc = _state_doc(args, args.input, out)
     if args.dump_unitary:
-        mat = np.eye(state.sector.dim, dtype=np.complex128)
-        for el in network.elements:
-            mat = element_unitary(state.sector, el).mat @ mat
+        mat = _apply_dense(state.sector, network.elements,
+                           np.eye(state.sector.dim, dtype=np.complex128))
         doc["unitary"] = {
             "basis": [list(occ) for occ in state.sector.basis],
             "re": [[_fmt(v.real) for v in row] for row in mat],
@@ -293,6 +309,7 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     except (KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad circuit document: {err}") from None
     layout = LogicalLayout(qubits)
+    _check_dim(layout.m, layout.n_particles, spec, MAX_KERNEL_DIM)
 
     def angle(value) -> float:
         return parse_angle(value) if isinstance(value, str) else float(value)
@@ -360,11 +377,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     amps, leakage = decode(layout, final)
     if args.self_check and leakage > 1e-10:
         raise ArithmeticError(f"leakage {leakage!r} above tolerance")
-    entries = []
-    for idx, amp in enumerate(amps):
-        if abs(amp) > 1e-12:
-            entries.append({"bits": format(idx, f"0{layout.num_qubits}b"),
-                            "re": _fmt(amp.real), "im": _fmt(amp.imag)})
+    entries = _entries("bits", ((format(idx, f"0{layout.num_qubits}b"), amp)
+                                for idx, amp in enumerate(amps)))
     doc = {
         "input": bits,
         "phi": _fmt(spec.phi),
@@ -384,12 +398,8 @@ def _cmd_cat(args: argparse.Namespace) -> int:
     state = mirror_cat(u, spec, truncation)
     mirror_u = single_particle_matrix(mirror_network())
     reference = cat_closed_form(mirror_u[1, 0] * u, truncation, mode=2)
-    entries = []
-    for l in range(args.nmax + 1):
-        for k in range(args.nmax + 1):
-            amp = state.amps[l, k]
-            if abs(amp) > 1e-12:
-                entries.append({"occ": [l, k], "re": _fmt(amp.real), "im": _fmt(amp.imag)})
+    entries = _entries("occ", (([l, k], state.amps[l, k])
+                               for l in range(args.nmax + 1) for k in range(args.nmax + 1)))
     doc = {
         "input": args.u,
         "phi": _fmt(spec.phi),
@@ -402,20 +412,21 @@ def _cmd_cat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, phi_default: str | None = None) -> None:
-    if phi_default is None:
-        parser.add_argument("--phi", required=True, help="exchange phase (radians or pi-expr)")
-    else:
-        parser.add_argument("--phi", default=phi_default,
-                            help=f"exchange phase (default {phi_default})")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--phi", required=True, help="exchange phase (radians or pi-expr)")
     parser.add_argument("--class", dest="particle_class", default="bosonic",
                         choices=["bosonic", "fermionic"], help="particle class")
+    _add_output(parser)
+
+
+def _add_output(parser: argparse.ArgumentParser, self_check: bool = True) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", dest="table", action="store_false", default=False,
                        help="JSON output (default)")
     group.add_argument("--table", dest="table", action="store_true", help="aligned text table")
-    parser.add_argument("--self-check", action="store_true",
-                        help="verify numerical invariants; exit 3 on failure")
+    if self_check:
+        parser.add_argument("--self-check", action="store_true",
+                            help="verify numerical invariants; exit 3 on failure")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,20 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compile N random single-qubit targets instead")
     p_compile.add_argument("--seed", type=int, default=0, help="seed for --haar-check")
     p_compile.add_argument("--phi", default="", help="exchange phase for --haar-check")
-    group = p_compile.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="table", action="store_false", default=False)
-    group.add_argument("--table", dest="table", action="store_true")
-    p_compile.add_argument("--self-check", action="store_true")
+    _add_output(p_compile)
     p_compile.set_defaults(func=_cmd_compile)
 
     p_cat = sub.add_parser("cat", help="cat state from the mirror at phi = pi")
     p_cat.add_argument("--u", required=True, help="coherent amplitude (complex literal)")
     p_cat.add_argument("--phi", default="pi", help="exchange phase (must be pi)")
     p_cat.add_argument("--nmax", type=int, default=40, help="per-mode Fock cutoff")
-    group = p_cat.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="table", action="store_false", default=False)
-    group.add_argument("--table", dest="table", action="store_true")
-    p_cat.add_argument("--self-check", action="store_true")
+    # mirror_cat always checks its fidelity, so cat has no --self-check
+    _add_output(p_cat, self_check=False)
     p_cat.set_defaults(func=_cmd_cat)
 
     return parser

@@ -167,10 +167,7 @@ class TruncatedState:
 
 def _ladder(n_max: int) -> np.ndarray:
     """Truncated annihilation matrix a with a[n-1, n] = sqrt(n)."""
-    a = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1).astype(np.complex128)
 
 
 def displacement(g: complex, truncation: Truncation = Truncation()) -> np.ndarray:

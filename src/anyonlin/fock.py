@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +50,8 @@ __all__ = [
     "vacuum_state",
     "apply_create",
     "apply_annihilate",
+    "ladder_factor",
+    "sector_dim",
     "number_expectation",
     "sign_eps",
     "state_to_jsonable",
@@ -77,7 +79,7 @@ def sign_eps(i: int, j: int) -> int:
 class AnyonSpec:
     """Particle class plus statistical exchange phase phi (radians).
 
-    phi is reduced modulo 2*pi on construction.  phi = 0 gives standard
+    phi is reduced into [0, 2*pi) on construction.  phi = 0 gives standard
     bosons or fermions.
     """
 
@@ -90,7 +92,9 @@ class AnyonSpec:
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise ValueError(f"phi must be finite, got {phi!r}")
-        object.__setattr__(self, "phi", phi % _TWO_PI)
+        phi %= _TWO_PI
+        # a tiny negative phi reduces to 2 pi itself, which is phi = 0
+        object.__setattr__(self, "phi", 0.0 if phi == _TWO_PI else phi)
 
     @classmethod
     def bosonic(cls, phi: float) -> "AnyonSpec":
@@ -109,10 +113,19 @@ class EmptySectorError(ValueError):
     """Requested sector contains no basis states (e.g. fermions with n > m)."""
 
 
-@lru_cache(maxsize=None)
-def _basis_tuples(m: int, n_total: int, cap: int) -> tuple[tuple[int, ...], ...]:
+class _ShapeBasis(NamedTuple):
+    """The phi-independent basis of one sector shape (m, n_total, cap)."""
+
+    basis: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    occ: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _shape_basis(m: int, n_total: int, cap: int) -> _ShapeBasis:
     """All occupation tuples of length m summing to n_total with entries <= cap,
-    in lexicographically decreasing order."""
+    in lexicographically decreasing order, with their positions and the
+    same basis as a read-only (dim, m) integer array."""
 
     def gen(modes: int, left: int) -> Iterator[tuple[int, ...]]:
         if modes == 1:
@@ -125,7 +138,15 @@ def _basis_tuples(m: int, n_total: int, cap: int) -> tuple[tuple[int, ...], ...]
             for rest in gen(modes - 1, left - k):
                 yield (k,) + rest
 
-    return tuple(gen(m, n_total))
+    basis = tuple(gen(m, n_total))
+    occ = np.array(basis, dtype=np.int64).reshape(-1, m)
+    occ.setflags(write=False)
+    return _ShapeBasis(basis, {t: pos for pos, t in enumerate(basis)}, occ)
+
+
+def sector_dim(m: int, n_total: int, fermionic: bool) -> int:
+    """Closed-form size of an uncapped sector: C(m, n) fermionic, C(m + n - 1, n) bosonic."""
+    return math.comb(m, n_total) if fermionic else math.comb(m + n_total - 1, n_total)
 
 
 class FockSector:
@@ -133,19 +154,19 @@ class FockSector:
 
     The basis lists every occupation vector with the given total and
     per-mode cap, in lexicographically decreasing order, so matrix
-    representations are reproducible bit-for-bit across runs.
+    representations are reproducible bit-for-bit across runs.  ``basis``,
+    ``index`` and the (dim, m) array ``occ`` belong to the sector shape
+    and are shared by every phi.
     """
 
-    __slots__ = ("spec", "m", "n_total", "cap", "basis", "index", "_hash")
+    __slots__ = ("spec", "m", "n_total", "cap", "basis", "index", "occ", "_hash")
 
-    def __init__(self, spec: AnyonSpec, m: int, n_total: int, cap: int,
-                 basis: tuple[tuple[int, ...], ...]):
+    def __init__(self, spec: AnyonSpec, m: int, n_total: int, cap: int, shape: _ShapeBasis):
         self.spec = spec
         self.m = m
         self.n_total = n_total
         self.cap = cap
-        self.basis = basis
-        self.index = {occ: pos for pos, occ in enumerate(basis)}
+        self.basis, self.index, self.occ = shape
         # sectors key the unitary caches, so hash once; numbers only, since
         # their hashes (unlike the enum's) are the same in every process
         self._hash = hash((spec.phi, spec.is_fermionic, m, n_total, cap))
@@ -178,11 +199,11 @@ class FockSector:
 # unitary cache, whose keys hold that many sectors alive anyway
 @lru_cache(maxsize=256)
 def _sector_cached(spec: AnyonSpec, m: int, n_total: int, cap: int) -> FockSector:
-    basis = _basis_tuples(m, n_total, cap)
-    if not basis:
+    shape = _shape_basis(m, n_total, cap)
+    if not shape.basis:
         raise EmptySectorError(
             f"no occupation vectors for m={m}, n_total={n_total}, cap={cap}")
-    return FockSector(spec, m, n_total, cap, basis)
+    return FockSector(spec, m, n_total, cap, shape)
 
 
 def enumerate_sector(m: int, n_total: int, spec: AnyonSpec,
@@ -300,6 +321,39 @@ def _check_mode(m: int, i: int) -> None:
         raise ValueError(f"mode index {i} outside 1..{m}")
 
 
+def ladder_factor(phi: float, fermionic: bool, s: int, k: int, create: bool) -> complex:
+    """The one phase rule: the factor of chi†_i (create) or chi_i on a basis
+    state holding k particles on mode i and s to its left.
+
+    e^{-+i phi s} sqrt(k + 1) or sqrt(k) for bosonic anyons; the
+    fermionic string carries (-1)^s instead of the square root.  Callers
+    drop the states that the ladder sends out of the target sector.
+    """
+    string = cmath.exp((-1j if create else 1j) * phi * s)
+    if fermionic:
+        return (-1) ** s * string
+    return string * math.sqrt(k + 1 if create else k)
+
+
+def _apply_ladder(state: StateVector, i: int, create: bool) -> StateVector:
+    sector = state.sector
+    spec = sector.spec
+    _check_mode(sector.m, i)
+    step = 1 if create else -1
+    if sector.n_total + step < 0:
+        return StateVector.zero(sector)
+    target = enumerate_sector(sector.m, sector.n_total + step, spec)
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in state.amps.items():
+        k = occ[i - 1]
+        new_occ = occ[: i - 1] + (k + step,) + occ[i:]
+        if new_occ not in target.index:
+            continue
+        factor = ladder_factor(spec.phi, spec.is_fermionic, sum(occ[: i - 1]), k, create)
+        out[new_occ] = out.get(new_occ, 0.0) + amp * factor
+    return StateVector(target, out).pruned()
+
+
 def apply_create(state: StateVector, i: int) -> StateVector:
     """Apply the anyonic creation operator on mode i (1-based).
 
@@ -307,25 +361,7 @@ def apply_create(state: StateVector, i: int) -> StateVector:
     demand.  On a full fermionic sector (n_total = m) that sector does
     not exist and EmptySectorError is raised.
     """
-    sector = state.sector
-    spec = sector.spec
-    _check_mode(sector.m, i)
-    phi = spec.phi
-    fermionic = spec.is_fermionic
-    target = enumerate_sector(sector.m, sector.n_total + 1, spec)
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amps.items():
-        ni = occ[i - 1]
-        s = sum(occ[: i - 1])
-        if fermionic:
-            if ni == 1:
-                continue
-            factor = (-1) ** s * cmath.exp(-1j * phi * s)
-        else:
-            factor = cmath.exp(-1j * phi * s) * math.sqrt(ni + 1)
-        new_occ = occ[: i - 1] + (ni + 1,) + occ[i:]
-        out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-    return StateVector(target, out).pruned()
+    return _apply_ladder(state, i, create=True)
 
 
 def apply_annihilate(state: StateVector, i: int) -> StateVector:
@@ -334,27 +370,7 @@ def apply_annihilate(state: StateVector, i: int) -> StateVector:
     Annihilating an empty mode contributes nothing; annihilating the
     vacuum sector returns the zero vector on the input sector.
     """
-    sector = state.sector
-    spec = sector.spec
-    _check_mode(sector.m, i)
-    phi = spec.phi
-    fermionic = spec.is_fermionic
-    if sector.n_total == 0:
-        return StateVector.zero(sector)
-    target = enumerate_sector(sector.m, sector.n_total - 1, spec)
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amps.items():
-        ni = occ[i - 1]
-        if ni == 0:
-            continue
-        s = sum(occ[: i - 1])
-        if fermionic:
-            factor = (-1) ** s * cmath.exp(1j * phi * s)
-        else:
-            factor = cmath.exp(1j * phi * s) * math.sqrt(ni)
-        new_occ = occ[: i - 1] + (ni - 1,) + occ[i:]
-        out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-    return StateVector(target, out).pruned()
+    return _apply_ladder(state, i, create=False)
 
 
 def number_expectation(state: StateVector, i: int) -> float:

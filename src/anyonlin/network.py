@@ -51,7 +51,7 @@ from .fock import (
     AnyonSpec,
     FockSector,
     StateVector,
-    _basis_tuples,
+    _shape_basis,
     apply_create,
     enumerate_sector,
     vacuum_state,
@@ -169,9 +169,7 @@ def element_generator(sector: FockSector, element: Element) -> OperatorMatrix:
 @lru_cache(maxsize=256)
 def _element_unitary_cached(sector: FockSector, element: Element) -> OperatorMatrix:
     if isinstance(element, PhaseShifter):
-        diag = np.array([cmath.exp(1j * element.tau * occ[element.mode - 1])
-                         for occ in sector.basis])
-        mat = np.diag(diag)
+        mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
     else:
         gen = element_generator(sector, element).mat
         vals, vecs = np.linalg.eigh(gen)
@@ -216,14 +214,6 @@ def _apply_dense(sector: FockSector, elements: Sequence[Element], vec: np.ndarra
     return vec
 
 
-@lru_cache(maxsize=16)
-def _occupations(m: int, n_total: int, cap: int) -> np.ndarray:
-    """The sector basis as a read-only (dim, m) integer array."""
-    occ = np.array(_basis_tuples(m, n_total, cap), dtype=np.int64).reshape(-1, m)
-    occ.setflags(write=False)
-    return occ
-
-
 @dataclass(frozen=True)
 class _BlockFamily:
     """All beam-splitter blocks of one pair total N = n_lo + n_hi.
@@ -249,7 +239,7 @@ def _block_families(m: int, n_total: int, cap: int, lo: int, hi: int
     n_lo; a run of equal outside occupations is one block.  Blocks of a
     single state are left out: the hop vanishes on them.
     """
-    occ = _occupations(m, n_total, cap)
+    occ = _shape_basis(m, n_total, cap).occ
     k = occ[:, lo - 1]
     rest = np.delete(occ, [lo - 1, hi - 1], axis=1)
     order = np.lexsort((k,) + tuple(rest.T[::-1]))
@@ -307,8 +297,7 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     for element in network.elements:
         if isinstance(element, PhaseShifter):
-            n_mode = _occupations(*shape)[:, element.mode - 1]
-            batch *= np.exp(1j * element.tau * n_mode)[:, None]
+            batch *= np.exp(1j * element.tau * sector.occ[:, element.mode - 1])[:, None]
             continue
         lo, hi = sorted((element.mode_i, element.mode_j))
         for fam in _block_families(*shape, lo, hi):
@@ -331,8 +320,7 @@ class GOperator:
     def matrix(self, sector: FockSector) -> OperatorMatrix:
         phi = sector.spec.phi
         bs = element_unitary(sector, BeamSplitter(self.i, self.j, self.theta)).mat
-        j3 = np.array([(occ[self.i - 1] - occ[self.j - 1]) / 2.0
-                       for occ in sector.basis])
+        j3 = (sector.occ[:, self.i - 1] - sector.occ[:, self.j - 1]) / 2.0
         phase = np.exp(1j * self.n * phi * j3)
         return OperatorMatrix(sector, (phase[:, None] * bs) * phase.conj()[None, :])
 
@@ -372,25 +360,18 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     winding = 0
     terms: list[tuple[complex, tuple[int, ...]]] = [(1.0 + 0.0j, ())]
     for mode in monomial:
-        if mode == lo:
-            branch = cmath.exp(-1j * winding * phi)
+        if mode in (lo, hi):
+            other, sign = (hi, -1j) if mode == lo else (lo, 1j)
+            branch = cmath.exp(sign * winding * phi)
             terms = [t for c, ops in terms
-                     for t in ((c * cos_t, ops + (lo,)),
-                               (c * 1j * branch * sin_t, ops + (hi,)))]
-            winding += 1
-        elif mode == hi:
-            branch = cmath.exp(1j * winding * phi)
-            terms = [t for c, ops in terms
-                     for t in ((c * cos_t, ops + (hi,)),
-                               (c * 1j * branch * sin_t, ops + (lo,)))]
+                     for t in ((c * cos_t, ops + (mode,)),
+                               (c * 1j * branch * sin_t, ops + (other,)))]
             winding += 1
         else:
             terms = [(c, ops + (mode,)) for c, ops in terms]
             winding += 2
 
-    target = enumerate_sector(network.m, len(monomial), spec) if monomial \
-        else vacuum_state(network.m, spec).sector
-    result = StateVector.zero(target)
+    result = StateVector.zero(enumerate_sector(network.m, len(monomial), spec))
     for coeff, ops in terms:
         piece = vacuum_state(network.m, spec)
         for mode in reversed(ops):

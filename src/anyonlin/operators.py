@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +32,10 @@ from .fock import (
     AnyonSpec,
     FockSector,
     StateVector,
-    apply_annihilate,
-    apply_create,
+    _check_mode,
+    _shape_basis,
     enumerate_sector,
+    ladder_factor,
     sign_eps,
 )
 
@@ -89,6 +91,64 @@ class OperatorMatrix:
         return bool(np.max(np.abs(self.mat.conj().T @ self.mat - eye)) <= atol)
 
 
+@lru_cache(maxsize=512)
+def _ladder_map(m: int, n_total: int, cap: int, target_cap: int,
+                ladders: tuple[tuple[int, bool], ...]) -> tuple:
+    """The phi-independent part of ``_ladder_matrix`` on the shape (m, n_total, cap).
+
+    Returns the kept columns, their rows in the target shape (states sent
+    outside it are dropped) and, per ladder, the code s (n_total + 2) + k
+    of the (s, k) each entry shows the phase rule, with the distinct codes.
+    """
+    occ = _shape_basis(m, n_total, cap).occ
+    new = occ.copy()
+    keep = np.ones(len(occ), dtype=bool)
+    codes = []
+    for mode, create in ladders:
+        keep &= create | (new[:, mode - 1] > 0)     # chi_i on an empty mode i is zero
+        codes.append(new[:, : mode - 1].sum(axis=1) * (n_total + 2) + new[:, mode - 1])
+        new[:, mode - 1] += 1 if create else -1
+    n_target = n_total + sum(1 if create else -1 for _, create in ladders)
+    target = _shape_basis(m, n_target, target_cap).occ
+    both = np.concatenate((target, new))
+    order = np.lexsort(both.T[::-1])
+    # the sort is stable, so a target row sits just before the new state equal to it
+    hit = np.flatnonzero(np.all(np.diff(both[order], axis=0) == 0, axis=1)) + 1
+    rows = np.full(len(new), -1)
+    rows[order[hit] - len(target)] = order[hit - 1]
+    keep &= rows >= 0
+    codes = [code[keep] for code in codes]
+    return np.flatnonzero(keep), rows[keep], tuple(
+        (np.flatnonzero(np.bincount(code, minlength=(n_total + 2) ** 2)), code) for code in codes)
+
+
+def _ladder_matrix(sector: FockSector, target: FockSector,
+                   ladders: tuple[tuple[int, bool], ...]) -> np.ndarray:
+    """Dense matrix of a ladder product from sector to target; ``ladders``
+    lists (mode, create) in the order they act, annihilations first.
+
+    Each entry is a unit amplitude times every ladder's ``ladder_factor``,
+    formed as the state rule forms it, so the matrix is bit-for-bit the
+    per-basis-state one: products go part by part like Python's complex
+    product (numpy's may fuse them), and adding 0.0 turns -0.0 into 0.0.
+    """
+    for mode, _ in ladders:
+        _check_mode(sector.m, mode)
+    cols, rows, codes = _ladder_map(sector.m, sector.n_total, sector.cap, target.cap, ladders)
+    spec, radix = sector.spec, sector.n_total + 2
+    re, im = np.ones(len(cols)), np.zeros(len(cols))
+    for (_, create), (distinct, code) in zip(ladders, codes):
+        table = np.zeros(radix * radix, dtype=np.complex128)
+        table[distinct] = [ladder_factor(spec.phi, spec.is_fermionic, *divmod(c, radix), create)
+                           for c in distinct.tolist()]
+        f = table[code]
+        re, im = 0.0 + (re * f.real - im * f.imag), 0.0 + (re * f.imag + im * f.real)
+    mat = np.zeros((target.dim, sector.dim), dtype=np.complex128)
+    mat.real[rows, cols] = re
+    mat.imag[rows, cols] = im
+    return mat
+
+
 def creation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarray:
     """Rectangular matrix of chi†_i from the given sector to the one above.
 
@@ -98,12 +158,7 @@ def creation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarray:
     if spec.is_fermionic and sector.n_total + 1 > sector.m:
         return np.zeros((0, sector.dim), dtype=np.complex128)
     target = enumerate_sector(sector.m, sector.n_total + 1, spec)
-    mat = np.zeros((target.dim, sector.dim), dtype=np.complex128)
-    for col, occ in enumerate(sector.basis):
-        image = apply_create(StateVector.basis_state(sector, occ), i)
-        for out_occ, amp in image.amps.items():
-            mat[target.index[out_occ], col] = amp
-    return mat
+    return _ladder_matrix(sector, target, ((i, True),))
 
 
 def annihilation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarray:
@@ -111,41 +166,24 @@ def annihilation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarr
     if sector.n_total == 0:
         return np.zeros((0, sector.dim), dtype=np.complex128)
     target = enumerate_sector(sector.m, sector.n_total - 1, spec)
-    mat = np.zeros((target.dim, sector.dim), dtype=np.complex128)
-    for col, occ in enumerate(sector.basis):
-        image = apply_annihilate(StateVector.basis_state(sector, occ), i)
-        for out_occ, amp in image.amps.items():
-            mat[target.index[out_occ], col] = amp
-    return mat
+    return _ladder_matrix(sector, target, ((i, False),))
 
 
 def quadratic_matrix(sector: FockSector, i: int, j: int) -> OperatorMatrix:
     """Matrix of chi†_i chi_j on the sector (number preserving).
 
-    Composed from the annihilation rule on mode j followed by the
-    creation rule on mode i, so a single phase convention governs both
-    this and every state-level operation.  On a capped bosonic sector
-    the result is compressed onto the sector: raised states with an
+    The annihilation rule on mode j followed by the creation rule on
+    mode i, so the single phase rule ``ladder_factor`` governs both this
+    and every state-level operation.  On a capped bosonic sector the
+    result is compressed onto the sector: raised states with an
     occupation above the cap are dropped.
     """
-    dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    if sector.n_total == 0:
-        return OperatorMatrix(sector, mat)
-    for col, occ in enumerate(sector.basis):
-        lowered = apply_annihilate(StateVector.basis_state(sector, occ), j)
-        raised = apply_create(lowered, i)
-        for out_occ, amp in raised.amps.items():
-            row = sector.index.get(out_occ)
-            if row is not None:
-                mat[row, col] = amp
-    return OperatorMatrix(sector, mat)
+    return OperatorMatrix(sector, _ladder_matrix(sector, sector, ((j, False), (i, True))))
 
 
 def number_matrix(sector: FockSector, i: int) -> OperatorMatrix:
     """Diagonal matrix of n_i = chi†_i chi_i."""
-    diag = np.array([occ[i - 1] for occ in sector.basis], dtype=np.complex128)
-    return OperatorMatrix(sector, np.diag(diag))
+    return OperatorMatrix(sector, np.diag(sector.occ[:, i - 1].astype(np.complex128)))
 
 
 def su2_generators(sector: FockSector, i: int, j: int
@@ -238,17 +276,8 @@ def quartic_term(sector: FockSector, i: int, j: int, k: int, l: int) -> Operator
     defect: creations on i and k, annihilations on j and l (with chi_l
     acting first).
     """
-    spec = sector.spec
-    dim = sector.dim
-    if sector.n_total < 2:
-        return OperatorMatrix(sector, np.zeros((dim, dim), dtype=np.complex128))
-    below = enumerate_sector(sector.m, sector.n_total - 1, spec)
-    ai_l = annihilation_matrix(spec, sector, l)
-    ai_j = annihilation_matrix(spec, below, j)
-    two_below = enumerate_sector(sector.m, sector.n_total - 2, spec)
-    cr_k = creation_matrix(spec, two_below, k)
-    cr_i = creation_matrix(spec, below, i)
-    return OperatorMatrix(sector, cr_i @ cr_k @ ai_j @ ai_l)
+    ladders = ((l, False), (j, False), (k, True), (i, True))
+    return OperatorMatrix(sector, _ladder_matrix(sector, sector, ladders))
 
 
 def closure_defect(sector: FockSector, i: int, j: int, k: int, l: int) -> OperatorMatrix:
@@ -279,25 +308,15 @@ def jw_image(sector: FockSector, i: int, dagger: bool) -> np.ndarray:
     spec = sector.spec
     std_spec = AnyonSpec(spec.particle_class, 0.0)
     std_sector = enumerate_sector(sector.m, sector.n_total, std_spec)
-    if dagger:
-        base = creation_matrix(std_spec, std_sector, i)
-        if base.shape[0] == 0:
-            return base
-        target = enumerate_sector(sector.m, sector.n_total + 1, spec)
-        phase_sign = -1.0
-    else:
-        base = annihilation_matrix(std_spec, std_sector, i)
-        if base.shape[0] == 0:
-            return base
-        target = enumerate_sector(sector.m, sector.n_total - 1, spec)
-        phase_sign = +1.0
-    string = np.array([cmath.exp(phase_sign * 1j * spec.phi * sum(occ[: i - 1]))
-                       for occ in target.basis])
-    return string[:, None] * base
+    base = (creation_matrix if dagger else annihilation_matrix)(std_spec, std_sector, i)
+    if base.shape[0] == 0:
+        return base
+    target = enumerate_sector(sector.m, sector.n_total + (1 if dagger else -1), spec)
+    s = target.occ[:, : i - 1].sum(axis=1)
+    return np.exp((-1j if dagger else 1j) * spec.phi * s)[:, None] * base
 
 
 def kerr_hamiltonian(sector: FockSector, i: int, j: int) -> OperatorMatrix:
     """Diagonal Kerr Hamiltonian n(n-1)/2 with n = n_i + n_j."""
-    diag = np.array([(occ[i - 1] + occ[j - 1]) * (occ[i - 1] + occ[j - 1] - 1) / 2.0
-                     for occ in sector.basis], dtype=np.complex128)
-    return OperatorMatrix(sector, np.diag(diag))
+    n_pair = sector.occ[:, i - 1] + sector.occ[:, j - 1]
+    return OperatorMatrix(sector, np.diag((n_pair * (n_pair - 1) / 2.0).astype(np.complex128)))

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -12,8 +13,8 @@ import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, \
     build_braiding_network
-from anyonlin.cli import CliError, main, parse_angle, parse_complex, parse_network, \
-    parse_state, serialize_network
+from anyonlin.cli import CliError, build_parser, main, parse_angle, parse_complex, \
+    parse_network, parse_state, serialize_network
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -223,6 +224,27 @@ def test_compile_haar_check_mode():
     assert doc["max_deviation"] < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "--phi", "0"],
+    ["braid", "--phi", "0"],
+    ["run", "--phi", "0", "--network", "net.txt", "--input", "|1,0>"],
+    ["compile", "--circuit", "circuit.json"],
+    ["cat", "--u", "1"],
+])
+def test_every_subcommand_takes_the_same_output_flags(argv):
+    parser = build_parser()
+    assert parser.parse_args(argv + ["--table"]).table is True
+    assert parser.parse_args(argv + ["--json"]).table is False
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["--json", "--table"])
+    if argv[0] == "cat":
+        # mirror_cat always checks its fidelity; the flag would be a no-op
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--self-check"])
+    else:
+        assert parser.parse_args(argv + ["--self-check"]).self_check is True
+
+
 def test_table_output_mode():
     code, out = run_cli(["hom", "--phi", "pi/5", "--table"])
     assert code == 0
@@ -248,6 +270,37 @@ def test_exit_code_self_check_failure():
                           capture_output=True, text=True)
     assert proc.returncode == 3
     assert "self-check" in proc.stderr
+
+
+def run_capped(argv):
+    """Run the CLI in a child process limited to 2 GiB of address space and
+    60 s, so that a missing size guard fails the test instead of exhausting
+    the machine."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run([sys.executable, "-m", "anyonlin", *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_memory)
+
+
+def test_oversized_dense_sectors_exit_2_before_enumeration(tmp_path):
+    network = tmp_path / "wide.net"
+    network.write_text("modes 12\nbs 1 2 0.3\n")
+    ket = "|" + ",".join(["12"] + ["0"] * 11) + ">"
+    proc = run_capped(["run", "--phi", "0.5", "--network", str(network), "--input", ket])
+    assert proc.returncode == 2, proc.stderr
+    assert "1352078" in proc.stderr                # C(23, 12)
+    proc = run_capped(["braid", "--phi", "0.5", "--input", "|50,50,50>"])
+    assert proc.returncode == 2, proc.stderr
+    assert "11476" in proc.stderr                  # C(152, 2), 2 GB per dense matrix
+
+
+def test_oversized_circuit_sector_exits_2(tmp_path):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"qubits": 8, "phi": 1.0, "gates": []}))
+    proc = run_capped(["compile", "--circuit", str(circuit)])
+    assert proc.returncode == 2, proc.stderr
+    assert str(math.comb(37, 15)) in proc.stderr   # 23 modes, 15 bosons
 
 
 def test_console_entry_point_runs():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, EmptySectorError, enumerate_sector, number_expectation
-from anyonlin.fock import StateVector, _sector_cached, apply_annihilate, apply_create, \
-    sign_eps, state_to_jsonable, vacuum_state
+from anyonlin.fock import StateVector, _sector_cached, _shape_basis, apply_annihilate, \
+    apply_create, sector_dim, sign_eps, state_to_jsonable, vacuum_state
 from anyonlin.operators import annihilation_matrix, creation_matrix
 
 from conftest import PHI_GRID, both_classes, state_deviation
@@ -35,7 +35,7 @@ def test_sector_sizes_match_bruteforce_enumeration():
                 assert sector.dim == len(expected)
                 assert sorted(sector.basis) == sorted(expected)
                 closed = comb(m, n) if spec.is_fermionic else comb(m + n - 1, n)
-                assert sector.dim == closed
+                assert sector.dim == closed == sector_dim(m, n, spec.is_fermionic)
 
 
 def test_sector_examples():
@@ -72,17 +72,36 @@ def test_phi_reduced_mod_2pi():
         AnyonSpec.bosonic(math.inf)
 
 
+def test_phi_just_below_two_pi_folds_to_zero():
+    # -1e-20 % (2 pi) is 2 pi itself in floating point
+    zero = AnyonSpec.bosonic(0.0)
+    for phi in (-1e-20, -1e-17, -0.0, 2 * math.pi, 4 * math.pi):
+        spec = AnyonSpec.bosonic(phi)
+        assert spec.phi == 0.0 and math.copysign(1.0, spec.phi) == 1.0
+        assert spec == zero and hash(spec) == hash(zero)
+    assert AnyonSpec.fermionic(-1e-20) == AnyonSpec.fermionic(0.0)
+    assert 0.0 < AnyonSpec.bosonic(-1e-9).phi < 2 * math.pi
+
+
 def test_sector_cache_stays_bounded_over_a_phi_sweep():
     first = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
+    other = enumerate_sector(3, 2, AnyonSpec.fermionic(1.0))
+    # the basis belongs to the shape: sectors differing in phi share it
+    assert other.basis is first.basis and other.index is first.index
+    assert other.occ is first.occ and not other.occ.flags.writeable
+    shapes = _shape_basis.cache_info().currsize
     for phi in np.linspace(0.001, 6.0, 3000):
         enumerate_sector(3, 2, AnyonSpec.fermionic(float(phi)))
     info = _sector_cached.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize < 3000
+    assert _shape_basis.cache_info().currsize == shapes
     again = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
     assert again is not first                # evicted and rebuilt
     assert again == first and hash(again) == hash(first)
-    assert again.basis == first.basis and again.index == first.index
+    assert again.basis is first.basis and again.index is first.index
+    assert again.occ is first.occ
+    assert again.occ.tolist() == [list(occ) for occ in again.basis]
 
 
 def test_sign_eps():

@@ -9,6 +9,8 @@ import pytest
 from anyonlin import AnyonSpec, QuadraticCoeffs, closure_defect, \
     closure_defect_coefficient, enumerate_sector, hamiltonian, jw_image, \
     kerr_hamiltonian, quadratic_matrix, su2_generators
+from anyonlin import fock, operators
+from anyonlin.fock import StateVector, apply_annihilate, apply_create
 from anyonlin.operators import ATOL_ALGEBRA, annihilation_matrix, creation_matrix, \
     number_matrix, quartic_term
 
@@ -17,6 +19,81 @@ from conftest import PHI_GRID, PHI_GRID_SU2, both_classes
 
 def max_abs(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def images_matrix(states, target):
+    """Dense matrix whose column c holds states[c]; entries outside target are dropped."""
+    mat = np.zeros((target.dim, len(states)), dtype=np.complex128)
+    for col, state in enumerate(states):
+        for occ, amp in state.amps.items():
+            row = target.index.get(occ)
+            if row is not None:
+                mat[row, col] = amp
+    return mat
+
+
+def pushed(states, mode, create):
+    """Every state through one state-level ladder rule."""
+    return [(apply_create if create else apply_annihilate)(st, mode) for st in states]
+
+
+def ladder_grid():
+    """Sectors of both classes up to m = 6, n = 4; capped bosonic ones up to m = 4."""
+    for phi in (0.0, 1.3, math.pi, 2 * math.pi - 1e-9, 5.5):
+        for spec in both_classes(phi):
+            for m in range(1, 7):
+                for n in range(5):
+                    if spec.is_fermionic and n > m:
+                        continue
+                    caps = [None] if spec.is_fermionic or m > 4 else \
+                        [None] + [cap for cap in range(1, n) if cap * m >= n]
+                    for cap in caps:
+                        yield spec, enumerate_sector(m, n, spec, cap=cap)
+
+
+def test_ladder_matrices_are_byte_identical_to_per_basis_state_rules():
+    # reference: every basis state pushed through the state-level rules
+    for spec, sector in ladder_grid():
+        m, n = sector.m, sector.n_total
+        basis = [StateVector.basis_state(sector, occ) for occ in sector.basis]
+        for j in range(1, m + 1):
+            lowered = pushed(basis, j, False)
+            if n > 0:
+                down = enumerate_sector(m, n - 1, spec)
+                assert annihilation_matrix(spec, sector, j).tobytes() == \
+                    images_matrix(lowered, down).tobytes()
+            if not (spec.is_fermionic and n == m):
+                up = enumerate_sector(m, n + 1, spec)
+                assert creation_matrix(spec, sector, j).tobytes() == \
+                    images_matrix(pushed(basis, j, True), up).tobytes()
+            for i in range(1, m + 1):
+                assert quadratic_matrix(sector, i, j).mat.tobytes() == \
+                    images_matrix(pushed(lowered, i, True), sector).tobytes()
+        if m == 4:
+            for i, j, k, l in [(1, 2, 3, 4), (1, 3, 2, 4), (2, 2, 3, 3), (4, 1, 4, 2), (1, 1, 1, 1)]:
+                states = pushed(pushed(pushed(pushed(basis, l, False), j, False), k, True), i, True)
+                assert quartic_term(sector, i, j, k, l).mat.tobytes() == \
+                    images_matrix(states, sector).tobytes()
+
+
+def test_quadratic_matrix_builds_no_state_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state vector was built")
+
+    monkeypatch.setattr(StateVector, "__init__", refuse)
+    monkeypatch.setattr(StateVector, "basis_state", refuse)
+    for module in (fock, operators):
+        monkeypatch.setattr(module, "apply_create", refuse, raising=False)
+        monkeypatch.setattr(module, "apply_annihilate", refuse, raising=False)
+    operators._ladder_map.cache_clear()
+    for spec in both_classes(0.8123):
+        sector = enumerate_sector(4, 3, spec)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                quadratic_matrix(sector, i, j)
+            creation_matrix(spec, enumerate_sector(4, 2, spec), i)
+            annihilation_matrix(spec, sector, i)
+        quartic_term(sector, 1, 2, 3, 4)
 
 
 def test_quadratic_diagonal_is_occupation():
@@ -139,7 +216,8 @@ def test_closure_defect_quartic_annihilates_small_sectors():
 
 
 def test_closure_defect_matches_delta_times_quartic():
-    # both sides evaluated as independent explicit matrix products
+    # both sides built independently: the commutator from products of
+    # bilinear matrices, the quartic directly from the ladder rule
     patterns = [(1, 2, 3, 4), (1, 3, 2, 4), (1, 2, 2, 3), (2, 3, 3, 1), (1, 4, 2, 3)]
     for phi in (math.pi / 2, 2 * math.pi / 3):
         for spec in both_classes(phi):
