@@ -39,6 +39,7 @@ __all__ = [
     "parse_network",
     "serialize_network",
     "parse_state",
+    "haar_unitary",
     "main",
 ]
 
@@ -334,6 +335,13 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     return spec, layout, gates
 
 
+def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _haar_check(args: argparse.Namespace) -> int:
     from .dualrail import logical_unitary
 
@@ -342,9 +350,7 @@ def _haar_check(args: argparse.Namespace) -> int:
     spec = AnyonSpec.bosonic(parse_angle(args.phi)) if args.phi else AnyonSpec.bosonic(1.0)
     worst = 0.0
     for _ in range(args.haar_check):
-        z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2)
-        q, r = np.linalg.qr(z)
-        target = q * (np.diag(r) / np.abs(np.diag(r)))
+        target = haar_unitary(rng)
         got = logical_unitary(spec, layout, [U1(1, *euler_zxz(target))])
         flat = np.argmax(np.abs(target))
         aligned = got * (target.flat[flat] / got.flat[flat])

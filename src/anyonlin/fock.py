@@ -295,7 +295,7 @@ class StateVector:
         amps = dict(self.amps)
         for occ, a in other.amps.items():
             amps[occ] = amps.get(occ, 0.0) + a
-        return StateVector(self.sector, amps).pruned()
+        return StateVector(self.sector, {occ: a for occ, a in amps.items() if abs(a) > PRUNE_EPS})
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-1.0) * other
@@ -351,7 +351,7 @@ def _apply_ladder(state: StateVector, i: int, create: bool) -> StateVector:
             continue
         factor = ladder_factor(spec.phi, spec.is_fermionic, sum(occ[: i - 1]), k, create)
         out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-    return StateVector(target, out).pruned()
+    return StateVector(target, {occ: a for occ, a in out.items() if abs(a) > PRUNE_EPS})
 
 
 def apply_create(state: StateVector, i: int) -> StateVector:

@@ -30,7 +30,7 @@ Three independent evolution paths are provided:
   where G(n) = e^{i n phi J3} BS(t) e^{-i n phi J3} tracks the
   accumulated statistical winding and acts trivially on the vacuum.
 
-Agreement of the two paths is the core correctness theorem of this
+Agreement of the three paths is the core correctness theorem of this
 module.  The intermediate-mode rule is also the source of the lattice
 Aharonov-Bohm phase: a particle hopping across n occupied intermediate
 modes under a long-range beam splitter picks up e^{-i n phi} (bosonic)
@@ -53,7 +53,6 @@ from .fock import (
     StateVector,
     _shape_basis,
     apply_create,
-    enumerate_sector,
     vacuum_state,
 )
 from .operators import OperatorMatrix, number_matrix, quadratic_matrix
@@ -331,11 +330,14 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     using the propagation identities instead of matrix exponentials.
 
     The beam splitter, initially with winding zero, is commuted through
-    the creation string left to right; winding grows by 1 at the coupled
-    modes and by 2 at strictly intermediate ones, and the final dressed
-    operator drops on the vacuum.  The resulting creation polynomial is
-    expanded into Fock amplitudes with the same creation rule used
-    everywhere else, so no second phase bookkeeping exists.
+    the creation string left to right; each creation operator becomes
+    its pushed factor (a two-term combination at the coupled modes, where
+    the winding grows by 1, and chi†_k itself at strictly intermediate
+    modes, where it grows by 2), and the final dressed operator drops on
+    the vacuum.  The factors are then applied right to left to the
+    vacuum, one or two ``apply_create`` calls and one sum each, so the
+    product is never multiplied out and no second phase bookkeeping
+    exists.
 
     Modes outside [min(i,j), max(i,j)] other than i, j themselves have no
     pushing rule and raise UnsupportedPropagationError (the spectral path
@@ -358,26 +360,22 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     winding = 0
-    terms: list[tuple[complex, tuple[int, ...]]] = [(1.0 + 0.0j, ())]
+    factors: list[tuple[tuple[int, complex], ...]] = []
     for mode in monomial:
         if mode in (lo, hi):
             other, sign = (hi, -1j) if mode == lo else (lo, 1j)
             branch = cmath.exp(sign * winding * phi)
-            terms = [t for c, ops in terms
-                     for t in ((c * cos_t, ops + (mode,)),
-                               (c * 1j * branch * sin_t, ops + (other,)))]
+            factors.append(((mode, cos_t), (other, 1j * branch * sin_t)))
             winding += 1
         else:
-            terms = [(c, ops + (mode,)) for c, ops in terms]
+            factors.append(((mode, 1.0),))
             winding += 2
 
-    result = StateVector.zero(enumerate_sector(network.m, len(monomial), spec))
-    for coeff, ops in terms:
-        piece = vacuum_state(network.m, spec)
-        for mode in reversed(ops):
-            piece = apply_create(piece, mode)
-        result = result + coeff * piece
-    return result
+    state = vacuum_state(network.m, spec)
+    for factor in reversed(factors):
+        pieces = [c * apply_create(state, mode) for mode, c in factor]
+        state = sum(pieces[1:], pieces[0])
+    return state
 
 
 def build_braiding_network() -> Network:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from anyonlin import AnyonSpec
+from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
 
 # Exchange phases exercised across the suite; 0 is the standard limit.
 PHI_GRID = (0.0, math.pi / 5, math.pi / 2, math.pi, 7 * math.pi / 4)
@@ -44,13 +45,6 @@ def states_close(a, b):
     assert a.sector == b.sector
     keys = set(a.amps) | set(b.amps)
     return max((abs(a.amplitude(k) - b.amplitude(k)) for k in keys), default=0.0)
-
-
-def haar_unitary(rng, dim=2):
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def phase_align(reference, candidate):

@@ -10,7 +10,8 @@ import pytest
 from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, \
     build_braiding_network, element_unitary, enumerate_sector, evolve, \
     propagate_algebraic, single_particle_matrix
-from anyonlin.fock import StateVector, apply_create, vacuum_state
+from anyonlin import network as network_module
+from anyonlin.fock import EmptySectorError, StateVector, apply_create, vacuum_state
 from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, \
     evolve_amplitudes
 from anyonlin.operators import creation_matrix, quadratic_matrix
@@ -139,6 +140,34 @@ def test_propagate_rejects_modes_outside_span():
         propagate_algebraic(spec, net, [1])
     with pytest.raises(ValueError):
         propagate_algebraic(spec, Network(3, (BeamSplitter(2, 3, 0.4), PhaseShifter(1, 1.0))), [2])
+
+
+def test_propagate_applies_each_pushed_factor_once(monkeypatch):
+    # each pushed factor costs at most two creation calls; expanding the
+    # product would cost one call per operator of each of 2^c strings
+    calls = []
+
+    def counting_create(state, mode):
+        calls.append(mode)
+        return apply_create(state, mode)
+
+    monkeypatch.setattr(network_module, "apply_create", counting_create)
+    net = Network(4, (BeamSplitter(1, 4, 0.7),))
+    mono = [1, 4, 1, 4]
+    for spec in both_classes(1.1):
+        calls.clear()
+        out = propagate_algebraic(spec, net, mono)
+        assert len(calls) <= 2 * len(mono)
+        st = vacuum_state(4, spec)
+        for mode in reversed(mono):
+            st = apply_create(st, mode)
+        assert states_close(out, evolve(net, st)) < 1e-12
+
+
+def test_propagate_fermionic_monomial_longer_than_mode_count_raises():
+    net = Network(2, (BeamSplitter(1, 2, 0.5),))
+    with pytest.raises(EmptySectorError):
+        propagate_algebraic(AnyonSpec.fermionic(0.8), net, [1, 2, 1])
 
 
 def test_propagate_matches_spectral_evolution():
