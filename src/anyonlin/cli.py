@@ -335,9 +335,9 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     return spec, layout, gates
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / math.sqrt(2)
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary via QR of a complex Gaussian matrix."""
+    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 

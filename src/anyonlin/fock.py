@@ -230,6 +230,11 @@ def enumerate_sector(m: int, n_total: int, spec: AnyonSpec,
     return _sector_cached(spec, m, n_total, cap)
 
 
+def _kept(amps: Mapping, eps: float = PRUNE_EPS) -> dict:
+    """The amplitudes above eps in magnitude, in insertion order."""
+    return {occ: a for occ, a in amps.items() if abs(a) > eps}
+
+
 class StateVector:
     """Sparse complex amplitudes over one sector's basis.
 
@@ -286,8 +291,7 @@ class StateVector:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
 
     def pruned(self, eps: float = PRUNE_EPS) -> "StateVector":
-        return StateVector(self.sector,
-                           {occ: a for occ, a in self.amps.items() if abs(a) > eps})
+        return StateVector(self.sector, _kept(self.amps, eps))
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.sector != other.sector:
@@ -295,7 +299,7 @@ class StateVector:
         amps = dict(self.amps)
         for occ, a in other.amps.items():
             amps[occ] = amps.get(occ, 0.0) + a
-        return StateVector(self.sector, {occ: a for occ, a in amps.items() if abs(a) > PRUNE_EPS})
+        return StateVector(self.sector, _kept(amps))
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-1.0) * other
@@ -351,7 +355,7 @@ def _apply_ladder(state: StateVector, i: int, create: bool) -> StateVector:
             continue
         factor = ladder_factor(spec.phi, spec.is_fermionic, sum(occ[: i - 1]), k, create)
         out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-    return StateVector(target, {occ: a for occ, a in out.items() if abs(a) > PRUNE_EPS})
+    return StateVector(target, _kept(out))
 
 
 def apply_create(state: StateVector, i: int) -> StateVector:
