@@ -437,8 +437,7 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     return TruncatedState(out)
 
 
-def kerr_interconvert(state: TruncatedState, spec: AnyonSpec,
-                      truncation: Truncation | None = None) -> TruncatedState:
+def kerr_interconvert(state: TruncatedState, spec: AnyonSpec) -> TruncatedState:
     """Apply the Kerr unitary exp(i phi n (n - 1) / 2), n = n_1 + n_2.
 
     Diagonal in the occupation basis; maps a type-1 family state onto
@@ -446,8 +445,6 @@ def kerr_interconvert(state: TruncatedState, spec: AnyonSpec,
     """
     if state.num_modes != 2:
         raise ValueError("expected a two-mode state")
-    if truncation is not None and truncation.n_max != state.n_max:
-        raise ValueError("truncation disagrees with the state's cutoff")
     n = np.arange(state.n_max + 1)
     total = n[:, None] + n[None, :]
     phase = np.exp(1j * spec.phi * total * (total - 1) / 2.0)

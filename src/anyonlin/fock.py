@@ -114,7 +114,7 @@ class EmptySectorError(ValueError):
 
 
 class _ShapeBasis(NamedTuple):
-    """The phi-independent basis of one sector shape (m, n_total, cap)."""
+    """The phi-independent basis of one sector shape (m, n_total, class)."""
 
     basis: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
@@ -122,10 +122,12 @@ class _ShapeBasis(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _shape_basis(m: int, n_total: int, cap: int) -> _ShapeBasis:
-    """All occupation tuples of length m summing to n_total with entries <= cap,
-    in lexicographically decreasing order, with their positions and the
+def _shape_basis(m: int, n_total: int, fermionic: bool) -> _ShapeBasis:
+    """All occupation tuples of length m summing to n_total that the class
+    admits (at most one particle per mode for fermions), in
+    lexicographically decreasing order, with their positions and the
     same basis as a read-only (dim, m) integer array."""
+    cap = 1 if fermionic else n_total
 
     def gen(modes: int, left: int) -> Iterator[tuple[int, ...]]:
         if modes == 1:
@@ -145,31 +147,31 @@ def _shape_basis(m: int, n_total: int, cap: int) -> _ShapeBasis:
 
 
 def sector_dim(m: int, n_total: int, fermionic: bool) -> int:
-    """Closed-form size of an uncapped sector: C(m, n) fermionic, C(m + n - 1, n) bosonic."""
+    """Closed-form sector size: C(m, n) fermionic, C(m + n - 1, n) bosonic."""
     return math.comb(m, n_total) if fermionic else math.comb(m + n_total - 1, n_total)
 
 
 class FockSector:
     """Canonically ordered basis of a fixed-particle-number sector.
 
-    The basis lists every occupation vector with the given total and
-    per-mode cap, in lexicographically decreasing order, so matrix
+    The basis lists every occupation vector with the given total that
+    the particle class admits (at most one particle per mode for
+    fermions), in lexicographically decreasing order, so matrix
     representations are reproducible bit-for-bit across runs.  ``basis``,
     ``index`` and the (dim, m) array ``occ`` belong to the sector shape
     and are shared by every phi.
     """
 
-    __slots__ = ("spec", "m", "n_total", "cap", "basis", "index", "occ", "_hash")
+    __slots__ = ("spec", "m", "n_total", "basis", "index", "occ", "_hash")
 
-    def __init__(self, spec: AnyonSpec, m: int, n_total: int, cap: int, shape: _ShapeBasis):
+    def __init__(self, spec: AnyonSpec, m: int, n_total: int, shape: _ShapeBasis):
         self.spec = spec
         self.m = m
         self.n_total = n_total
-        self.cap = cap
         self.basis, self.index, self.occ = shape
         # sectors key the unitary caches, so hash once; numbers only, since
         # their hashes (unlike the enum's) are the same in every process
-        self._hash = hash((spec.phi, spec.is_fermionic, m, n_total, cap))
+        self._hash = hash((spec.phi, spec.is_fermionic, m, n_total))
 
     @property
     def dim(self) -> int:
@@ -184,55 +186,47 @@ class FockSector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockSector):
             return NotImplemented
-        return (self.spec, self.m, self.n_total, self.cap) == \
-               (other.spec, other.m, other.n_total, other.cap)
+        return (self.spec, self.m, self.n_total) == (other.spec, other.m, other.n_total)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return (f"FockSector(m={self.m}, n_total={self.n_total}, cap={self.cap}, "
+        return (f"FockSector(m={self.m}, n_total={self.n_total}, "
                 f"dim={self.dim}, {self.spec.particle_class.value}, phi={self.spec.phi:g})")
 
 
 # bounded because every new phi makes new sectors; 256 matches the dense
 # unitary cache, whose keys hold that many sectors alive anyway
 @lru_cache(maxsize=256)
-def _sector_cached(spec: AnyonSpec, m: int, n_total: int, cap: int) -> FockSector:
-    shape = _shape_basis(m, n_total, cap)
+def _sector_cached(spec: AnyonSpec, m: int, n_total: int) -> FockSector:
+    shape = _shape_basis(m, n_total, spec.is_fermionic)
     if not shape.basis:
         raise EmptySectorError(
-            f"no occupation vectors for m={m}, n_total={n_total}, cap={cap}")
-    return FockSector(spec, m, n_total, cap, shape)
+            f"no {spec.particle_class.value} occupation vectors for m={m}, n_total={n_total}")
+    return FockSector(spec, m, n_total, shape)
 
 
-def enumerate_sector(m: int, n_total: int, spec: AnyonSpec,
-                     cap: int | None = None) -> FockSector:
+def enumerate_sector(m: int, n_total: int, spec: AnyonSpec) -> FockSector:
     """Build the complete canonical basis of the (m, n_total) sector.
 
-    The per-mode cap defaults to 1 for fermions and to n_total for bosons
-    (exact, no truncation error within a fixed sector).  Sector size is
+    The particle class fixes each mode's limit: one particle for
+    fermions, n_total for bosons, so the sector is exact.  Its size is
     C(m + n - 1, n) bosonic and C(m, n) fermionic.
 
-    Raises EmptySectorError when the constraints admit no states, e.g.
+    Raises EmptySectorError when the class admits no states, i.e.
     fermions with n_total > m.
     """
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if n_total < 0:
         raise ValueError(f"total particle number must be >= 0, got {n_total}")
-    if cap is None:
-        cap = 1 if spec.is_fermionic else max(n_total, 1)
-    elif spec.is_fermionic and cap > 1:
-        raise ValueError("fermionic sectors cannot hold more than one particle per mode")
-    if n_total == 0:
-        cap = max(cap, 1)
-    return _sector_cached(spec, m, n_total, cap)
+    return _sector_cached(spec, m, n_total)
 
 
-def _kept(amps: Mapping, eps: float = PRUNE_EPS) -> dict:
-    """The amplitudes above eps in magnitude, in insertion order."""
-    return {occ: a for occ, a in amps.items() if abs(a) > eps}
+def _kept(amps: Mapping) -> dict:
+    """The amplitudes above PRUNE_EPS in magnitude, in insertion order."""
+    return {occ: a for occ, a in amps.items() if abs(a) > PRUNE_EPS}
 
 
 class StateVector:
@@ -289,9 +283,6 @@ class StateVector:
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
-
-    def pruned(self, eps: float = PRUNE_EPS) -> "StateVector":
-        return StateVector(self.sector, _kept(self.amps, eps))
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.sector != other.sector:

@@ -218,27 +218,28 @@ class _BlockFamily:
     """All beam-splitter blocks of one pair total N = n_lo + n_hi.
 
     Row b of ``idx`` lists the sector positions of the states that share
-    every occupation outside (lo, hi), ordered by n_lo = k0, k0 + 1, ...;
+    every occupation outside (lo, hi), ordered by n_lo = 0, 1, ..., N;
     ``winding`` holds k(k - 1)/2 + s k for each of them, where s counts
     the particles strictly between lo and hi.
     """
 
     n_pair: int
-    k0: int
     idx: np.ndarray
     winding: np.ndarray
 
 
 @lru_cache(maxsize=256)
-def _block_families(m: int, n_total: int, cap: int, lo: int, hi: int
+def _block_families(m: int, n_total: int, fermionic: bool, lo: int, hi: int
                     ) -> tuple[_BlockFamily, ...]:
     """Gather indices of BS_{lo,hi} on a sector shape; independent of phi.
 
     States are sorted by their occupations outside (lo, hi), then by
-    n_lo; a run of equal outside occupations is one block.  Blocks of a
-    single state are left out: the hop vanishes on them.
+    n_lo; a run of equal outside occupations is one block, and it holds
+    every n_lo = 0..N of its pair total N that the class admits, which
+    leaves N = 1 for fermions.  Blocks of a single state are left out:
+    the hop vanishes on them.
     """
-    occ = _shape_basis(m, n_total, cap).occ
+    occ = _shape_basis(m, n_total, fermionic).occ
     k = occ[:, lo - 1]
     rest = np.delete(occ, [lo - 1, hi - 1], axis=1)
     order = np.lexsort((k,) + tuple(rest.T[::-1]))
@@ -256,18 +257,18 @@ def _block_families(m: int, n_total: int, cap: int, lo: int, hi: int
         winding = kk * (kk - 1) / 2.0 + between[pick][:, None] * kk
         for arr in (idx, winding):
             arr.setflags(write=False)
-        families.append(_BlockFamily(int(n), int(kk[0, 0]), idx, winding))
+        families.append(_BlockFamily(int(n), idx, winding))
     return tuple(families)
 
 
 @lru_cache(maxsize=256)
-def _pair_hop_eigh(n_pair: int, k0: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the phi = 0 pair hop on n_lo = k0 .. k0 + size - 1.
+def _pair_hop_eigh(n_pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the phi = 0 pair hop on n_lo = 0 .. N.
 
-    The hop is real tridiagonal with entries sqrt((k + 1)(N - k)); a
-    capped bosonic sector truncates it to the allowed range of n_lo.
+    The hop is real tridiagonal with entries sqrt((k + 1)(N - k)), twice
+    the J1 of spin N/2, so its eigenvalues are -N, -N + 2, ..., N.
     """
-    kk = np.arange(k0, k0 + size - 1)
+    kk = np.arange(n_pair)
     off = np.sqrt((kk + 1.0) * (n_pair - kk))
     return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
 
@@ -291,7 +292,7 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     if out.ndim not in (1, 2) or out.shape[0] != sector.dim:
         raise ValueError(f"amplitudes of shape {out.shape} do not fit sector dim {sector.dim}")
     batch = out.reshape(sector.dim, -1)
-    shape = (sector.m, sector.n_total, sector.cap)
+    shape = (sector.m, sector.n_total, sector.spec.is_fermionic)
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     for element in network.elements:
@@ -300,7 +301,7 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
             continue
         lo, hi = sorted((element.mode_i, element.mode_j))
         for fam in _block_families(*shape, lo, hi):
-            vals, vecs = _pair_hop_eigh(fam.n_pair, fam.k0, fam.idx.shape[1])
+            vals, vecs = _pair_hop_eigh(fam.n_pair)
             w = (vecs * np.exp(1j * element.theta * vals)) @ vecs.T
             dress = np.exp(1j * phi * fam.winding)[:, :, None]
             batch[fam.idx] = dress * (w @ (dress.conj() * batch[fam.idx]))

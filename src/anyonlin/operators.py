@@ -31,7 +31,6 @@ import numpy as np
 from .fock import (
     AnyonSpec,
     FockSector,
-    StateVector,
     _check_mode,
     _shape_basis,
     enumerate_sector,
@@ -70,19 +69,6 @@ class OperatorMatrix:
     sector: FockSector
     mat: np.ndarray
 
-    def apply(self, state: StateVector) -> StateVector:
-        if state.sector != self.sector:
-            raise ValueError("state and operator live on different sectors")
-        return StateVector.from_vector(self.sector, self.mat @ state.to_vector())
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.sector, self.mat.conj().T)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.sector != other.sector:
-            raise ValueError("operator product across different sectors")
-        return OperatorMatrix(self.sector, self.mat @ other.mat)
-
     def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= atol)
 
@@ -92,15 +78,15 @@ class OperatorMatrix:
 
 
 @lru_cache(maxsize=512)
-def _ladder_map(m: int, n_total: int, cap: int, target_cap: int,
+def _ladder_map(m: int, n_total: int, fermionic: bool,
                 ladders: tuple[tuple[int, bool], ...]) -> tuple:
-    """The phi-independent part of ``_ladder_matrix`` on the shape (m, n_total, cap).
+    """The phi-independent part of ``_ladder_matrix`` on the shape (m, n_total, class).
 
     Returns the kept columns, their rows in the target shape (states sent
     outside it are dropped) and, per ladder, the code s (n_total + 2) + k
     of the (s, k) each entry shows the phase rule, with the distinct codes.
     """
-    occ = _shape_basis(m, n_total, cap).occ
+    occ = _shape_basis(m, n_total, fermionic).occ
     new = occ.copy()
     keep = np.ones(len(occ), dtype=bool)
     codes = []
@@ -109,7 +95,7 @@ def _ladder_map(m: int, n_total: int, cap: int, target_cap: int,
         codes.append(new[:, : mode - 1].sum(axis=1) * (n_total + 2) + new[:, mode - 1])
         new[:, mode - 1] += 1 if create else -1
     n_target = n_total + sum(1 if create else -1 for _, create in ladders)
-    target = _shape_basis(m, n_target, target_cap).occ
+    target = _shape_basis(m, n_target, fermionic).occ
     both = np.concatenate((target, new))
     order = np.lexsort(both.T[::-1])
     # the sort is stable, so a target row sits just before the new state equal to it
@@ -134,8 +120,8 @@ def _ladder_matrix(sector: FockSector, target: FockSector,
     """
     for mode, _ in ladders:
         _check_mode(sector.m, mode)
-    cols, rows, codes = _ladder_map(sector.m, sector.n_total, sector.cap, target.cap, ladders)
     spec, radix = sector.spec, sector.n_total + 2
+    cols, rows, codes = _ladder_map(sector.m, sector.n_total, spec.is_fermionic, ladders)
     re, im = np.ones(len(cols)), np.zeros(len(cols))
     for (_, create), (distinct, code) in zip(ladders, codes):
         table = np.zeros(radix * radix, dtype=np.complex128)
@@ -149,23 +135,23 @@ def _ladder_matrix(sector: FockSector, target: FockSector,
     return mat
 
 
-def creation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarray:
+def creation_matrix(sector: FockSector, i: int) -> np.ndarray:
     """Rectangular matrix of chi†_i from the given sector to the one above.
 
     Shape is (dim(n+1), dim(n)); for fermions at full filling the target
     space is empty and a (0, dim) matrix is returned.
     """
-    if spec.is_fermionic and sector.n_total + 1 > sector.m:
+    if sector.spec.is_fermionic and sector.n_total + 1 > sector.m:
         return np.zeros((0, sector.dim), dtype=np.complex128)
-    target = enumerate_sector(sector.m, sector.n_total + 1, spec)
+    target = enumerate_sector(sector.m, sector.n_total + 1, sector.spec)
     return _ladder_matrix(sector, target, ((i, True),))
 
 
-def annihilation_matrix(spec: AnyonSpec, sector: FockSector, i: int) -> np.ndarray:
+def annihilation_matrix(sector: FockSector, i: int) -> np.ndarray:
     """Rectangular matrix of chi_i from the given sector to the one below."""
     if sector.n_total == 0:
         return np.zeros((0, sector.dim), dtype=np.complex128)
-    target = enumerate_sector(sector.m, sector.n_total - 1, spec)
+    target = enumerate_sector(sector.m, sector.n_total - 1, sector.spec)
     return _ladder_matrix(sector, target, ((i, False),))
 
 
@@ -174,9 +160,7 @@ def quadratic_matrix(sector: FockSector, i: int, j: int) -> OperatorMatrix:
 
     The annihilation rule on mode j followed by the creation rule on
     mode i, so the single phase rule ``ladder_factor`` governs both this
-    and every state-level operation.  On a capped bosonic sector the
-    result is compressed onto the sector: raised states with an
-    occupation above the cap are dropped.
+    and every state-level operation.
     """
     return OperatorMatrix(sector, _ladder_matrix(sector, sector, ((j, False), (i, True))))
 
@@ -306,9 +290,8 @@ def jw_image(sector: FockSector, i: int, dagger: bool) -> np.ndarray:
     Fock-action rules.
     """
     spec = sector.spec
-    std_spec = AnyonSpec(spec.particle_class, 0.0)
-    std_sector = enumerate_sector(sector.m, sector.n_total, std_spec)
-    base = (creation_matrix if dagger else annihilation_matrix)(std_spec, std_sector, i)
+    std_sector = enumerate_sector(sector.m, sector.n_total, AnyonSpec(spec.particle_class, 0.0))
+    base = (creation_matrix if dagger else annihilation_matrix)(std_sector, i)
     if base.shape[0] == 0:
         return base
     target = enumerate_sector(sector.m, sector.n_total + (1 if dagger else -1), spec)

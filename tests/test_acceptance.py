@@ -229,8 +229,8 @@ def test_c10_jordan_wigner_consistency():
                         continue
                     sector = enumerate_sector(m, n, spec)
                     for i in range(1, m + 1):
-                        for dagger, direct in ((True, _cre(spec, sector, i)),
-                                               (False, _ann(spec, sector, i))):
+                        for dagger, direct in ((True, _cre(sector, i)),
+                                               (False, _ann(sector, i))):
                             diff = jw_image(sector, i, dagger) - direct
                             if diff.size:
                                 worst = max(worst, float(np.max(np.abs(diff))))

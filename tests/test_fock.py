@@ -190,11 +190,11 @@ def test_annihilation_matrix_is_adjoint_of_creation():
                     continue
                 sector = enumerate_sector(m, n, spec)
                 for i in range(1, m + 1):
-                    cre = creation_matrix(spec, sector, i)
+                    cre = creation_matrix(sector, i)
                     if cre.shape[0] == 0:
                         continue
                     upper = enumerate_sector(m, n + 1, spec)
-                    ann = annihilation_matrix(spec, upper, i)
+                    ann = annihilation_matrix(upper, i)
                     assert np.max(np.abs(ann - cre.conj().T)) < 1e-14
 
 
@@ -230,30 +230,30 @@ def test_two_sided_commutation_relations_as_matrices():
                     for i in range(1, m + 1):
                         for j in range(1, m + 1):
                             phase = cmath.exp(1j * phi * sign_eps(i, j))
-                            ci_up = creation_matrix(spec, upper, i)
-                            cj = creation_matrix(spec, sector, j)
-                            cj_up = creation_matrix(spec, upper, j)
-                            ci = creation_matrix(spec, sector, i)
+                            ci_up = creation_matrix(upper, i)
+                            cj = creation_matrix(sector, j)
+                            cj_up = creation_matrix(upper, j)
+                            ci = creation_matrix(sector, i)
                             # chi†_i chi†_j = sign * e^{i phi eps(i,j)} chi†_j chi†_i
                             dev = np.max(np.abs(ci_up @ cj - sign * phase * cj_up @ ci))
                             assert dev < 1e-12, (spec, m, n, i, j)
                             # chi_i chi†_j -+ e^{-i phi eps(i,j)} chi†_j chi_i = d_ij
-                            ai_up = annihilation_matrix(spec, upper, i)
+                            ai_up = annihilation_matrix(upper, i)
                             lhs = ai_up @ cj
                             if n >= 1:
                                 lower = enumerate_sector(m, n - 1, spec)
-                                cj_low = creation_matrix(spec, lower, j)
-                                ai = annihilation_matrix(spec, sector, i)
+                                cj_low = creation_matrix(lower, j)
+                                ai = annihilation_matrix(sector, i)
                                 lhs = lhs - sign * phase.conjugate() * cj_low @ ai
                             target = np.eye(sector.dim) if i == j else np.zeros((sector.dim,) * 2)
                             assert np.max(np.abs(lhs - target)) < 1e-12, (spec, m, n, i, j)
                             # chi_i chi_j = sign * e^{i phi eps(i,j)} chi_j chi_i
                             if n >= 2:
                                 lower = enumerate_sector(m, n - 1, spec)
-                                ai_low = annihilation_matrix(spec, lower, i)
-                                aj = annihilation_matrix(spec, sector, j)
-                                aj_low = annihilation_matrix(spec, lower, j)
-                                ai = annihilation_matrix(spec, sector, i)
+                                ai_low = annihilation_matrix(lower, i)
+                                aj = annihilation_matrix(sector, j)
+                                aj_low = annihilation_matrix(lower, j)
+                                ai = annihilation_matrix(sector, i)
                                 dev = np.max(np.abs(ai_low @ aj - sign * phase * aj_low @ ai))
                                 assert dev < 1e-12, (spec, m, n, i, j)
 

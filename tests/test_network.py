@@ -14,7 +14,7 @@ from anyonlin import network as network_module
 from anyonlin.fock import EmptySectorError, StateVector, apply_create, vacuum_state
 from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, \
     evolve_amplitudes
-from anyonlin.operators import creation_matrix, quadratic_matrix
+from anyonlin.operators import creation_matrix
 
 from conftest import PHI_GRID, both_classes, state_deviation, states_close
 
@@ -201,8 +201,8 @@ def test_g_operator_propagation_identities_as_matrices():
                     for wind in (0, 1, 3):
                         g_up = GOperator(i, j, wind, theta).matrix(upper).mat
                         g_next = GOperator(i, j, wind + 1, theta).matrix(sector).mat
-                        ci = creation_matrix(spec, sector, i)
-                        cj = creation_matrix(spec, sector, j)
+                        ci = creation_matrix(sector, i)
+                        cj = creation_matrix(sector, j)
                         rot_i = math.cos(theta) * ci \
                             + 1j * cmath.exp(-1j * wind * phi) * math.sin(theta) * cj
                         rot_j = math.cos(theta) * cj \
@@ -210,7 +210,7 @@ def test_g_operator_propagation_identities_as_matrices():
                         assert np.max(np.abs(g_up @ ci - rot_i @ g_next)) < 1e-12
                         assert np.max(np.abs(g_up @ cj - rot_j @ g_next)) < 1e-12
                         for k in range(i + 1, j):
-                            ck = creation_matrix(spec, sector, k)
+                            ck = creation_matrix(sector, k)
                             g_skip = GOperator(i, j, wind + 2, theta).matrix(sector).mat
                             assert np.max(np.abs(g_up @ ck - ck @ g_skip)) < 1e-12
 
@@ -355,38 +355,24 @@ def test_block_kernel_on_vacuum_and_full_fermionic_sector():
                 assert dev <= 1e-12
 
 
-def test_block_kernel_on_capped_bosonic_sectors():
-    # cap < n truncates each block; the oracle exponentiates the hop of
-    # the uncapped sector compressed onto the capped states
-    for phi in (0.0, 1.3, math.pi):
-        spec = AnyonSpec.bosonic(phi)
-        for m, n, cap in ((3, 3, 2), (4, 4, 2), (3, 5, 2), (4, 3, 1)):
-            capped = enumerate_sector(m, n, spec, cap=cap)
-            full = enumerate_sector(m, n, spec)
-            keep = [full.index[occ] for occ in capped.basis]
-            for i, j in itertools.permutations(range(1, m + 1), 2):
-                hop = quadratic_matrix(full, i, j).mat + quadratic_matrix(full, j, i).mat
-                vals, vecs = np.linalg.eigh(0.83 * hop[np.ix_(keep, keep)])
-                want = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-                got = kernel_unitary(capped, BeamSplitter(i, j, 0.83))
-                assert np.max(np.abs(got - want)) <= 1e-12
+def test_every_beam_splitter_block_is_a_full_pair_multiplet():
+    # the kernel exponentiates the whole n_lo = 0..N hop, never a truncated one
+    shapes = [(m, n) for m in range(1, 7) for n in range(5)] + [(11, 7)]
+    for spec in both_classes(0.0):
+        for m, n in shapes:
+            if spec.is_fermionic and n > m:
+                continue
+            occ = enumerate_sector(m, n, spec).occ
+            for lo, hi in itertools.combinations(range(1, m + 1), 2):
+                for fam in network_module._block_families(m, n, spec.is_fermionic, lo, hi):
+                    assert fam.idx.shape[1] == fam.n_pair + 1
+                    assert (occ[fam.idx, lo - 1] == np.arange(fam.n_pair + 1)).all()
 
 
-def test_dense_unitary_on_capped_bosonic_sectors_matches_block_kernel():
-    # quadratic_matrix compresses chi†_i chi_j onto the capped states
-    for phi in (0.0, 0.5, math.pi):
-        spec = AnyonSpec.bosonic(phi)
-        for m, n, cap in ((3, 3, 2), (4, 4, 2), (3, 5, 2), (4, 3, 1)):
-            capped = enumerate_sector(m, n, spec, cap=cap)
-            full = enumerate_sector(m, n, spec)
-            keep = [full.index[occ] for occ in capped.basis]
-            for i, j in itertools.permutations(range(1, m + 1), 2):
-                assert np.array_equal(quadratic_matrix(capped, i, j).mat,
-                                      quadratic_matrix(full, i, j).mat[np.ix_(keep, keep)])
-                el = BeamSplitter(i, j, 0.4)
-                dev = np.max(np.abs(element_unitary(capped, el).mat
-                                    - kernel_unitary(capped, el)))
-                assert dev <= 1e-12
+def test_pair_hop_spectrum_is_evenly_spaced_from_minus_n_to_n():
+    for n_pair in range(9):
+        vals, _ = network_module._pair_hop_eigh(n_pair)
+        assert np.max(np.abs(vals - np.arange(-n_pair, n_pair + 1, 2))) <= 1e-12
 
 
 def test_block_kernel_batch_and_vector_match_spectral_evolve():

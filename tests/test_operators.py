@@ -38,17 +38,14 @@ def pushed(states, mode, create):
 
 
 def ladder_grid():
-    """Sectors of both classes up to m = 6, n = 4; capped bosonic ones up to m = 4."""
+    """Sectors of both classes up to m = 6, n = 4."""
     for phi in (0.0, 1.3, math.pi, 2 * math.pi - 1e-9, 5.5):
         for spec in both_classes(phi):
             for m in range(1, 7):
                 for n in range(5):
                     if spec.is_fermionic and n > m:
                         continue
-                    caps = [None] if spec.is_fermionic or m > 4 else \
-                        [None] + [cap for cap in range(1, n) if cap * m >= n]
-                    for cap in caps:
-                        yield spec, enumerate_sector(m, n, spec, cap=cap)
+                    yield spec, enumerate_sector(m, n, spec)
 
 
 def test_ladder_matrices_are_byte_identical_to_per_basis_state_rules():
@@ -60,11 +57,11 @@ def test_ladder_matrices_are_byte_identical_to_per_basis_state_rules():
             lowered = pushed(basis, j, False)
             if n > 0:
                 down = enumerate_sector(m, n - 1, spec)
-                assert annihilation_matrix(spec, sector, j).tobytes() == \
+                assert annihilation_matrix(sector, j).tobytes() == \
                     images_matrix(lowered, down).tobytes()
             if not (spec.is_fermionic and n == m):
                 up = enumerate_sector(m, n + 1, spec)
-                assert creation_matrix(spec, sector, j).tobytes() == \
+                assert creation_matrix(sector, j).tobytes() == \
                     images_matrix(pushed(basis, j, True), up).tobytes()
             for i in range(1, m + 1):
                 assert quadratic_matrix(sector, i, j).mat.tobytes() == \
@@ -91,8 +88,8 @@ def test_quadratic_matrix_builds_no_state_vector(monkeypatch):
         for i in range(1, 5):
             for j in range(1, 5):
                 quadratic_matrix(sector, i, j)
-            creation_matrix(spec, enumerate_sector(4, 2, spec), i)
-            annihilation_matrix(spec, sector, i)
+            creation_matrix(enumerate_sector(4, 2, spec), i)
+            annihilation_matrix(sector, i)
         quartic_term(sector, 1, 2, 3, 4)
 
 
@@ -240,7 +237,7 @@ def test_jw_image_reduces_to_standard_operator_at_phi_zero():
         sector = enumerate_sector(3, 1, spec)
         for i in (1, 2, 3):
             assert np.max(np.abs(jw_image(sector, i, True)
-                                 - creation_matrix(spec, sector, i))) < 1e-14
+                                 - creation_matrix(sector, i))) < 1e-14
 
 
 def test_jw_image_mode_one_has_empty_string():
@@ -250,7 +247,7 @@ def test_jw_image_mode_one_has_empty_string():
             sector = enumerate_sector(3, 1, spec)
             std_sector = enumerate_sector(3, 1, std)
             assert np.max(np.abs(jw_image(sector, 1, True)
-                                 - creation_matrix(std, std_sector, 1))) < 1e-14
+                                 - creation_matrix(std_sector, 1))) < 1e-14
 
 
 def test_jw_image_equals_direct_anyonic_matrices():
@@ -263,9 +260,9 @@ def test_jw_image_equals_direct_anyonic_matrices():
                     sector = enumerate_sector(m, n, spec)
                     for i in range(1, m + 1):
                         assert max_abs(jw_image(sector, i, True)
-                                       - creation_matrix(spec, sector, i)) < ATOL_ALGEBRA
+                                       - creation_matrix(sector, i)) < ATOL_ALGEBRA
                         assert max_abs(jw_image(sector, i, False)
-                                       - annihilation_matrix(spec, sector, i)) < ATOL_ALGEBRA
+                                       - annihilation_matrix(sector, i)) < ATOL_ALGEBRA
 
 
 def test_jw_preserves_number_operator():
