@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,11 +80,11 @@ class LogicalLayout:
     def m(self) -> int:
         return 3 * self.num_qubits - 1
 
-    @property
+    @cached_property
     def qubit_modes(self) -> tuple[tuple[int, int], ...]:
         return tuple((3 * q - 2, 3 * q - 1) for q in range(1, self.num_qubits + 1))
 
-    @property
+    @cached_property
     def aux_modes(self) -> tuple[int, ...]:
         return tuple(3 * q for q in range(1, self.num_qubits))
 

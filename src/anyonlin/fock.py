@@ -374,11 +374,11 @@ def number_expectation(state: StateVector, i: int) -> float:
     return sum(abs(a) ** 2 * occ[i - 1] for occ, a in state.amps.items())
 
 
-def state_to_jsonable(state: StateVector, eps: float = PRUNE_EPS) -> list[dict]:
-    """Amplitudes as [{"occ": [...], "re": x, "im": y}, ...] in basis order."""
+def state_to_jsonable(state: StateVector) -> list[dict]:
+    """Amplitudes above PRUNE_EPS as [{"occ": [...], "re": x, "im": y}, ...] in basis order."""
     out = []
     for occ in state.sector.basis:
         amp = state.amps.get(occ)
-        if amp is not None and abs(amp) > eps:
+        if amp is not None and abs(amp) > PRUNE_EPS:
             out.append({"occ": list(occ), "re": amp.real, "im": amp.imag})
     return out

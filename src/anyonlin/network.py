@@ -18,8 +18,10 @@ Three independent evolution paths are provided:
   is the reference the other paths are tested against.
 * ``evolve_amplitudes``: block kernel on (dim,) or (dim, k) amplitude
   arrays; each beam splitter acts on blocks of fixed pair total as the
-  phi = 0 rotation dressed by a diagonal winding phase, so nothing of
-  size dim x dim is built.  The dual-rail circuits run through it.
+  phi = 0 rotation dressed by a diagonal winding phase, applied as one
+  gather of every block's rows, one matrix product per pair total and
+  one scatter, so nothing of size dim x dim is built.  The dual-rail
+  circuits run through it.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -214,24 +216,28 @@ def _apply_dense(sector: FockSector, elements: Sequence[Element], vec: np.ndarra
 
 
 @dataclass(frozen=True)
-class _BlockFamily:
-    """All beam-splitter blocks of one pair total N = n_lo + n_hi.
+class _PairBlocks:
+    """Every beam-splitter block of BS_{lo,hi} on one sector shape.
 
-    Row b of ``idx`` lists the sector positions of the states that share
-    every occupation outside (lo, hi), ordered by n_lo = 0, 1, ..., N;
-    ``winding`` holds k(k - 1)/2 + s k for each of them, where s counts
-    the particles strictly between lo and hi.
+    ``rows`` lists the sector positions of the states in blocks of more
+    than one state, family by family, one family per pair total
+    N = n_lo + n_hi.  ``families`` holds each family's (N, start, stop)
+    in ``rows``; inside a family the positions run n_lo-major, so
+    ``rows[start:stop]`` reshapes to (N + 1, B) with one block per
+    column.  ``winding`` holds the integer k(k - 1)/2 + s k of each row,
+    where k = n_lo and s counts the particles strictly between lo and
+    hi; ``w_max`` is its largest value.
     """
 
-    n_pair: int
-    idx: np.ndarray
+    rows: np.ndarray
     winding: np.ndarray
+    w_max: int
+    families: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=256)
-def _block_families(m: int, n_total: int, fermionic: bool, lo: int, hi: int
-                    ) -> tuple[_BlockFamily, ...]:
-    """Gather indices of BS_{lo,hi} on a sector shape; independent of phi.
+def _pair_blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int) -> _PairBlocks:
+    """Gather record of BS_{lo,hi} on a sector shape; independent of phi.
 
     States are sorted by their occupations outside (lo, hi), then by
     n_lo; a run of equal outside occupations is one block, and it holds
@@ -248,64 +254,109 @@ def _block_families(m: int, n_total: int, fermionic: bool, lo: int, hi: int
     lengths = np.diff(np.r_[starts, len(order)])
     n_pair = occ[order[starts], lo - 1] + occ[order[starts], hi - 1]
     between = occ[order[starts], lo:hi - 1].sum(axis=1)
-    families = []
+    rows, winding, families = [np.empty(0, np.intp)], [np.empty(0, np.intp)], []
+    stop = 0
     for n in sorted(set(n_pair[lengths > 1].tolist())):
         pick = np.flatnonzero((n_pair == n) & (lengths > 1))
-        size = int(lengths[pick[0]])
-        idx = order[starts[pick][:, None] + np.arange(size)]
+        idx = order[starts[pick] + np.arange(n + 1)[:, None]]
         kk = k[idx]
-        winding = kk * (kk - 1) / 2.0 + between[pick][:, None] * kk
-        for arr in (idx, winding):
-            arr.setflags(write=False)
-        families.append(_BlockFamily(int(n), idx, winding))
-    return tuple(families)
+        rows.append(idx.ravel())
+        winding.append((kk * (kk - 1) // 2 + between[pick] * kk).ravel())
+        families.append((int(n), stop, stop + idx.size))
+        stop += idx.size
+    rows_arr, winding_arr = np.concatenate(rows), np.concatenate(winding)
+    for arr in (rows_arr, winding_arr):
+        arr.setflags(write=False)
+    return _PairBlocks(rows_arr, winding_arr, int(winding_arr.max(initial=0)), tuple(families))
 
 
-@lru_cache(maxsize=256)
-def _pair_hop_eigh(n_pair: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the phi = 0 pair hop on n_lo = 0 .. N.
+@lru_cache(maxsize=64)
+def _pair_hop_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the phi = 0 pair hop for every pair total N = 1..n_max.
 
-    The hop is real tridiagonal with entries sqrt((k + 1)(N - k)), twice
-    the J1 of spin N/2, so its eigenvalues are -N, -N + 2, ..., N.
+    Entry N - 1 holds the eigenvalues of the hop on n_lo = 0..N in its
+    first N + 1 places and its eigenvectors in its top-left
+    (N + 1) x (N + 1) corner; the rest is zero, so one batched product
+    exponentiates every N at once.  The hop is real tridiagonal with
+    entries sqrt((k + 1)(N - k)), twice the J1 of spin N/2, so its
+    eigenvalues are -N, -N + 2, ..., N.
     """
-    kk = np.arange(n_pair)
-    off = np.sqrt((kk + 1.0) * (n_pair - kk))
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    vals = np.zeros((n_max, n_max + 1))
+    vecs = np.zeros((n_max, n_max + 1, n_max + 1))
+    for n_pair in range(1, n_max + 1):
+        kk = np.arange(n_pair)
+        off = np.sqrt((kk + 1.0) * (n_pair - kk))
+        size = n_pair + 1
+        vals[n_pair - 1, :size], vecs[n_pair - 1, :size, :size] = \
+            np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    for arr in (vals, vecs):
+        arr.setflags(write=False)
+    return vals, vecs
+
+
+def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
+    """exp(i x c) for integer codes c in 0..top, from a table of top + 1 values.
+
+    The table entries are the same ``exp`` arguments as ``exp(1j * x *
+    codes)``, so the factors are bit-identical to it.
+    """
+    return np.exp(1j * x * np.arange(top + 1))[codes]
 
 
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
     """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
 
     Block kernel, an exact path independent of ``element_unitary``: a
-    phase shifter multiplies each basis amplitude by exp(i tau n_i).
-    BS_ij conserves n_i + n_j and leaves every other mode alone, so it
-    splits into blocks of at most n + 1 states.  On a block of pair
-    total N the beam splitter is D W_N(theta) D†, where W_N is the
-    phi = 0 hop exponentiated through a cached small eigendecomposition
-    and D_k = exp(i phi (k(k-1)/2 + s k)) (-1)^{s k} dresses it with the
-    statistical winding of the k = n_lo particles (the sign only for
-    fermions).  Nothing of size dim x dim is built.
+    phase shifter multiplies each basis amplitude by exp(i tau n_i),
+    looked up from the n + 1 values of n_i.  BS_ij conserves n_i + n_j
+    and leaves every other mode alone, so it splits into blocks of at
+    most n + 1 states.  On a block of pair total N the beam splitter is
+    D W_N(theta) D†, where W_N is the phi = 0 hop exponentiated through
+    a cached small eigendecomposition and D_k = exp(i phi (k(k-1)/2 +
+    s k)) (-1)^{s k} dresses it with the statistical winding of the
+    k = n_lo particles (the sign only for fermions).  Each beam splitter
+    is one gather of its blocks' rows, one matrix product per pair total
+    N over all its blocks (a (N + 1) x (N + 1) by (N + 1) x B BLAS call
+    per batch column), and one scatter; nothing of size dim x dim is
+    built.
     """
     if network.m != sector.m:
         raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
-    out = np.array(amps, dtype=np.complex128)
-    if out.ndim not in (1, 2) or out.shape[0] != sector.dim:
-        raise ValueError(f"amplitudes of shape {out.shape} do not fit sector dim {sector.dim}")
-    batch = out.reshape(sector.dim, -1)
+    amps = np.asarray(amps)
+    if amps.ndim not in (1, 2) or amps.shape[0] != sector.dim:
+        raise ValueError(f"amplitudes of shape {amps.shape} do not fit sector dim {sector.dim}")
+    # one row per input column, so every column meets the same BLAS calls
+    # whatever the batch width: a vector and a batch column agree bit for bit
+    state = np.array(amps.reshape(sector.dim, -1).T, dtype=np.complex128, order="C")
+    # sector row r of input column c sits at flat[c * dim + r]
+    flat = state.reshape(-1)
+    columns = sector.dim * np.arange(len(state))[:, None]
     shape = (sector.m, sector.n_total, sector.spec.is_fermionic)
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     for element in network.elements:
         if isinstance(element, PhaseShifter):
-            batch *= np.exp(1j * element.tau * sector.occ[:, element.mode - 1])[:, None]
+            state *= _lookup_exp(element.tau, sector.occ[:, element.mode - 1], sector.n_total)
             continue
         lo, hi = sorted((element.mode_i, element.mode_j))
-        for fam in _block_families(*shape, lo, hi):
-            vals, vecs = _pair_hop_eigh(fam.n_pair)
-            w = (vecs * np.exp(1j * element.theta * vals)) @ vecs.T
-            dress = np.exp(1j * phi * fam.winding)[:, :, None]
-            batch[fam.idx] = dress * (w @ (dress.conj() * batch[fam.idx]))
-    return out
+        blocks = _pair_blocks(*shape, lo, hi)
+        if not blocks.families:
+            continue
+        vals, vecs = _pair_hop_eigh(blocks.families[-1][0])
+        w = (vecs * np.exp(1j * element.theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        dress = _lookup_exp(phi, blocks.winding, blocks.w_max)
+        where = blocks.rows + columns
+        part = flat[where]
+        part *= dress.conj()
+        hopped = np.empty_like(part)
+        for n_pair, start, stop in blocks.families:
+            fam_shape = (len(part), n_pair + 1, -1)
+            np.matmul(w[n_pair - 1, :n_pair + 1, :n_pair + 1],
+                      part[:, start:stop].reshape(fam_shape),
+                      out=hopped[:, start:stop].reshape(fam_shape))
+        hopped *= dress
+        flat[where] = hopped
+    return np.ascontiguousarray(state.T).reshape(amps.shape)
 
 
 @dataclass(frozen=True)

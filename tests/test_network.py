@@ -364,33 +364,61 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
                 continue
             occ = enumerate_sector(m, n, spec).occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                for fam in network_module._block_families(m, n, spec.is_fermionic, lo, hi):
-                    assert fam.idx.shape[1] == fam.n_pair + 1
-                    assert (occ[fam.idx, lo - 1] == np.arange(fam.n_pair + 1)).all()
+                blocks = network_module._pair_blocks(m, n, spec.is_fermionic, lo, hi)
+                for n_pair, start, stop in blocks.families:
+                    idx = blocks.rows[start:stop].reshape(n_pair + 1, -1)
+                    assert (occ[idx, lo - 1] == np.arange(n_pair + 1)[:, None]).all()
 
 
 def test_pair_hop_spectrum_is_evenly_spaced_from_minus_n_to_n():
-    for n_pair in range(9):
-        vals, _ = network_module._pair_hop_eigh(n_pair)
-        assert np.max(np.abs(vals - np.arange(-n_pair, n_pair + 1, 2))) <= 1e-12
+    for n_max in range(1, 9):
+        vals, vecs = network_module._pair_hop_eigh(n_max)
+        assert vals.shape == (n_max, n_max + 1) and vecs.shape == (n_max, n_max + 1, n_max + 1)
+        for n_pair in range(1, n_max + 1):
+            spectrum = vals[n_pair - 1, :n_pair + 1]
+            assert np.max(np.abs(spectrum - np.arange(-n_pair, n_pair + 1, 2))) <= 1e-12
+            assert (vals[n_pair - 1, n_pair + 1:] == 0).all()
+            assert (vecs[n_pair - 1, n_pair + 1:] == 0).all()
+            assert (vecs[n_pair - 1, :, n_pair + 1:] == 0).all()
+
+
+def test_phase_tables_match_direct_exponentials_byte_for_byte():
+    # the kernel looks its phase-shifter and winding factors up from small
+    # tables of the same exp arguments, so not one bit may move
+    for phi in KERNEL_PHIS:
+        for spec in both_classes(phi):
+            x = phi + (math.pi if spec.is_fermionic else 0.0)
+            for m, n in ((4, 2), (6, 3), (8, 5)):
+                occ = enumerate_sector(m, n, spec).occ
+                for lo, hi in itertools.combinations(range(1, m + 1), 2):
+                    blocks = network_module._pair_blocks(m, n, spec.is_fermionic, lo, hi)
+                    got = network_module._lookup_exp(x, blocks.winding, blocks.w_max)
+                    want = np.exp(1j * x * blocks.winding.astype(float))
+                    assert got.tobytes() == want.tobytes()
+                for mode in range(1, m + 1):
+                    tau = phi - 0.7
+                    got = network_module._lookup_exp(tau, occ[:, mode - 1], n)
+                    assert got.tobytes() == np.exp(1j * tau * occ[:, mode - 1]).tobytes()
 
 
 def test_block_kernel_batch_and_vector_match_spectral_evolve():
     rng = np.random.default_rng(11)
     net = Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
                       BeamSplitter(2, 4, 1.2), PhaseShifter(4, -0.3)))
-    for phi in KERNEL_PHIS:
-        for spec in both_classes(phi):
-            sector = enumerate_sector(4, 2, spec)
-            batch = rng.normal(size=(sector.dim, 3)) + 1j * rng.normal(size=(sector.dim, 3))
-            got = evolve_amplitudes(net, sector, batch)
-            assert got.shape == (sector.dim, 3)
-            for col in range(3):
-                ref = evolve(net, StateVector.from_vector(sector, batch[:, col], prune=0.0))
-                assert np.max(np.abs(got[:, col] - ref.to_vector())) <= 1e-12
-                vec = evolve_amplitudes(net, sector, batch[:, col])
-                assert vec.shape == (sector.dim,)
-                assert np.max(np.abs(vec - got[:, col])) <= 1e-15
+    for width in (1, 2, 3, 4, 8):
+        for phi in KERNEL_PHIS:
+            for spec in both_classes(phi):
+                sector = enumerate_sector(4, 2, spec)
+                batch = (rng.normal(size=(sector.dim, width))
+                         + 1j * rng.normal(size=(sector.dim, width)))
+                got = evolve_amplitudes(net, sector, batch)
+                assert got.shape == (sector.dim, width)
+                for col in range(width):
+                    ref = evolve(net, StateVector.from_vector(sector, batch[:, col], prune=0.0))
+                    assert np.max(np.abs(got[:, col] - ref.to_vector())) <= 1e-12
+                    vec = evolve_amplitudes(net, sector, batch[:, col])
+                    assert vec.shape == (sector.dim,)
+                    assert np.max(np.abs(vec - got[:, col])) <= 1e-15
 
 
 def test_block_kernel_rejects_mismatched_inputs():
