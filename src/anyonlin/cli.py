@@ -23,14 +23,16 @@ import json
 import math
 import re
 import sys
+from typing import Callable
 
 import numpy as np
 
-from .coherent import Truncation, cat_closed_form, mirror_cat, mirror_network
-from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, run_circuit
+from .coherent import Truncation, mirror_cat, mirror_cat_reference
+from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, logical_unitary, \
+    run_circuit
 from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector, sector_dim
 from .network import BeamSplitter, Network, PhaseShifter, _apply_dense, \
-    build_braiding_network, evolve, single_particle_matrix
+    build_braiding_network, evolve
 
 __all__ = [
     "CliError",
@@ -52,6 +54,9 @@ class CliError(ValueError):
 MAX_DENSE_DIM = 4096
 #: Largest sector ``compile`` accepts; the block kernel holds only (dim,) vectors.
 MAX_KERNEL_DIM = 10 ** 6
+#: Largest ``cat`` cutoff: the unitary LRU's 256 shells of dim <= n_max + 1
+#: then stay within the 256 MiB ``MAX_DENSE_DIM`` gives one dense matrix.
+MAX_CAT_NMAX = 255
 
 
 def _check_dim(m: int, n_total: int, spec: AnyonSpec, limit: int) -> None:
@@ -93,6 +98,11 @@ def parse_complex(text: str) -> complex:
         raise CliError(f"malformed complex literal {text!r}") from None
 
 
+#: Network elements by DSL keyword: the class and its usage line, whose
+#: tokens after the keyword are the modes and then the angle.
+_ELEMENTS = {"ps": (PhaseShifter, "ps <i> <angle>"), "bs": (BeamSplitter, "bs <i> <j> <angle>")}
+
+
 def parse_network(text: str) -> Network:
     """Parse the network DSL; line order is application order."""
     m: int | None = None
@@ -112,32 +122,20 @@ def parse_network(text: str) -> Network:
                 m = int(tokens[1])
                 if m < 1:
                     raise CliError("mode count must be >= 1")
-            elif keyword == "ps":
+            elif keyword in _ELEMENTS:
+                element, usage = _ELEMENTS[keyword]
                 if m is None:
                     raise CliError("'modes' must come first")
-                if len(tokens) != 3:
-                    raise CliError("expected: ps <i> <angle>")
-                i = int(tokens[1])
-                if not 1 <= i <= m:
-                    raise CliError(f"mode {i} out of range 1..{m}")
-                elements.append(PhaseShifter(i, parse_angle(tokens[2])))
-            elif keyword == "bs":
-                if m is None:
-                    raise CliError("'modes' must come first")
-                if len(tokens) != 4:
-                    raise CliError("expected: bs <i> <j> <angle>")
-                i, j = int(tokens[1]), int(tokens[2])
-                for mode in (i, j):
+                if len(tokens) != len(usage.split()):
+                    raise CliError(f"expected: {usage}")
+                modes = [int(tok) for tok in tokens[1:-1]]
+                for mode in modes:
                     if not 1 <= mode <= m:
                         raise CliError(f"mode {mode} out of range 1..{m}")
-                if i == j:
-                    raise CliError("beam splitter modes must differ")
-                elements.append(BeamSplitter(i, j, parse_angle(tokens[3])))
+                elements.append(element(*modes, parse_angle(tokens[-1])))
             else:
                 raise CliError(f"unknown keyword {tokens[0]!r}")
-        except CliError as err:
-            raise CliError(f"line {lineno}: {err}") from None
-        except ValueError as err:
+        except ValueError as err:  # CliError or an element's own check
             raise CliError(f"line {lineno}: {err}") from None
     if m is None:
         raise CliError("network is missing a 'modes' line")
@@ -201,15 +199,10 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     return state
 
 
-def _fmt(x: float) -> float:
-    """Round-trip through 17 significant digits (identity for doubles)."""
-    return float(format(float(x), ".17g"))
-
-
 def _entries(label: str, items) -> list[dict]:
     """Output rows {label: key, "re": ..., "im": ...} of (key, amplitude) pairs
     whose amplitude exceeds 1e-12 in magnitude."""
-    return [{label: key, "re": _fmt(amp.real), "im": _fmt(amp.imag)}
+    return [{label: key, "re": float(amp.real), "im": float(amp.imag)}
             for key, amp in items if abs(amp) > 1e-12]
 
 
@@ -227,79 +220,83 @@ def _emit(doc: dict, table: bool) -> None:
             print(f"{tag:>16s}  {row['re']:>24.17g}  {row['im']:>24.17g}")
 
 
-def _make_spec(args: argparse.Namespace) -> AnyonSpec:
-    return AnyonSpec(ParticleClass(args.particle_class), parse_angle(args.phi))
-
-
-def _state_doc(args: argparse.Namespace, input_text: str, state: StateVector) -> dict:
-    return {
-        "input": input_text,
-        "phi": _fmt(parse_angle(args.phi)),
-        "class": args.particle_class,
-        "amplitudes": _entries("occ", ((list(occ), state.amps[occ])
-                                       for occ in state.sector.basis if occ in state.amps)),
-    }
-
-
-def _check_norm(state: StateVector) -> None:
-    if abs(state.norm() - 1.0) > 1e-10:
-        raise ArithmeticError(f"evolved norm {state.norm()!r} deviates from 1")
-
-
-def _cmd_hom(args: argparse.Namespace) -> int:
-    spec = _make_spec(args)
-    theta = parse_angle(args.theta)
-    input_text = "|1,1>"
-    state = parse_state(input_text, 2, spec)
-    out = evolve(Network(2, (BeamSplitter(1, 2, theta),)), state)
-    if args.self_check:
-        _check_norm(out)
-        if abs(out.amplitude((1, 1))) > 1e-12:
-            raise ArithmeticError("coincidence amplitude failed to cancel")
-    _emit(_state_doc(args, input_text, out), args.table)
-    return 0
-
-
-def _cmd_braid(args: argparse.Namespace) -> int:
-    spec = _make_spec(args)
-    state = parse_state(args.input, 3, spec, normalize=not args.no_normalize)
-    out = evolve(build_braiding_network(), state)
-    if args.self_check:
-        _check_norm(out)
-        if len(state.amps) == 1:
-            (occ,) = state.amps
-            if abs(abs(out.amplitude(occ)) - 1.0) > 1e-10:
-                raise ArithmeticError("braiding network was not diagonal on a basis state")
-    _emit(_state_doc(args, args.input, out), args.table)
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _make_spec(args)
+def _read_file(path: str, what: str) -> str:
     try:
-        with open(args.network, "r", encoding="utf-8") as handle:
-            network = parse_network(handle.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
     except OSError as err:
-        raise CliError(f"cannot read network file: {err}") from None
-    state = parse_state(args.input, network.m, spec, normalize=not args.no_normalize)
+        raise CliError(f"cannot read {what} file: {err}") from None
+
+
+def _evolve_command(args: argparse.Namespace, build_network: Callable[[], Network],
+                    input_text: str, normalize: bool = True,
+                    check: Callable[[StateVector, StateVector], None] | None = None,
+                    dump_unitary: bool = False) -> int:
+    """Shared body of hom, braid and run: evolve the ket ``input_text``
+    through ``build_network()`` and emit the result.
+
+    The network is built after ``--phi`` is parsed, so a malformed phase
+    is reported first.  ``--self-check`` verifies the norm, then calls
+    ``check(state, out)``, which raises ArithmeticError on a failure.
+    """
+    phi = parse_angle(args.phi)
+    spec = AnyonSpec(ParticleClass(args.particle_class), phi)
+    network = build_network()
+    state = parse_state(input_text, network.m, spec, normalize=normalize)
     out = evolve(network, state)
     if args.self_check:
-        _check_norm(out)
-    doc = _state_doc(args, args.input, out)
-    if args.dump_unitary:
-        mat = _apply_dense(state.sector, network.elements,
-                           np.eye(state.sector.dim, dtype=np.complex128))
-        doc["unitary"] = {
-            "basis": [list(occ) for occ in state.sector.basis],
-            "re": [[_fmt(v.real) for v in row] for row in mat],
-            "im": [[_fmt(v.imag) for v in row] for row in mat],
-        }
+        if abs(out.norm() - 1.0) > 1e-10:
+            raise ArithmeticError(f"evolved norm {out.norm()!r} deviates from 1")
+        if check is not None:
+            check(state, out)
+    doc = {
+        "input": input_text,
+        "phi": phi,
+        "class": args.particle_class,
+        "amplitudes": _entries("occ", ((list(occ), out.amps[occ])
+                                       for occ in out.sector.basis if occ in out.amps)),
+    }
+    if dump_unitary:
+        sector = state.sector
+        mat = _apply_dense(sector, network.elements, np.eye(sector.dim, dtype=np.complex128))
+        doc["unitary"] = {"basis": [list(occ) for occ in sector.basis],
+                          "re": mat.real.tolist(), "im": mat.imag.tolist()}
     _emit(doc, args.table)
     return 0
 
 
-_GATE_KEYS = {"rz": ("q", "beta"), "rx": ("q", "gamma"),
-              "u1": ("q", "alpha", "beta", "gamma", "delta"), "cp": ("a", "b")}
+def _coincidence_cancels(state: StateVector, out: StateVector) -> None:
+    if abs(out.amplitude((1, 1))) > 1e-12:
+        raise ArithmeticError("coincidence amplitude failed to cancel")
+
+
+def _diagonal_on_basis_states(state: StateVector, out: StateVector) -> None:
+    if len(state.amps) == 1:
+        (occ,) = state.amps
+        if abs(abs(out.amplitude(occ)) - 1.0) > 1e-10:
+            raise ArithmeticError("braiding network was not diagonal on a basis state")
+
+
+def _cmd_hom(args: argparse.Namespace) -> int:
+    return _evolve_command(
+        args, lambda: Network(2, (BeamSplitter(1, 2, parse_angle(args.theta)),)), "|1,1>",
+        check=_coincidence_cancels)
+
+
+def _cmd_braid(args: argparse.Namespace) -> int:
+    return _evolve_command(args, build_braiding_network, args.input, not args.no_normalize,
+                           _diagonal_on_basis_states)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return _evolve_command(args, lambda: parse_network(_read_file(args.network, "network")),
+                           args.input, not args.no_normalize, dump_unitary=args.dump_unitary)
+
+
+#: Circuit gates by "type": the class and its fields in constructor order.
+#: The qubit fields ``q``, ``a`` and ``b`` are integers, the rest angles.
+_GATES = {"rz": (Rz, ("q", "beta")), "rx": (Rx, ("q", "gamma")),
+          "u1": (U1, ("q", "alpha", "beta", "gamma", "delta")), "cp": (CP, ("a", "b"))}
 
 
 def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
@@ -318,20 +315,14 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     gates = []
     for pos, entry in enumerate(raw_gates):
         kind = entry.get("type")
-        if kind not in _GATE_KEYS:
+        if kind not in _GATES:
             raise CliError(f"gate {pos}: unknown type {kind!r}")
-        missing = [key for key in _GATE_KEYS[kind] if key not in entry]
+        gate, keys = _GATES[kind]
+        missing = [key for key in keys if key not in entry]
         if missing:
             raise CliError(f"gate {pos}: missing fields {missing}")
-        if kind == "rz":
-            gates.append(Rz(int(entry["q"]), angle(entry["beta"])))
-        elif kind == "rx":
-            gates.append(Rx(int(entry["q"]), angle(entry["gamma"])))
-        elif kind == "u1":
-            gates.append(U1(int(entry["q"]), angle(entry["alpha"]), angle(entry["beta"]),
-                            angle(entry["gamma"]), angle(entry["delta"])))
-        else:
-            gates.append(CP(int(entry["a"]), int(entry["b"])))
+        gates.append(gate(*(int(entry[key]) if key in ("q", "a", "b") else angle(entry[key])
+                            for key in keys)))
     return spec, layout, gates
 
 
@@ -343,8 +334,6 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_check(args: argparse.Namespace) -> int:
-    from .dualrail import logical_unitary
-
     rng = np.random.default_rng(args.seed)
     layout = LogicalLayout(1)
     spec = AnyonSpec.bosonic(parse_angle(args.phi)) if args.phi else AnyonSpec.bosonic(1.0)
@@ -355,7 +344,7 @@ def _haar_check(args: argparse.Namespace) -> int:
         flat = np.argmax(np.abs(target))
         aligned = got * (target.flat[flat] / got.flat[flat])
         worst = max(worst, float(np.max(np.abs(aligned - target))))
-    doc = {"targets": args.haar_check, "seed": args.seed, "max_deviation": _fmt(worst)}
+    doc = {"targets": args.haar_check, "seed": args.seed, "max_deviation": worst}
     _emit(doc, args.table)
     if worst > 1e-9:
         raise ArithmeticError(f"random-target compilation deviation {worst!r}")
@@ -363,6 +352,8 @@ def _haar_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    if args.haar_check < 0:
+        raise CliError(f"--haar-check needs a count >= 0, got {args.haar_check}")
     if args.haar_check:
         return _haar_check(args)
     if args.phi:
@@ -371,9 +362,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if not args.circuit:
         raise CliError("compile needs --circuit FILE (or --haar-check N)")
     try:
-        with open(args.circuit, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+        doc = json.loads(_read_file(args.circuit, "circuit"))
+    except json.JSONDecodeError as err:
         raise CliError(f"cannot read circuit file: {err}") from None
     spec, layout, gates = _parse_circuit(doc)
     bits = args.input or "0" * layout.num_qubits
@@ -387,11 +377,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                                 for idx, amp in enumerate(amps)))
     doc = {
         "input": bits,
-        "phi": _fmt(spec.phi),
+        "phi": spec.phi,
         "class": spec.particle_class.value,
         "qubits": layout.num_qubits,
         "logical_amplitudes": entries,
-        "leakage": _fmt(leakage),
+        "leakage": leakage,
     }
     _emit(doc, args.table)
     return 0
@@ -401,17 +391,17 @@ def _cmd_cat(args: argparse.Namespace) -> int:
     spec = AnyonSpec.bosonic(parse_angle(args.phi))
     truncation = Truncation(args.nmax)
     u = parse_complex(args.u)
+    if args.nmax > MAX_CAT_NMAX:
+        raise CliError(f"--nmax {args.nmax} exceeds the limit of {MAX_CAT_NMAX}")
     state = mirror_cat(u, spec, truncation)
-    mirror_u = single_particle_matrix(mirror_network())
-    reference = cat_closed_form(mirror_u[1, 0] * u, truncation, mode=2)
     entries = _entries("occ", (([l, k], state.amps[l, k])
                                for l in range(args.nmax + 1) for k in range(args.nmax + 1)))
     doc = {
         "input": args.u,
-        "phi": _fmt(spec.phi),
+        "phi": spec.phi,
         "class": "bosonic",
         "nmax": args.nmax,
-        "fidelity": _fmt(state.fidelity(reference)),
+        "fidelity": state.fidelity(mirror_cat_reference(u, truncation)),
         "amplitudes": entries,
     }
     _emit(doc, args.table)

@@ -78,6 +78,7 @@ __all__ = [
     "kerr_interconvert",
     "mirror_network",
     "mirror_cat",
+    "mirror_cat_reference",
     "cat_closed_form",
     "deformed_binomial_coeffs",
     "deformed_binomial_prefactor",
@@ -451,6 +452,7 @@ def kerr_interconvert(state: TruncatedState, spec: AnyonSpec) -> TruncatedState:
     return TruncatedState(state.amps * phase)
 
 
+@lru_cache(maxsize=1)  # a constant; mirror_cat and its reference both ask for it per call
 def mirror_network() -> Network:
     """The two-mode mirror: PS2(pi/2), then BS12(pi/2), then PS1(pi/2).
 
@@ -482,27 +484,35 @@ def cat_closed_form(w: complex, truncation: Truncation = Truncation(),
     return TruncatedState(amps).normalized()
 
 
+def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),
+                         mode: int = 1) -> TruncatedState:
+    """The mirror's closed-form cat for a coherent input u on ``mode``.
+
+    The mirror reflects the input onto the other mode (i u onto mode 2
+    for a mode-1 input, -i u onto mode 1 for a mode-2 input), where
+    phi = pi resolves it into the two branches of ``cat_closed_form``.
+    """
+    a = single_particle_matrix(mirror_network())
+    w = a[1, 0] * u if mode == 1 else a[0, 1] * u
+    return cat_closed_form(w, truncation, mode=2 if mode == 1 else 1)
+
+
 def mirror_cat(u: complex, spec: AnyonSpec,
                truncation: Truncation = Truncation(), mode: int = 1) -> TruncatedState:
     """Cat state produced by the mirror at phi = pi on a coherent input.
 
     Evolves the single-mode coherent state through the mirror network by
-    brute force, then checks fidelity >= 1 - 1e-8 against the two-branch
-    closed form at the reflected amplitude (i u onto mode 2 for a mode-1
-    input, -i u onto mode 1 for a mode-2 input); an ArithmeticError
-    signals a failed self-check.  Returns the evolved state.
+    brute force, then checks fidelity >= 1 - 1e-8 against
+    ``mirror_cat_reference``; an ArithmeticError signals a failed
+    self-check.  Returns the evolved state.
     """
     if spec.is_fermionic:
         raise ValueError("the mirror cat construction needs bosonic anyons")
     if not math.isclose(spec.phi, math.pi, abs_tol=1e-12):
         raise ValueError("the two-branch cat form holds at phi = pi only")
-    mirror = mirror_network()
     state = two_mode_family_state(SingleMode(u, mode), spec, truncation)
-    evolved = evolve_truncated(state, mirror, spec).normalized()
-    a = single_particle_matrix(mirror)
-    w = a[1, 0] * u if mode == 1 else a[0, 1] * u
-    reference = cat_closed_form(w, truncation, mode=2 if mode == 1 else 1)
-    fidelity = evolved.fidelity(reference)
+    evolved = evolve_truncated(state, mirror_network(), spec).normalized()
+    fidelity = evolved.fidelity(mirror_cat_reference(u, truncation, mode))
     if fidelity < 1.0 - 1e-8:
         raise ArithmeticError(
             f"mirror output missed the cat closed form: fidelity {fidelity!r}")

@@ -253,10 +253,9 @@ class StateVector:
         return cls(sector, {})
 
     @classmethod
-    def from_vector(cls, sector: FockSector, vec: np.ndarray,
-                    prune: float = PRUNE_EPS) -> "StateVector":
+    def from_vector(cls, sector: FockSector, vec: np.ndarray) -> "StateVector":
         amps = {occ: complex(vec[pos]) for pos, occ in enumerate(sector.basis)
-                if abs(vec[pos]) > prune}
+                if abs(vec[pos]) > PRUNE_EPS}
         return cls(sector, amps)
 
     def to_vector(self) -> np.ndarray:

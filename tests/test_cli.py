@@ -77,6 +77,8 @@ def test_parse_network_errors_carry_line_numbers():
         parse_network("foo 1")
     with pytest.raises(CliError, match="line 2"):
         parse_network("modes 2\nps 1 junk")
+    with pytest.raises(CliError, match="line 2"):
+        parse_network("modes 2\nbs 1 1 pi/4")
     with pytest.raises(CliError, match="missing"):
         parse_network("")
 
@@ -224,6 +226,13 @@ def test_compile_haar_check_mode():
     assert doc["max_deviation"] < 1e-9
 
 
+def test_compile_haar_check_rejects_a_negative_count(capsys):
+    code, out = run_cli(["compile", "--haar-check", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "--haar-check" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["hom", "--phi", "0"],
     ["braid", "--phi", "0"],
@@ -303,6 +312,12 @@ def test_oversized_circuit_sector_exits_2(tmp_path):
     assert str(math.comb(37, 15)) in proc.stderr   # 23 modes, 15 bosons
 
 
+def test_oversized_cat_cutoff_exits_2():
+    proc = run_capped(["cat", "--u", "1", "--nmax", "100000"])
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the limit of 255" in proc.stderr
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "anyonlin", "hom", "--phi", "0",
                            "--self-check"], capture_output=True, text=True)
@@ -316,6 +331,12 @@ GOLDEN_COMMANDS = {
     "hom_phi0.json": ["hom", "--phi", "0"],
     "braid_phi1.json": ["braid", "--phi", "1.0", "--input", "|1,1,0>"],
     "cat_u1.json": ["cat", "--u", "1"],
+    "run_three_mode_unitary.json": ["run", "--phi", "0.7",
+                                    "--network", str(GOLDEN_DIR / "three_mode.net"),
+                                    "--input", "0.6*|1,1,0> + 0.8i*|0,1,1>",
+                                    "--dump-unitary"],
+    "braid_phi07_table.txt": ["braid", "--phi", "0.7",
+                              "--input", "0.5*|1,1,0> + 0.3i*|0,1,1>", "--table"],
 }
 
 

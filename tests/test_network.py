@@ -277,7 +277,7 @@ def test_evolution_preserves_norm():
             sector = enumerate_sector(4, 3, spec)
             rng = np.random.default_rng(5)
             vec = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
-            st = StateVector.from_vector(sector, vec / np.linalg.norm(vec), prune=0.0)
+            st = StateVector.from_vector(sector, vec / np.linalg.norm(vec))
             assert abs(evolve(net, st).norm() - 1.0) < 1e-12
 
 
@@ -414,7 +414,7 @@ def test_block_kernel_batch_and_vector_match_spectral_evolve():
                 got = evolve_amplitudes(net, sector, batch)
                 assert got.shape == (sector.dim, width)
                 for col in range(width):
-                    ref = evolve(net, StateVector.from_vector(sector, batch[:, col], prune=0.0))
+                    ref = evolve(net, StateVector.from_vector(sector, batch[:, col]))
                     assert np.max(np.abs(got[:, col] - ref.to_vector())) <= 1e-12
                     vec = evolve_amplitudes(net, sector, batch[:, col])
                     assert vec.shape == (sector.dim,)

@@ -100,7 +100,7 @@ def test_evolution_preserves_the_norm(data):
     out = evolve_amplitudes(network, sector, amps)
     assert abs(np.linalg.norm(out) - norm) <= 1e-12 * max(norm, 1.0)
     if norm > 0.0:
-        dense = evolve(network, StateVector.from_vector(sector, amps, prune=0.0))
+        dense = evolve(network, StateVector.from_vector(sector, amps))
         assert abs(dense.norm() - norm) <= 1e-12 * max(norm, 1.0)
 
 
