@@ -28,7 +28,6 @@ from .network import (
 from .operators import (
     ATOL_ALGEBRA,
     ATOL_PHYSICS,
-    OperatorMatrix,
     QuadraticCoeffs,
     closure_defect,
     closure_defect_coefficient,

@@ -30,7 +30,7 @@ import numpy as np
 from .coherent import Truncation, mirror_cat, mirror_cat_reference
 from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, logical_unitary, \
     run_circuit
-from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector, sector_dim
+from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector
 from .network import BeamSplitter, Network, PhaseShifter, _apply_dense, \
     build_braiding_network, evolve
 
@@ -60,7 +60,19 @@ MAX_CAT_NMAX = 255
 
 
 def _check_dim(m: int, n_total: int, spec: AnyonSpec, limit: int) -> None:
-    dim = sector_dim(m, n_total, spec.is_fermionic)
+    """Reject a sector of more than ``limit`` states.
+
+    The dimension C(top, k) is built one factor at a time as C(top, i) for
+    i = 1..min(k, top - k), a rising sequence; once it passes limit^2 the
+    exact value is not needed, so no number much larger than that is
+    formed, whatever the counts.
+    """
+    top, k = (m, n_total) if spec.is_fermionic else (m + n_total - 1, n_total)
+    dim = int(k <= top)
+    for i in range(1, min(k, top - k) + 1):
+        dim = dim * (top - i + 1) // i
+        if dim > limit * limit:
+            raise CliError(f"sector dimension above {limit * limit} exceeds the limit of {limit}")
     if dim > limit:
         raise CliError(f"sector dimension {dim} exceeds the limit of {limit}")
 
@@ -278,9 +290,10 @@ def _diagonal_on_basis_states(state: StateVector, out: StateVector) -> None:
 
 
 def _cmd_hom(args: argparse.Namespace) -> int:
+    # two fermions on two modes fill the sector |1,1>, which the norm check covers
     return _evolve_command(
         args, lambda: Network(2, (BeamSplitter(1, 2, parse_angle(args.theta)),)), "|1,1>",
-        check=_coincidence_cancels)
+        check=_coincidence_cancels if args.particle_class == "bosonic" else None)
 
 
 def _cmd_braid(args: argparse.Namespace) -> int:
@@ -304,7 +317,7 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
         qubits = int(doc["qubits"])
         spec = AnyonSpec(ParticleClass(doc.get("class", "bosonic")), float(doc["phi"]))
         raw_gates = doc["gates"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CliError(f"bad circuit document: {err}") from None
     layout = LogicalLayout(qubits)
     _check_dim(layout.m, layout.n_particles, spec, MAX_KERNEL_DIM)
@@ -312,8 +325,12 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     def angle(value) -> float:
         return parse_angle(value) if isinstance(value, str) else float(value)
 
+    if not isinstance(raw_gates, list):
+        raise CliError(f"bad circuit document: 'gates' must be a list, got {raw_gates!r}")
     gates = []
     for pos, entry in enumerate(raw_gates):
+        if not isinstance(entry, dict):
+            raise CliError(f"gate {pos}: expected an object, got {entry!r}")
         kind = entry.get("type")
         if kind not in _GATES:
             raise CliError(f"gate {pos}: unknown type {kind!r}")
@@ -321,8 +338,11 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
         missing = [key for key in keys if key not in entry]
         if missing:
             raise CliError(f"gate {pos}: missing fields {missing}")
-        gates.append(gate(*(int(entry[key]) if key in ("q", "a", "b") else angle(entry[key])
-                            for key in keys)))
+        try:
+            gates.append(gate(*(int(entry[key]) if key in ("q", "a", "b") else angle(entry[key])
+                                for key in keys)))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise CliError(f"gate {pos}: {err}") from None
     return spec, layout, gates
 
 

@@ -57,7 +57,7 @@ from .fock import (
     apply_create,
     vacuum_state,
 )
-from .operators import OperatorMatrix, number_matrix, quadratic_matrix
+from .operators import quadratic_matrix
 
 __all__ = [
     "PhaseShifter",
@@ -67,7 +67,6 @@ __all__ = [
     "GOperator",
     "ModeMismatchError",
     "UnsupportedPropagationError",
-    "element_generator",
     "element_unitary",
     "evolve",
     "evolve_amplitudes",
@@ -158,34 +157,27 @@ class Network:
         return cls(doc["m"], tuple(elements))
 
 
-def element_generator(sector: FockSector, element: Element) -> OperatorMatrix:
-    """Hermitian generator of the element on the sector."""
-    if isinstance(element, PhaseShifter):
-        return OperatorMatrix(sector, element.tau * number_matrix(sector, element.mode).mat)
-    i, j = element.mode_i, element.mode_j
-    hop = quadratic_matrix(sector, i, j).mat + quadratic_matrix(sector, j, i).mat
-    return OperatorMatrix(sector, element.theta * hop)
-
-
 @lru_cache(maxsize=256)
-def _element_unitary_cached(sector: FockSector, element: Element) -> OperatorMatrix:
+def _element_unitary_cached(sector: FockSector, element: Element) -> np.ndarray:
     if isinstance(element, PhaseShifter):
         mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
     else:
-        gen = element_generator(sector, element).mat
+        i, j = element.mode_i, element.mode_j
+        gen = element.theta * (quadratic_matrix(sector, i, j) + quadratic_matrix(sector, j, i))
         vals, vecs = np.linalg.eigh(gen)
         mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T
     mat.setflags(write=False)
-    return OperatorMatrix(sector, mat)
+    return mat
 
 
-def element_unitary(sector: FockSector, element: Element) -> OperatorMatrix:
+def element_unitary(sector: FockSector, element: Element) -> np.ndarray:
     """Unitary exp(i G) of the element via spectral decomposition.
 
-    Phase shifters are diagonal and exponentiated exactly; beam-splitter
-    generators are Hermitian and small, so eigendecomposition is exact
-    to machine precision.  Results are cached per (sector, element),
-    which is sound because both are immutable.
+    Phase shifters are diagonal and exponentiated exactly; a beam
+    splitter's generator theta (chi†_i chi_j + chi†_j chi_i) is Hermitian
+    and small, so eigendecomposition is exact to machine precision.
+    Results are cached per (sector, element) as read-only arrays, which
+    is sound because both are immutable.
     """
     return _element_unitary_cached(sector, element)
 
@@ -211,7 +203,7 @@ def _apply_dense(sector: FockSector, elements: Sequence[Element], vec: np.ndarra
     per call, which dominates on the small matrices of truncated shells.
     """
     for element in elements:
-        vec = element_unitary(sector, element).mat.dot(vec)
+        vec = element_unitary(sector, element).dot(vec)
     return vec
 
 
@@ -368,12 +360,12 @@ class GOperator:
     n: int
     theta: float
 
-    def matrix(self, sector: FockSector) -> OperatorMatrix:
+    def matrix(self, sector: FockSector) -> np.ndarray:
         phi = sector.spec.phi
-        bs = element_unitary(sector, BeamSplitter(self.i, self.j, self.theta)).mat
+        bs = element_unitary(sector, BeamSplitter(self.i, self.j, self.theta))
         j3 = (sector.occ[:, self.i - 1] - sector.occ[:, self.j - 1]) / 2.0
         phase = np.exp(1j * self.n * phi * j3)
-        return OperatorMatrix(sector, (phase[:, None] * bs) * phase.conj()[None, :])
+        return (phase[:, None] * bs) * phase.conj()[None, :]
 
 
 def propagate_algebraic(spec: AnyonSpec, network: Network,

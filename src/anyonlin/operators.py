@@ -41,7 +41,6 @@ from .fock import (
 __all__ = [
     "ATOL_ALGEBRA",
     "ATOL_PHYSICS",
-    "OperatorMatrix",
     "QuadraticCoeffs",
     "creation_matrix",
     "annihilation_matrix",
@@ -60,21 +59,6 @@ __all__ = [
 ATOL_ALGEBRA = 1e-12
 #: Tolerance for physics-level comparisons that stack several evolutions.
 ATOL_PHYSICS = 1e-10
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix of an operator restricted to one sector."""
-
-    sector: FockSector
-    mat: np.ndarray
-
-    def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= atol)
-
-    def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:
-        eye = np.eye(self.sector.dim)
-        return bool(np.max(np.abs(self.mat.conj().T @ self.mat - eye)) <= atol)
 
 
 @lru_cache(maxsize=512)
@@ -155,23 +139,23 @@ def annihilation_matrix(sector: FockSector, i: int) -> np.ndarray:
     return _ladder_matrix(sector, target, ((i, False),))
 
 
-def quadratic_matrix(sector: FockSector, i: int, j: int) -> OperatorMatrix:
+def quadratic_matrix(sector: FockSector, i: int, j: int) -> np.ndarray:
     """Matrix of chi†_i chi_j on the sector (number preserving).
 
     The annihilation rule on mode j followed by the creation rule on
     mode i, so the single phase rule ``ladder_factor`` governs both this
     and every state-level operation.
     """
-    return OperatorMatrix(sector, _ladder_matrix(sector, sector, ((j, False), (i, True))))
+    return _ladder_matrix(sector, sector, ((j, False), (i, True)))
 
 
-def number_matrix(sector: FockSector, i: int) -> OperatorMatrix:
+def number_matrix(sector: FockSector, i: int) -> np.ndarray:
     """Diagonal matrix of n_i = chi†_i chi_i."""
-    return OperatorMatrix(sector, np.diag(sector.occ[:, i - 1].astype(np.complex128)))
+    return np.diag(sector.occ[:, i - 1].astype(np.complex128))
 
 
 def su2_generators(sector: FockSector, i: int, j: int
-                   ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mode-pair angular momentum operators (J1, J2, J3).
 
     J1 = (chi†_i chi_j + chi†_j chi_i) / 2
@@ -181,13 +165,10 @@ def su2_generators(sector: FockSector, i: int, j: int
     They satisfy [J_k, J_l] = i eps_klm J_m on every sector and for every
     exchange phase, even though the full quadratic algebra does not close.
     """
-    qij = quadratic_matrix(sector, i, j).mat
-    qji = quadratic_matrix(sector, j, i).mat
-    j1 = OperatorMatrix(sector, (qij + qji) / 2.0)
-    j2 = OperatorMatrix(sector, -0.5j * (qij - qji))
-    j3 = OperatorMatrix(sector, (number_matrix(sector, i).mat
-                                 - number_matrix(sector, j).mat) / 2.0)
-    return j1, j2, j3
+    qij = quadratic_matrix(sector, i, j)
+    qji = quadratic_matrix(sector, j, i)
+    j3 = (number_matrix(sector, i) - number_matrix(sector, j)) / 2.0
+    return (qij + qji) / 2.0, -0.5j * (qij - qji), j3
 
 
 @dataclass(frozen=True)
@@ -225,20 +206,20 @@ class QuadraticCoeffs:
         return self.a.size
 
 
-def hamiltonian(sector: FockSector, coeffs: QuadraticCoeffs) -> OperatorMatrix:
+def hamiltonian(sector: FockSector, coeffs: QuadraticCoeffs) -> np.ndarray:
     """H = sum_i a_i n_i + sum_{i != j} b_ij chi†_i chi_j on the sector."""
     if coeffs.m != sector.m:
         raise ValueError(f"coefficients are for {coeffs.m} modes, sector has {sector.m}")
     mat = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
     for i in range(1, sector.m + 1):
         if coeffs.a[i - 1] != 0.0:
-            mat += coeffs.a[i - 1] * number_matrix(sector, i).mat
+            mat += coeffs.a[i - 1] * number_matrix(sector, i)
     for i in range(1, sector.m + 1):
         for j in range(1, sector.m + 1):
             bij = coeffs.b[i - 1, j - 1]
             if i != j and bij != 0.0:
-                mat += bij * quadratic_matrix(sector, i, j).mat
-    return OperatorMatrix(sector, mat)
+                mat += bij * quadratic_matrix(sector, i, j)
+    return mat
 
 
 def closure_defect_coefficient(spec: AnyonSpec, i: int, j: int, k: int, l: int) -> complex:
@@ -253,7 +234,7 @@ def closure_defect_coefficient(spec: AnyonSpec, i: int, j: int, k: int, l: int) 
     return -delta if spec.is_fermionic else delta
 
 
-def quartic_term(sector: FockSector, i: int, j: int, k: int, l: int) -> OperatorMatrix:
+def quartic_term(sector: FockSector, i: int, j: int, k: int, l: int) -> np.ndarray:
     """Matrix of the normal-ordered quartic chi†_i chi†_k chi_j chi_l.
 
     This is the operator multiplying Delta(i,j,k,l) in the closure
@@ -261,23 +242,23 @@ def quartic_term(sector: FockSector, i: int, j: int, k: int, l: int) -> Operator
     acting first).
     """
     ladders = ((l, False), (j, False), (k, True), (i, True))
-    return OperatorMatrix(sector, _ladder_matrix(sector, sector, ladders))
+    return _ladder_matrix(sector, sector, ladders)
 
 
-def closure_defect(sector: FockSector, i: int, j: int, k: int, l: int) -> OperatorMatrix:
+def closure_defect(sector: FockSector, i: int, j: int, k: int, l: int) -> np.ndarray:
     """[chi†_i chi_j, chi†_k chi_l] minus its standard-algebra linear part.
 
     For standard particles (phi = 0) this is the zero matrix; for anyons
     it equals Delta(i,j,k,l) times the quartic of ``quartic_term``.
     """
-    qij = quadratic_matrix(sector, i, j).mat
-    qkl = quadratic_matrix(sector, k, l).mat
+    qij = quadratic_matrix(sector, i, j)
+    qkl = quadratic_matrix(sector, k, l)
     residual = qij @ qkl - qkl @ qij
     if j == k:
-        residual -= quadratic_matrix(sector, i, l).mat
+        residual -= quadratic_matrix(sector, i, l)
     if i == l:
-        residual += quadratic_matrix(sector, k, j).mat
-    return OperatorMatrix(sector, residual)
+        residual += quadratic_matrix(sector, k, j)
+    return residual
 
 
 def jw_image(sector: FockSector, i: int, dagger: bool) -> np.ndarray:
@@ -299,7 +280,7 @@ def jw_image(sector: FockSector, i: int, dagger: bool) -> np.ndarray:
     return np.exp((-1j if dagger else 1j) * spec.phi * s)[:, None] * base
 
 
-def kerr_hamiltonian(sector: FockSector, i: int, j: int) -> OperatorMatrix:
+def kerr_hamiltonian(sector: FockSector, i: int, j: int) -> np.ndarray:
     """Diagonal Kerr Hamiltonian n(n-1)/2 with n = n_i + n_j."""
     n_pair = sector.occ[:, i - 1] + sector.occ[:, j - 1]
-    return OperatorMatrix(sector, np.diag((n_pair * (n_pair - 1) / 2.0).astype(np.complex128)))
+    return np.diag((n_pair * (n_pair - 1) / 2.0).astype(np.complex128))

@@ -200,7 +200,7 @@ def test_c09_su2_closure_and_commutator_defect():
                     sector = enumerate_sector(m, n, spec)
                     pairs = [(1, 2)] if m == 2 else [(1, 2), (1, m), (2, m)]
                     for i, j in pairs:
-                        j1, j2, j3 = (g.mat for g in su2_generators(sector, i, j))
+                        j1, j2, j3 = su2_generators(sector, i, j)
                         for a, b, c in ((j1, j2, j3), (j2, j3, j1), (j3, j1, j2)):
                             worst_su2 = max(worst_su2,
                                             float(np.max(np.abs(a @ b - b @ a - 1j * c))))
@@ -212,8 +212,8 @@ def test_c09_su2_closure_and_commutator_defect():
         for spec in both_classes(phi):
             sector = enumerate_sector(4, 2, spec)
             for idx in patterns:
-                lhs = closure_defect(sector, *idx).mat
-                rhs = closure_defect_coefficient(spec, *idx) * quartic_term(sector, *idx).mat
+                lhs = closure_defect(sector, *idx)
+                rhs = closure_defect_coefficient(spec, *idx) * quartic_term(sector, *idx)
                 worst_defect = max(worst_defect, float(np.max(np.abs(lhs - rhs))))
     report("C09 quartic commutator defect", worst_defect, 1e-12)
 

@@ -218,6 +218,20 @@ def test_compile_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_malformed_circuit_documents_exit_2(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    for gates, where in ((5, "'gates' must be a list"),
+                         ([3], "gate 0:"),
+                         ([{"type": "rx", "q": 1, "gamma": 0.3}, {"type": "rz", "q": None,
+                                                                  "beta": 0.1}], "gate 1:"),
+                         ([{"type": "rz", "q": 1, "beta": None}], "gate 0:")):
+        circuit.write_text(json.dumps({"qubits": 1, "phi": 1.0, "gates": gates}))
+        code, out = run_cli(["compile", "--circuit", str(circuit)])
+        assert code == 2
+        assert out == ""
+        assert where in capsys.readouterr().err
+
+
 def test_compile_haar_check_mode():
     code, out = run_cli(["compile", "--haar-check", "10", "--seed", "5"])
     assert code == 0
@@ -271,6 +285,16 @@ def test_exit_code_validation_error():
     assert "occupation above 1" in proc.stderr
 
 
+@pytest.mark.parametrize("phi", ["0", "pi/2", "1.0"])
+def test_fermionic_hom_self_check_passes(phi):
+    # two fermions on two modes only have |1,1>: no coincidence can cancel
+    argv = ["hom", "--class", "fermionic", "--phi", phi]
+    code, out = run_cli(argv)
+    checked_code, checked_out = run_cli(argv + ["--self-check"])
+    assert code == checked_code == 0
+    assert checked_out == out
+
+
 def test_exit_code_self_check_failure():
     # the coincidence suppression holds only for a balanced splitter, so
     # the self-check must flag an unbalanced angle
@@ -312,6 +336,15 @@ def test_oversized_circuit_sector_exits_2(tmp_path):
     assert str(math.comb(37, 15)) in proc.stderr   # 23 modes, 15 bosons
 
 
+@pytest.mark.parametrize("qubits", [10 ** 5, 10 ** 7])
+def test_huge_qubit_counts_exit_2_without_building_the_dimension(tmp_path, qubits):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"qubits": qubits, "phi": 1.0, "gates": []}))
+    proc = run_capped(["compile", "--circuit", str(circuit)])
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the limit of 1000000" in proc.stderr
+
+
 def test_oversized_cat_cutoff_exits_2():
     proc = run_capped(["cat", "--u", "1", "--nmax", "100000"])
     assert proc.returncode == 2, proc.stderr
@@ -337,6 +370,11 @@ GOLDEN_COMMANDS = {
                                     "--dump-unitary"],
     "braid_phi07_table.txt": ["braid", "--phi", "0.7",
                               "--input", "0.5*|1,1,0> + 0.3i*|0,1,1>", "--table"],
+    # kets out of basis order: pins the order in which the norm is summed
+    "run_four_kets.json": ["run", "--phi", "0.7",
+                           "--network", str(GOLDEN_DIR / "three_mode.net"),
+                           "--input", "0.123*|0,0,2> + 0.456i*|2,0,0> + 0.789*|0,1,1>"
+                                      " - 0.321*|1,0,1>"],
 }
 
 

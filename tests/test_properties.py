@@ -13,8 +13,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, evolve, \
-    evolve_amplitudes, propagate_algebraic, single_particle_matrix  # noqa: E402
+from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, build_braiding_network, \
+    evolve, evolve_amplitudes, propagate_algebraic, single_particle_matrix  # noqa: E402
 from anyonlin.fock import StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
@@ -115,3 +115,24 @@ def test_one_particle_evolves_by_the_single_particle_matrix(data):
     column = single_particle_matrix(network)[:, mode - 1]
     # the one-particle basis |1,0,...>, |0,1,...>, ... is ordered by mode
     assert np.max(np.abs(out - column)) <= 1e-12
+
+
+@PROPERTY
+@given(st.data())
+def test_braiding_network_is_one_particle_identity_with_two_particle_eigenphases(data):
+    spec = data.draw(specs())
+    braid = build_braiding_network()
+    one = enumerate_sector(3, 1, spec)
+    amps = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3,
+                                       max_size=3)), dtype=np.complex128)
+    dense = evolve(braid, StateVector.from_vector(one, amps)).to_vector()
+    assert np.max(np.abs(dense - amps)) <= 1e-12
+    assert np.max(np.abs(evolve_amplitudes(braid, one, amps) - amps)) <= 1e-12
+    two = enumerate_sector(3, 2, spec)
+    for occ, phase in (((0, 1, 1), 1.0), ((1, 0, 1), np.exp(-1j * spec.phi)),
+                       ((1, 1, 0), np.exp(1j * spec.phi))):
+        state = StateVector.basis_state(two, occ)
+        expected = phase * state.to_vector()
+        assert np.max(np.abs(evolve(braid, state).to_vector() - expected)) <= 1e-12
+        kernel = evolve_amplitudes(braid, two, state.to_vector())
+        assert np.max(np.abs(kernel - expected)) <= 1e-12
