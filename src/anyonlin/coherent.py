@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -50,11 +51,13 @@ from typing import Union
 import numpy as np
 
 from .fock import PRUNE_EPS, AnyonSpec, enumerate_sector
-from .network import BeamSplitter, Network, PhaseShifter, _apply_dense, single_particle_matrix
+from .network import BeamSplitter, Network, PhaseShifter, _build_element_unitary, \
+    single_particle_matrix
 from .network import evolve  # unused here; perfbench instruments and counts it by this name
 
 __all__ = [
     "DEFAULT_N_MAX",
+    "SHELL_CACHE_BYTES",
     "Truncation",
     "DegenerateStateError",
     "NotClosedUnderLinearOpticsError",
@@ -87,6 +90,10 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 40
+
+#: Byte budget of the shell unitaries ``evolve_truncated`` keeps: the
+#: 256 MiB the CLI allows one dense matrix.
+SHELL_CACHE_BYTES = 256 * 2 ** 20
 
 
 class DegenerateStateError(ValueError):
@@ -375,12 +382,14 @@ class _ShellLayout:
 
     Shell n fills ``buf[offsets[n]:offsets[n + 1]]`` in the order of the
     bosonic two-mode sector basis, |n, 0>, |n - 1, 1>, ..., |0, n>, so
-    |l, k> sits at n (n + 1) / 2 + k.  ``shell`` and ``pos`` give the
-    shell and the buffer position of each |l, k> inside the cutoff;
-    ``outside`` lists the buffer positions past it.
+    |l, k> sits at n (n + 1) / 2 + k; ``starts`` holds every shell's
+    first offset as an array.  ``shell`` and ``pos`` give the shell and
+    the buffer position of each |l, k> inside the cutoff; ``outside``
+    lists the buffer positions past it.
     """
 
     offsets: tuple[int, ...]
+    starts: np.ndarray
     shell: np.ndarray
     pos: np.ndarray
     outside: np.ndarray
@@ -389,15 +398,69 @@ class _ShellLayout:
 @lru_cache(maxsize=8)
 def _shell_layout(n_max: int) -> _ShellLayout:
     offsets = tuple(n * (n + 1) // 2 for n in range(2 * n_max + 2))
+    starts = np.array(offsets[:-1])
     k = np.arange(n_max + 1)
     shell = k[:, None] + k[None, :]
     pos = shell * (shell + 1) // 2 + k
     inside = np.zeros(offsets[-1], dtype=bool)
     inside[pos] = True
     outside = np.flatnonzero(~inside)
-    for arr in (shell, pos, outside):
+    for arr in (starts, shell, pos, outside):
         arr.setflags(write=False)
-    return _ShellLayout(offsets, shell, pos, outside)
+    return _ShellLayout(offsets, starts, shell, pos, outside)
+
+
+def _held_bytes(shells: list) -> int:
+    return sum(mat.nbytes for mats in shells if mats is not None for mat in mats)
+
+
+class _ShellUnitaries:
+    """Shell records per (spec, network), bounded by the bytes they hold.
+
+    A record lists, per total-occupation shell n, the network's element
+    unitaries on the bosonic (2, n) sector in element order, or None
+    while shell n is not kept.  A shell's sector does not depend on the
+    cutoff, so every n_max shares one record, which grows to the longest
+    shell list asked for and is filled one shell at a time, the first
+    time that shell is evolved.  When a new shell would pass ``budget``
+    bytes, the least recently used other records are dropped; a shell
+    that still does not fit is built and returned but not kept.  The
+    matrices come from the plain builder, not from ``element_unitary``'s
+    LRU, so none is held twice.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.records: OrderedDict[tuple[AnyonSpec, Network], list] = OrderedDict()
+
+    def record(self, spec: AnyonSpec, network: Network, n_shells: int) -> list:
+        key = (spec, network)
+        shells = self.records.get(key)
+        if shells is None:
+            shells = self.records[key] = []
+        else:
+            self.records.move_to_end(key)
+        if len(shells) < n_shells:
+            shells.extend([None] * (n_shells - len(shells)))
+        return shells
+
+    def fill(self, shells: list, spec: AnyonSpec, network: Network, n: int
+             ) -> tuple[np.ndarray, ...]:
+        sector = enumerate_sector(2, n, spec)
+        mats = tuple(_build_element_unitary(sector, el) for el in network.elements)
+        size = sum(mat.nbytes for mat in mats)
+        # shells was just looked up, so it is the most recent and never dropped here
+        while self.nbytes + size > self.budget and len(self.records) > 1:
+            _key, old = self.records.popitem(last=False)
+            self.nbytes -= _held_bytes(old)
+        if self.nbytes + size <= self.budget:
+            shells[n] = mats
+            self.nbytes += size
+        return mats
+
+
+_SHELL_UNITARIES = _ShellUnitaries(SHELL_CACHE_BYTES)
 
 
 def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
@@ -406,11 +469,14 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
 
     Phase shifters and beam splitters conserve total particle number, so
     each total-occupation shell evolves independently through the dense
-    unitaries of its sector, exactly as ``evolve`` applies them.  The
-    shells are gathered into one flat buffer and evolved in place; all-zero
-    shells are skipped and amplitudes of magnitude <= PRUNE_EPS dropped.
-    Amplitude pushed past the per-mode cutoff (only possible on shells
-    above n_max) is dropped with a warning.
+    unitaries of its sector, the same matrices in the same order as
+    ``evolve`` applies them.  The shells are gathered into one flat
+    buffer and evolved in place, then amplitudes of magnitude
+    <= PRUNE_EPS are dropped.  A shell of norm <= PRUNE_EPS / 2 is not
+    evolved: its unitaries are unitary to roundoff, so none of its
+    outputs could pass that prune, and its untouched inputs are pruned
+    alike.  Amplitude pushed past the per-mode cutoff (only possible on
+    shells above n_max) is dropped with a warning.
     """
     if state.num_modes != 2:
         raise ValueError("expected a two-mode state")
@@ -421,11 +487,17 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     layout = _shell_layout(state.n_max)
     buf = np.zeros(layout.offsets[-1], dtype=np.complex128)
     buf[layout.pos] = state.amps
-    live = np.zeros(len(layout.offsets) - 1, dtype=bool)
-    live[layout.shell[state.amps != 0.0]] = True
-    for n in np.flatnonzero(live).tolist():
+    norms_sq = np.add.reduceat(buf.real ** 2 + buf.imag ** 2, layout.starts)
+    shells = _SHELL_UNITARIES.record(spec, network, len(layout.starts))
+    for n in np.flatnonzero(norms_sq > (0.5 * PRUNE_EPS) ** 2).tolist():
         lo, hi = layout.offsets[n], layout.offsets[n + 1]
-        buf[lo:hi] = _apply_dense(enumerate_sector(2, n, spec), network.elements, buf[lo:hi])
+        mats = shells[n]
+        if mats is None:
+            mats = _SHELL_UNITARIES.fill(shells, spec, network, n)
+        vec = buf[lo:hi]
+        for mat in mats:
+            vec = mat.dot(vec)
+        buf[lo:hi] = vec
     buf[~(np.abs(buf) > PRUNE_EPS)] = 0.0
     # += into zeros, not assignment, so that a kept -0.0 part reads +0.0
     out = np.zeros_like(state.amps)
@@ -468,6 +540,13 @@ def mirror_network() -> Network:
     ))
 
 
+@lru_cache(maxsize=1)
+def _mirror_reflections() -> tuple[complex, complex]:
+    """The mirror's reflection amplitudes: mode 1 -> 2 and mode 2 -> 1."""
+    a = single_particle_matrix(mirror_network())
+    return a[1, 0], a[0, 1]
+
+
 def cat_closed_form(w: complex, truncation: Truncation = Truncation(),
                     mode: int = 2) -> TruncatedState:
     """Normalized e^{i pi/4} |-i w> - e^{3 i pi/4} |+i w> on one mode.
@@ -492,8 +571,8 @@ def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),
     for a mode-1 input, -i u onto mode 1 for a mode-2 input), where
     phi = pi resolves it into the two branches of ``cat_closed_form``.
     """
-    a = single_particle_matrix(mirror_network())
-    w = a[1, 0] * u if mode == 1 else a[0, 1] * u
+    to_two, to_one = _mirror_reflections()
+    w = to_two * u if mode == 1 else to_one * u
     return cat_closed_form(w, truncation, mode=2 if mode == 1 else 1)
 
 

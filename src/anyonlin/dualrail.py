@@ -33,8 +33,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .fock import AnyonSpec, StateVector, enumerate_sector, number_expectation
-from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, \
-    evolve_amplitudes
+from .network import BeamSplitter, Element, Network, PhaseShifter, \
+    build_braiding_network, evolve_amplitudes
 
 __all__ = [
     "CompileError",
@@ -191,28 +191,27 @@ def _check_qubit(layout: LogicalLayout, qubit: int) -> None:
         raise CompileError(f"qubit {qubit} outside 1..{layout.num_qubits}")
 
 
+def _single_qubit_elements(layout: LogicalLayout, qubit: int, beta: float,
+                           gamma: float, delta: float) -> tuple[Element, ...]:
+    _check_qubit(layout, qubit)
+    lo, hi = layout.qubit_modes[qubit - 1]
+    return (
+        PhaseShifter(hi, delta),
+        BeamSplitter(lo, hi, -gamma / 2.0),
+        PhaseShifter(hi, beta),
+    )
+
+
 def compile_single_qubit(layout: LogicalLayout, qubit: int, alpha: float,
                          beta: float, gamma: float, delta: float) -> Network:
     """PS-BS-PS network realizing the ZXZ gate on one qubit pair.
 
     alpha only contributes a global phase and is dropped.
     """
-    _check_qubit(layout, qubit)
-    lo, hi = layout.qubit_modes[qubit - 1]
-    return Network(layout.m, (
-        PhaseShifter(hi, delta),
-        BeamSplitter(lo, hi, -gamma / 2.0),
-        PhaseShifter(hi, beta),
-    ))
+    return Network(layout.m, _single_qubit_elements(layout, qubit, beta, gamma, delta))
 
 
-def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
-    """Braiding network between adjacent qubits through their auxiliary.
-
-    The three braided modes are (second mode of qubit_a, auxiliary,
-    first mode of qubit_b).  Non-adjacent qubits raise CompileError:
-    routing is out of scope, chain CPs or compile SWAPs explicitly.
-    """
+def _cp_elements(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> tuple[Element, ...]:
     _check_qubit(layout, qubit_a)
     _check_qubit(layout, qubit_b)
     if qubit_b != qubit_a + 1:
@@ -228,28 +227,38 @@ def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
         else:
             elements.append(BeamSplitter(braid_modes[el.mode_i - 1],
                                          braid_modes[el.mode_j - 1], el.theta))
-    return Network(layout.m, tuple(elements))
+    return tuple(elements)
 
 
-def compile_gate(layout: LogicalLayout, gate: LogicalGate) -> Network:
+def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
+    """Braiding network between adjacent qubits through their auxiliary.
+
+    The three braided modes are (second mode of qubit_a, auxiliary,
+    first mode of qubit_b).  Non-adjacent qubits raise CompileError:
+    routing is out of scope, chain CPs or compile SWAPs explicitly.
+    """
+    return Network(layout.m, _cp_elements(layout, qubit_a, qubit_b))
+
+
+def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, ...]:
     if isinstance(gate, Rz):
-        return compile_single_qubit(layout, gate.qubit, 0.0, gate.beta, 0.0, 0.0)
+        return _single_qubit_elements(layout, gate.qubit, gate.beta, 0.0, 0.0)
     if isinstance(gate, Rx):
-        return compile_single_qubit(layout, gate.qubit, 0.0, 0.0, gate.gamma, 0.0)
+        return _single_qubit_elements(layout, gate.qubit, 0.0, gate.gamma, 0.0)
     if isinstance(gate, U1):
-        return compile_single_qubit(layout, gate.qubit, gate.alpha, gate.beta,
-                                    gate.gamma, gate.delta)
+        return _single_qubit_elements(layout, gate.qubit, gate.beta, gate.gamma, gate.delta)
     if isinstance(gate, CP):
-        return compile_cp(layout, gate.qubit_a, gate.qubit_b)
+        return _cp_elements(layout, gate.qubit_a, gate.qubit_b)
     raise CompileError(f"unknown gate {gate!r}")
 
 
+def compile_gate(layout: LogicalLayout, gate: LogicalGate) -> Network:
+    return Network(layout.m, _gate_elements(layout, gate))
+
+
 def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Network:
-    """Concatenation of the per-gate networks, in circuit order."""
-    elements: list = []
-    for gate in gates:
-        elements.extend(compile_gate(layout, gate).elements)
-    return Network(layout.m, tuple(elements))
+    """The per-gate elements in circuit order, as one network."""
+    return Network(layout.m, tuple(el for gate in gates for el in _gate_elements(layout, gate)))
 
 
 def run_circuit(spec: AnyonSpec, layout: LogicalLayout,

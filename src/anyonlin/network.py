@@ -157,8 +157,8 @@ class Network:
         return cls(doc["m"], tuple(elements))
 
 
-@lru_cache(maxsize=256)
-def _element_unitary_cached(sector: FockSector, element: Element) -> np.ndarray:
+def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
+    """The element's dense unitary on the sector, built afresh, read-only."""
     if isinstance(element, PhaseShifter):
         mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
     else:
@@ -168,6 +168,9 @@ def _element_unitary_cached(sector: FockSector, element: Element) -> np.ndarray:
         mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T
     mat.setflags(write=False)
     return mat
+
+
+_element_unitary_cached = lru_cache(maxsize=256)(_build_element_unitary)
 
 
 def element_unitary(sector: FockSector, element: Element) -> np.ndarray:
@@ -422,6 +425,7 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     return state
 
 
+@lru_cache(maxsize=1)  # a constant; every compiled CP asks for it
 def build_braiding_network() -> Network:
     """The three-mode braiding network.
 

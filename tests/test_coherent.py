@@ -3,19 +3,23 @@
 import cmath
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter
-from anyonlin.coherent import DegenerateStateError, ExactGreater, ExactLess, \
+from anyonlin import coherent
+from anyonlin import network as network_module
+from anyonlin.coherent import SHELL_CACHE_BYTES, DegenerateStateError, ExactGreater, ExactLess, \
     NotClosedUnderLinearOpticsError, SingleMode, TruncatedState, Truncation, \
     TruncationRiskWarning, Type1, Type2, cat_closed_form, coherence_function, \
     coherent_amplitudes, coherent_state, deformed_binomial_coeffs, \
     deformed_binomial_prefactor, displacement, displacement_product_factor, \
     evolve_family, evolve_truncated, generalized_coherent_state, kerr_interconvert, \
     mirror_cat, mirror_network, two_mode_family_state
-from anyonlin.fock import StateVector, apply_create, enumerate_sector, vacuum_state
+from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
+    vacuum_state
 from anyonlin.network import evolve, single_particle_matrix
 
 TR = Truncation(40)
@@ -393,6 +397,103 @@ def test_evolve_truncated_warns_on_probability_past_cutoff():
         got = evolve_truncated(start, net, spec)
     assert got.amps.tobytes() == want.tobytes()
     assert abs(1.0 - got.norm() ** 2 - lost) < 1e-12
+
+
+def shell_norms(amps):
+    """Norm of each total-occupation shell of a two-mode amplitude array."""
+    k = np.arange(len(amps))
+    shell = (k[:, None] + k[None, :]).ravel()
+    return np.sqrt(np.bincount(shell, weights=np.abs(amps.ravel()) ** 2))
+
+
+def fresh_shell_cache(monkeypatch, budget=SHELL_CACHE_BYTES):
+    cache = coherent._ShellUnitaries(budget)
+    monkeypatch.setattr(coherent, "_SHELL_UNITARIES", cache)
+    return cache
+
+
+def held_bytes(cache):
+    return sum(mat.nbytes for shells in cache.records.values()
+               for mats in shells if mats is not None for mat in mats)
+
+
+def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(monkeypatch):
+    # shells on both sides of the PRUNE_EPS / 2 bound, three of them past n_max = 4
+    cache = fresh_shell_cache(monkeypatch)
+    n_max = 4
+    norms = {1: 0.8, 2: 0.4 * PRUNE_EPS, 3: 0.6 * PRUNE_EPS, 4: 0.6,
+             5: 2 * PRUNE_EPS, 6: 0.4 * PRUNE_EPS, 7: 0.6 * PRUNE_EPS}
+    rng = np.random.default_rng(3)
+    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for n, norm in norms.items():
+        ls = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+        z = rng.normal(size=len(ls)) + 1j * rng.normal(size=len(ls))
+        amps[ls, n - ls] = z * (norm / np.linalg.norm(z))
+    assert np.allclose(shell_norms(amps)[list(norms)], list(norms.values()), rtol=1e-12)
+    spec = AnyonSpec.bosonic(1.1)
+    net = Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
+                      BeamSplitter(2, 1, -0.35)))
+    want, _ = shellwise_oracle(TruncatedState(amps), net, spec)
+    got = evolve_truncated(TruncatedState(amps), net, spec)
+    assert got.amps.tobytes() == want.tobytes()
+    shells = cache.records[spec, net]
+    evolved = {n for n, mats in enumerate(shells) if mats is not None}
+    assert evolved == {n for n, norm in norms.items() if norm > 0.5 * PRUNE_EPS}
+
+
+def test_alternating_networks_build_each_shell_unitary_once(monkeypatch):
+    builds = Counter()
+    build = coherent._build_element_unitary
+
+    def counting_build(sector, element):
+        builds[sector.n_total, element] += 1
+        return build(sector, element)
+
+    monkeypatch.setattr(coherent, "_build_element_unitary", counting_build)
+    fresh_shell_cache(monkeypatch)
+    spec = AnyonSpec.bosonic(math.pi)
+    networks = (mirror_network(),
+                Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
+                            BeamSplitter(2, 1, -0.35))))
+    start = two_mode_family_state(Type1(0.5, 0.3j), spec, TR)
+    first = [evolve_truncated(start, net, spec).amps.tobytes() for net in networks]
+    lru_before = network_module._element_unitary_cached.cache_info()
+    for _ in range(50):
+        assert [evolve_truncated(start, net, spec).amps.tobytes() for net in networks] == first
+    live = np.count_nonzero(shell_norms(start.amps) > 0.5 * PRUNE_EPS)
+    assert set(builds.values()) == {1}
+    assert len(builds) == live * sum(len(net.elements) for net in networks)
+    # the records do not go through, or fill, element_unitary's LRU
+    assert network_module._element_unitary_cached.cache_info() == lru_before
+
+
+def test_shell_records_stay_within_their_byte_budget(monkeypatch):
+    networks = (mirror_network(),
+                Network(2, (BeamSplitter(1, 2, 0.3),)),
+                Network(2, (PhaseShifter(2, 0.4), BeamSplitter(2, 1, 1.2))))
+    full = fresh_shell_cache(monkeypatch)
+    # 1/1024 of the budget holds a few shells of n_max = 40, so it drops
+    # records and leaves shells unkept
+    small = coherent._ShellUnitaries(SHELL_CACHE_BYTES // 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationRiskWarning)
+        for n_max in (3, 8, 20, 40):
+            for phi in (0.0, math.pi):
+                spec = AnyonSpec.bosonic(phi)
+                start = two_mode_family_state(Type1(0.9, 0.7j), spec, Truncation(n_max))
+                for net in networks:
+                    outs = []
+                    for cache in (full, small):
+                        monkeypatch.setattr(coherent, "_SHELL_UNITARIES", cache)
+                        outs.append(evolve_truncated(start, net, spec).amps.tobytes())
+                        assert held_bytes(cache) == cache.nbytes <= cache.budget
+                        assert list(cache.records)[-1] == (spec, net)
+                    assert outs[0] == outs[1]
+    assert full.budget == SHELL_CACHE_BYTES
+    assert len(full.records) == 2 * len(networks)
+    assert len(small.records) < 2 * len(networks)
+    assert any(mats is None and norm > 0.5 * PRUNE_EPS
+               for mats, norm in zip(small.records[spec, net], shell_norms(start.amps)))
 
 
 def test_evolve_truncated_rejects_fermions():

@@ -9,7 +9,8 @@ import pytest
 from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
     decode, encode, evolve
 from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp, \
-    compile_single_qubit, euler_zxz, logical_unitary, run_circuit, simulate_circuit
+    compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
+    simulate_circuit
 from anyonlin import network as network_module
 from anyonlin.network import BeamSplitter, Network
 
@@ -265,6 +266,23 @@ def test_compile_circuit_concatenates_elements():
     net = compile_circuit(layout, gates)
     assert net.m == layout.m
     assert len(net.elements) == 3 + 7
+
+
+def test_compile_circuit_validates_one_network(monkeypatch):
+    layout = LogicalLayout(3)
+    gates = [Rz(1, 0.5), Rx(2, -0.7), U1(3, 0.1, 0.2, 0.3, 0.4), CP(1, 2), CP(2, 3)]
+    per_gate = tuple(el for gate in gates for el in compile_gate(layout, gate).elements)
+    built = []
+    post_init = Network.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Network, "__post_init__", counting_post_init)
+    net = compile_circuit(layout, gates)
+    assert built == [net]
+    assert net.elements == per_gate
 
 
 def dense_logical_unitary(spec, layout, gates):
