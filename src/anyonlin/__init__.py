@@ -19,7 +19,6 @@ from .network import (
     Network,
     PhaseShifter,
     build_braiding_network,
-    element_unitary,
     evolve,
     evolve_amplitudes,
     propagate_algebraic,

@@ -12,8 +12,9 @@ linear combinations use ``a*|...> + b*|...>`` with complex literals like
 ``0.5+0.5i``.  Output is deterministic JSON (stable basis order, floats
 at 17 significant digits) or an aligned table.
 
-Exit codes: 0 success, 2 validation or parse error, 3 numerical
-tolerance failure in a self-check mode.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 validation or parse error, 3 numerical tolerance failure in a
+self-check mode.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import Callable
@@ -31,8 +33,8 @@ from .coherent import Truncation, mirror_cat, mirror_cat_reference
 from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, logical_unitary, \
     run_circuit
 from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector
-from .network import BeamSplitter, Network, PhaseShifter, _apply_dense, \
-    build_braiding_network, evolve
+from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, evolve, \
+    evolve_amplitudes
 
 __all__ = [
     "CliError",
@@ -50,7 +52,10 @@ class CliError(ValueError):
     """Validation or parse failure; maps to exit code 2."""
 
 
-#: Largest sector the dense commands accept: a dim^2 complex matrix of 256 MiB.
+#: Largest sector ``hom``, ``braid`` and ``run`` accept.  It bounds the
+#: dim^2 complex matrix of ``run --dump-unitary`` (256 MiB) and the widest
+#: beam-splitter block, whose eigendecomposition on two modes is the
+#: whole sector.
 MAX_DENSE_DIM = 4096
 #: Largest sector ``compile`` accepts; the block kernel holds only (dim,) vectors.
 MAX_KERNEL_DIM = 10 ** 6
@@ -273,7 +278,7 @@ def _evolve_command(args: argparse.Namespace, build_network: Callable[[], Networ
     }
     if dump_unitary:
         sector = state.sector
-        mat = _apply_dense(sector, network.elements, np.eye(sector.dim, dtype=np.complex128))
+        mat = evolve_amplitudes(network, sector, np.eye(sector.dim, dtype=np.complex128))
         doc["unitary"] = {"basis": [list(occ) for occ in sector.basis],
                           "re": mat.real.tolist(), "im": mat.imag.tolist()}
     _emit(doc, args.table)
@@ -492,6 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p_cat, self_check=False)
     p_cat.set_defaults(func=_cmd_cat)
 
+    # argparse takes a token starting with "-" for an option unless it looks
+    # like a plain negative number, so "--theta -pi/2" and "--u -1.2j" would
+    # lose their values.  Each subcommand reads every such token that is none
+    # of its options as a value; an unknown flag is then left unrecognized and
+    # still exits 2.  Set after the options are added, so that none of them
+    # counts as a negative number.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile("-")
+
     return parser
 
 
@@ -499,7 +513,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ArithmeticError as err:
         print(f"anyonlin: self-check failed: {err}", file=sys.stderr)
         return 3

@@ -424,9 +424,7 @@ class _ShellUnitaries:
     shell list asked for and is filled one shell at a time, the first
     time that shell is evolved.  When a new shell would pass ``budget``
     bytes, the least recently used other records are dropped; a shell
-    that still does not fit is built and returned but not kept.  The
-    matrices come from the plain builder, not from ``element_unitary``'s
-    LRU, so none is held twice.
+    that still does not fit is built and returned but not kept.
     """
 
     def __init__(self, budget: int):
@@ -469,8 +467,8 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
 
     Phase shifters and beam splitters conserve total particle number, so
     each total-occupation shell evolves independently through the dense
-    unitaries of its sector, the same matrices in the same order as
-    ``evolve`` applies them.  The shells are gathered into one flat
+    unitaries of its sector, built by ``network._build_element_unitary``
+    and applied in element order.  The shells are gathered into one flat
     buffer and evolved in place, then amplitudes of magnitude
     <= PRUNE_EPS are dropped.  A shell of norm <= PRUNE_EPS / 2 is not
     evolved: its unitaries are unitary to roundoff, so none of its

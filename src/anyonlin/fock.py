@@ -169,8 +169,8 @@ class FockSector:
         self.m = m
         self.n_total = n_total
         self.basis, self.index, self.occ = shape
-        # sectors key the unitary caches, so hash once; numbers only, since
-        # their hashes (unlike the enum's) are the same in every process
+        # hash once, from numbers only: their hashes (unlike the enum's) are
+        # the same in every process, so a pickled sector keeps a valid hash
         self._hash = hash((spec.phi, spec.is_fermionic, m, n_total))
 
     @property
@@ -196,8 +196,7 @@ class FockSector:
                 f"dim={self.dim}, {self.spec.particle_class.value}, phi={self.spec.phi:g})")
 
 
-# bounded because every new phi makes new sectors; 256 matches the dense
-# unitary cache, whose keys hold that many sectors alive anyway
+# bounded because every new phi makes new sectors
 @lru_cache(maxsize=256)
 def _sector_cached(spec: AnyonSpec, m: int, n_total: int) -> FockSector:
     shape = _shape_basis(m, n_total, spec.is_fermionic)

@@ -11,17 +11,14 @@ multimode interferometers are *defined* by such networks rather than by
 an m x m matrix; two different networks with the same single-particle
 matrix can act differently on multi-particle states.
 
-Three independent evolution paths are provided:
+Two independent evolution paths are provided:
 
-* ``evolve``: exact dense spectral path; every element's Hermitian
-  generator is diagonalized on the whole sector and exponentiated.  It
-  is the reference the other paths are tested against.
 * ``evolve_amplitudes``: block kernel on (dim,) or (dim, k) amplitude
   arrays; each beam splitter acts on blocks of fixed pair total as the
   phi = 0 rotation dressed by a diagonal winding phase, applied as one
   gather of every block's rows, one matrix product per pair total and
-  one scatter, so nothing of size dim x dim is built.  The dual-rail
-  circuits run through it.
+  one scatter, so nothing of size dim x dim is built.  ``evolve`` runs a
+  ``StateVector`` through it, and so do the dual-rail circuits.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -32,11 +29,17 @@ Three independent evolution paths are provided:
   where G(n) = e^{i n phi J3} BS(t) e^{-i n phi J3} tracks the
   accumulated statistical winding and acts trivially on the vacuum.
 
-Agreement of the three paths is the core correctness theorem of this
-module.  The intermediate-mode rule is also the source of the lattice
-Aharonov-Bohm phase: a particle hopping across n occupied intermediate
-modes under a long-range beam splitter picks up e^{-i n phi} (bosonic)
-or e^{-i n (phi + pi)} (fermionic).
+``_build_element_unitary`` diagonalizes an element's Hermitian generator
+on the whole sector and exponentiates it.  It is the dense oracle the
+tests compare both paths against; at run time only ``GOperator.matrix``
+and the truncated-state shells of ``coherent`` use it.
+
+Agreement of the paths with each other and with the dense oracle is
+the core correctness theorem of this module.  The intermediate-mode
+rule is also the source of the lattice Aharonov-Bohm phase: a particle
+hopping across n occupied intermediate modes under a long-range beam
+splitter picks up e^{-i n phi} (bosonic) or e^{-i n (phi + pi)}
+(fermionic).
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ __all__ = [
     "GOperator",
     "ModeMismatchError",
     "UnsupportedPropagationError",
-    "element_unitary",
     "evolve",
     "evolve_amplitudes",
     "propagate_algebraic",
@@ -158,7 +160,12 @@ class Network:
 
 
 def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
-    """The element's dense unitary on the sector, built afresh, read-only."""
+    """The element's dense unitary exp(i G) on the sector, built afresh, read-only.
+
+    Phase shifters are diagonal and exponentiated exactly; a beam
+    splitter's generator theta (chi†_i chi_j + chi†_j chi_i) is Hermitian,
+    so its eigendecomposition gives the unitary to machine precision.
+    """
     if isinstance(element, PhaseShifter):
         mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
     else:
@@ -170,44 +177,14 @@ def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
     return mat
 
 
-_element_unitary_cached = lru_cache(maxsize=256)(_build_element_unitary)
-
-
-def element_unitary(sector: FockSector, element: Element) -> np.ndarray:
-    """Unitary exp(i G) of the element via spectral decomposition.
-
-    Phase shifters are diagonal and exponentiated exactly; a beam
-    splitter's generator theta (chi†_i chi_j + chi†_j chi_i) is Hermitian
-    and small, so eigendecomposition is exact to machine precision.
-    Results are cached per (sector, element) as read-only arrays, which
-    is sound because both are immutable.
-    """
-    return _element_unitary_cached(sector, element)
-
-
 def evolve(network: Network, state: StateVector) -> StateVector:
-    """Exact spectral evolution of a state through the network.
+    """Exact evolution of a state through the network on the block kernel.
 
     Norm is preserved to roundoff since every factor is unitary on the
-    sector.
+    sector.  A network over another mode count raises ModeMismatchError.
     """
-    if network.m != state.sector.m:
-        raise ModeMismatchError(
-            f"network has {network.m} modes, state has {state.sector.m}")
-    vec = _apply_dense(state.sector, network.elements, state.to_vector())
+    vec = evolve_amplitudes(network, state.sector, state.to_vector())
     return StateVector.from_vector(state.sector, vec)
-
-
-def _apply_dense(sector: FockSector, elements: Sequence[Element], vec: np.ndarray
-                 ) -> np.ndarray:
-    """Multiply a sector vector by each element's cached dense unitary in turn.
-
-    ``ndarray.dot`` makes the same BLAS call as ``@`` with less overhead
-    per call, which dominates on the small matrices of truncated shells.
-    """
-    for element in elements:
-        vec = element_unitary(sector, element).dot(vec)
-    return vec
 
 
 @dataclass(frozen=True)
@@ -266,23 +243,27 @@ def _pair_blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int) -> _Pa
 
 
 @lru_cache(maxsize=64)
-def _pair_hop_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the phi = 0 pair hop for every pair total N = 1..n_max.
+def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the phi = 0 pair hop for each pair total N in ``totals``.
 
-    Entry N - 1 holds the eigenvalues of the hop on n_lo = 0..N in its
-    first N + 1 places and its eigenvectors in its top-left
-    (N + 1) x (N + 1) corner; the rest is zero, so one batched product
-    exponentiates every N at once.  The hop is real tridiagonal with
-    entries sqrt((k + 1)(N - k)), twice the J1 of spin N/2, so its
-    eigenvalues are -N, -N + 2, ..., N.
+    Entry f holds the eigenvalues of the hop of N = totals[f] on
+    n_lo = 0..N in its first N + 1 places and its eigenvectors in its
+    top-left (N + 1) x (N + 1) corner; the rest is zero, so one batched
+    product exponentiates every N at once.  The stack holds only the
+    totals asked for, padded to the largest: a two-mode sector of n
+    particles has the single total n, and a stack of every total up to
+    n would cost n times the memory and eigendecompositions.  The hop is
+    real tridiagonal with entries sqrt((k + 1)(N - k)), twice the J1 of
+    spin N/2, so its eigenvalues are -N, -N + 2, ..., N.
     """
-    vals = np.zeros((n_max, n_max + 1))
-    vecs = np.zeros((n_max, n_max + 1, n_max + 1))
-    for n_pair in range(1, n_max + 1):
+    top = max(totals)
+    vals = np.zeros((len(totals), top + 1))
+    vecs = np.zeros((len(totals), top + 1, top + 1))
+    for pos, n_pair in enumerate(totals):
         kk = np.arange(n_pair)
         off = np.sqrt((kk + 1.0) * (n_pair - kk))
         size = n_pair + 1
-        vals[n_pair - 1, :size], vecs[n_pair - 1, :size, :size] = \
+        vals[pos, :size], vecs[pos, :size, :size] = \
             np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     for arr in (vals, vecs):
         arr.setflags(write=False)
@@ -301,11 +282,11 @@ def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
     """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
 
-    Block kernel, an exact path independent of ``element_unitary``: a
-    phase shifter multiplies each basis amplitude by exp(i tau n_i),
-    looked up from the n + 1 values of n_i.  BS_ij conserves n_i + n_j
-    and leaves every other mode alone, so it splits into blocks of at
-    most n + 1 states.  On a block of pair total N the beam splitter is
+    Block kernel, an exact path independent of the dense oracle
+    ``_build_element_unitary``: a phase shifter multiplies each basis
+    amplitude by exp(i tau n_i), looked up from the n + 1 values of n_i.
+    BS_ij conserves n_i + n_j and leaves every other mode alone, so it
+    splits into blocks of at most n + 1 states.  On a block of pair total N the beam splitter is
     D W_N(theta) D†, where W_N is the phi = 0 hop exponentiated through
     a cached small eigendecomposition and D_k = exp(i phi (k(k-1)/2 +
     s k)) (-1)^{s k} dresses it with the statistical winding of the
@@ -337,16 +318,16 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
         blocks = _pair_blocks(*shape, lo, hi)
         if not blocks.families:
             continue
-        vals, vecs = _pair_hop_eigh(blocks.families[-1][0])
+        vals, vecs = _pair_hop_eigh(tuple(n_pair for n_pair, _, _ in blocks.families))
         w = (vecs * np.exp(1j * element.theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
         dress = _lookup_exp(phi, blocks.winding, blocks.w_max)
         where = blocks.rows + columns
         part = flat[where]
         part *= dress.conj()
         hopped = np.empty_like(part)
-        for n_pair, start, stop in blocks.families:
+        for pos, (n_pair, start, stop) in enumerate(blocks.families):
             fam_shape = (len(part), n_pair + 1, -1)
-            np.matmul(w[n_pair - 1, :n_pair + 1, :n_pair + 1],
+            np.matmul(w[pos, :n_pair + 1, :n_pair + 1],
                       part[:, start:stop].reshape(fam_shape),
                       out=hopped[:, start:stop].reshape(fam_shape))
         hopped *= dress
@@ -365,7 +346,7 @@ class GOperator:
 
     def matrix(self, sector: FockSector) -> np.ndarray:
         phi = sector.spec.phi
-        bs = element_unitary(sector, BeamSplitter(self.i, self.j, self.theta))
+        bs = _build_element_unitary(sector, BeamSplitter(self.i, self.j, self.theta))
         j3 = (sector.occ[:, self.i - 1] - sector.occ[:, self.j - 1]) / 2.0
         phase = np.exp(1j * self.n * phi * j3)
         return (phase[:, None] * bs) * phase.conj()[None, :]
@@ -387,7 +368,7 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     exists.
 
     Modes outside [min(i,j), max(i,j)] other than i, j themselves have no
-    pushing rule and raise UnsupportedPropagationError (the spectral path
+    pushing rule and raise UnsupportedPropagationError (``evolve``
     handles those).  A fermionic monomial longer than the mode count
     targets an empty sector and raises EmptySectorError.
     """

@@ -13,6 +13,7 @@ import numpy as np
 
 from anyonlin import AnyonSpec
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
+from anyonlin.network import _build_element_unitary
 
 # Exchange phases exercised across the suite; 0 is the standard limit.
 PHI_GRID = (0.0, math.pi / 5, math.pi / 2, math.pi, 7 * math.pi / 4)
@@ -23,6 +24,19 @@ PHI_GRID_SU2 = (0.0, math.pi / 7, math.pi / 2, math.pi, 4 * math.pi / 3)
 
 def both_classes(phi):
     return AnyonSpec.bosonic(phi), AnyonSpec.fermionic(phi)
+
+
+def dense_evolve(network, sector, amps):
+    """Reference evolution: a (dim,) vector or (dim, k) batch times each
+    element's dense sector unitary in turn.
+
+    ``evolve`` runs on the block kernel; this builds every unitary afresh
+    through the dense oracle, so tests that compare against it check two
+    independent paths.
+    """
+    for element in network.elements:
+        amps = _build_element_unitary(sector, element).dot(amps)
+    return amps
 
 
 def state_deviation(state, expected):

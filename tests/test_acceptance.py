@@ -185,7 +185,7 @@ def test_c08_algebraic_vs_spectral_evolution():
                                 keys = set(alg.amps) | set(ref.amps)
                                 worst = max(worst, max(abs(alg.amplitude(k) - ref.amplitude(k))
                                                        for k in keys))
-    report(f"C08 propagation identities vs spectral path ({cases} monomials)",
+    report(f"C08 propagation identities vs block kernel ({cases} monomials)",
            worst, 1e-10)
 
 

@@ -3,18 +3,23 @@
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, \
-    build_braiding_network
+from anyonlin import AnyonSpec, BeamSplitter, Network, ParticleClass, PhaseShifter, \
+    StateVector, build_braiding_network
+from anyonlin import network as network_module
 from anyonlin.cli import CliError, build_parser, main, parse_angle, parse_complex, \
     parse_network, parse_state, serialize_network
+
+from conftest import dense_evolve, state_deviation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -268,6 +273,29 @@ def test_every_subcommand_takes_the_same_output_flags(argv):
         assert parser.parse_args(argv + ["--self-check"]).self_check is True
 
 
+@pytest.mark.parametrize("dashed, joined", [
+    (["hom", "--phi", "0", "--theta", "-pi/2"], ["hom", "--phi", "0", "--theta=-pi/2"]),
+    (["hom", "--phi", "-pi/2"], ["hom", "--phi=-pi/2"]),
+    (["cat", "--u", "-1.2j", "--nmax", "3"], ["cat", "--u=-1.2j", "--nmax", "3"]),
+])
+def test_option_values_may_start_with_a_dash(dashed, joined):
+    code, out = run_cli(dashed)
+    assert code == 0
+    assert (code, out) == run_cli(joined)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--phi", "0", "--bogus"],
+    ["hom", "--phi", "0", "--theta"],
+    ["cat", "--u", "1", "--nmax", "3", "-x"],
+])
+def test_unknown_flags_and_missing_values_still_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_table_output_mode():
     code, out = run_cli(["hom", "--phi", "pi/5", "--table"])
     assert code == 0
@@ -293,6 +321,19 @@ def test_fermionic_hom_self_check_passes(phi):
     checked_code, checked_out = run_cli(argv + ["--self-check"])
     assert code == checked_code == 0
     assert checked_out == out
+
+
+def test_closed_stdout_exits_1_quietly():
+    # the read end is closed before the child writes, so its first flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "anyonlin", "hom", "--phi", "0"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_exit_code_self_check_failure():
@@ -393,3 +434,50 @@ def test_outputs_match_committed_golden_files(name):
     assert code == 0
     golden = (GOLDEN_DIR / name).read_bytes()
     assert out.encode() == golden
+
+
+def test_evolving_commands_never_build_a_dense_unitary(monkeypatch):
+    # hom, braid, run and --dump-unitary all run on the block kernel; a cache
+    # may hold the builder itself, so the dense generator it reads is refused too
+    def no_dense(*args):
+        raise AssertionError("dense sector unitary requested")
+
+    monkeypatch.setattr(network_module, "_build_element_unitary", no_dense)
+    monkeypatch.setattr(network_module, "quadratic_matrix", no_dense)
+    for name in ("hom_phi0.json", "braid_phi1.json", "braid_phi07_table.txt",
+                 "run_four_kets.json", "run_three_mode_unitary.json"):
+        assert run_cli(GOLDEN_COMMANDS[name])[0] == 0
+
+
+def golden_amplitudes(text, table):
+    """occ -> amplitude of a committed hom, braid or run output."""
+    if table:
+        rows = [line.split() for line in text.splitlines()[2:]]
+        return {tuple(map(int, occ.split(","))): complex(float(re), float(im))
+                for occ, re, im in rows}
+    return {tuple(e["occ"]): complex(e["re"], e["im"]) for e in json.loads(text)["amplitudes"]}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in GOLDEN_COMMANDS.items()
+                                        if argv[0] != "cat"))
+def test_golden_numbers_match_the_dense_oracle(name):
+    # ties the committed bytes to the dense unitaries, not to the kernel that wrote them
+    args = build_parser().parse_args(GOLDEN_COMMANDS[name])
+    spec = AnyonSpec(ParticleClass(args.particle_class), parse_angle(args.phi))
+    if args.command == "hom":
+        network, text = Network(2, (BeamSplitter(1, 2, parse_angle(args.theta)),)), "|1,1>"
+    elif args.command == "braid":
+        network, text = build_braiding_network(), args.input
+    else:
+        network, text = parse_network(Path(args.network).read_text()), args.input
+    state = parse_state(text, network.m, spec, normalize=not getattr(args, "no_normalize", False))
+    sector = state.sector
+    golden = (GOLDEN_DIR / name).read_text()
+    want = StateVector.from_vector(sector, dense_evolve(network, sector, state.to_vector()))
+    assert state_deviation(want, golden_amplitudes(golden, args.table)) <= 1e-13
+    if getattr(args, "dump_unitary", False):
+        doc = json.loads(golden)["unitary"]
+        assert doc["basis"] == [list(occ) for occ in sector.basis]
+        mat = np.array(doc["re"]) + 1j * np.array(doc["im"])
+        want_mat = dense_evolve(network, sector, np.eye(sector.dim, dtype=complex))
+        assert np.max(np.abs(mat - want_mat)) <= 1e-13

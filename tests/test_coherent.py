@@ -10,7 +10,6 @@ import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter
 from anyonlin import coherent
-from anyonlin import network as network_module
 from anyonlin.coherent import SHELL_CACHE_BYTES, DegenerateStateError, ExactGreater, ExactLess, \
     NotClosedUnderLinearOpticsError, SingleMode, TruncatedState, Truncation, \
     TruncationRiskWarning, Type1, Type2, cat_closed_form, coherence_function, \
@@ -20,7 +19,9 @@ from anyonlin.coherent import SHELL_CACHE_BYTES, DegenerateStateError, ExactGrea
     mirror_cat, mirror_network, two_mode_family_state
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state
-from anyonlin.network import evolve, single_particle_matrix
+from anyonlin.network import single_particle_matrix
+
+from conftest import dense_evolve
 
 TR = Truncation(40)
 
@@ -332,7 +333,7 @@ def test_family_evolution_matches_brute_force():
 
 
 def shellwise_oracle(state, network, spec):
-    """Per-shell StateVector route through ``evolve``: (amplitudes, lost probability)."""
+    """Per-shell StateVector route through the dense oracle: (amplitudes, lost probability)."""
     n_max = state.n_max
     out = np.zeros_like(state.amps)
     lost = 0.0
@@ -342,7 +343,9 @@ def shellwise_oracle(state, network, spec):
                    if state.amps[l, n - l] != 0.0}
         if not entries:
             continue
-        evolved = evolve(network, StateVector(enumerate_sector(2, n, spec), entries))
+        sector = enumerate_sector(2, n, spec)
+        vec = dense_evolve(network, sector, StateVector(sector, entries).to_vector())
+        evolved = StateVector.from_vector(sector, vec)
         for (l, k), amp in evolved.amps.items():
             if l <= n_max and k <= n_max:
                 out[l, k] += amp
@@ -457,14 +460,11 @@ def test_alternating_networks_build_each_shell_unitary_once(monkeypatch):
                             BeamSplitter(2, 1, -0.35))))
     start = two_mode_family_state(Type1(0.5, 0.3j), spec, TR)
     first = [evolve_truncated(start, net, spec).amps.tobytes() for net in networks]
-    lru_before = network_module._element_unitary_cached.cache_info()
     for _ in range(50):
         assert [evolve_truncated(start, net, spec).amps.tobytes() for net in networks] == first
     live = np.count_nonzero(shell_norms(start.amps) > 0.5 * PRUNE_EPS)
     assert set(builds.values()) == {1}
     assert len(builds) == live * sum(len(net.elements) for net in networks)
-    # the records do not go through, or fill, element_unitary's LRU
-    assert network_module._element_unitary_cached.cache_info() == lru_before
 
 
 def test_shell_records_stay_within_their_byte_budget(monkeypatch):

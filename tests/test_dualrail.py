@@ -12,9 +12,10 @@ from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp
     compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
 from anyonlin import network as network_module
+from anyonlin.fock import StateVector
 from anyonlin.network import BeamSplitter, Network
 
-from conftest import PHI_GRID, both_classes, haar_unitary, phase_align
+from conftest import PHI_GRID, both_classes, dense_evolve, haar_unitary, phase_align
 
 
 # dense 2x2 oracles, independent of the compiler's conventions
@@ -286,13 +287,15 @@ def test_compile_circuit_validates_one_network(monkeypatch):
 
 
 def dense_logical_unitary(spec, layout, gates):
-    """Column by column through the spectral evolve and decode."""
+    """Every logical column through the dense oracle at once, then decoded."""
     n = layout.num_qubits
     network = compile_circuit(layout, gates)
+    inputs = [encode(spec, layout, format(col, f"0{n}b")) for col in range(2 ** n)]
+    sector = inputs[0].sector
+    outs = dense_evolve(network, sector, np.stack([st.to_vector() for st in inputs], axis=1))
     mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for col in range(2 ** n):
-        out = evolve(network, encode(spec, layout, format(col, f"0{n}b")))
-        mat[:, col], _ = decode(layout, out)
+        mat[:, col], _ = decode(layout, StateVector.from_vector(sector, outs[:, col]))
     return mat
 
 
@@ -344,7 +347,7 @@ def test_circuit_paths_build_no_sector_matrix(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     real_eigh = np.linalg.eigh
-    monkeypatch.setattr(network_module, "_element_unitary_cached", no_dense)
+    monkeypatch.setattr(network_module, "_build_element_unitary", no_dense)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     network_module._pair_hop_eigh.cache_clear()
     layout = LogicalLayout(3)

@@ -1,4 +1,4 @@
-"""Optical elements, spectral evolution, propagation identities, braiding."""
+"""Optical elements, evolution, propagation identities, braiding."""
 
 import cmath
 import itertools
@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, \
-    build_braiding_network, element_unitary, enumerate_sector, evolve, \
-    propagate_algebraic, single_particle_matrix
+    build_braiding_network, enumerate_sector, evolve, propagate_algebraic, \
+    single_particle_matrix
 from anyonlin import network as network_module
 from anyonlin.fock import EmptySectorError, StateVector, apply_create, vacuum_state
 from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, \
-    evolve_amplitudes
+    _build_element_unitary, evolve_amplitudes
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
-from conftest import PHI_GRID, both_classes, state_deviation, states_close
+from conftest import PHI_GRID, both_classes, dense_evolve, state_deviation, states_close
 
 
 def test_element_validation():
@@ -30,7 +30,7 @@ def test_element_validation():
 
 def test_bs_zero_angle_is_identity():
     sector = enumerate_sector(3, 2, AnyonSpec.bosonic(1.9))
-    u = element_unitary(sector, BeamSplitter(1, 3, 0.0))
+    u = _build_element_unitary(sector, BeamSplitter(1, 3, 0.0))
     assert np.max(np.abs(u - np.eye(sector.dim))) < 1e-14
 
 
@@ -39,7 +39,7 @@ def test_ps_is_diagonal_occupation_phase():
         sector = enumerate_sector(2, 2, spec) if not spec.is_fermionic \
             else enumerate_sector(3, 2, spec)
         tau = 1.234
-        u = element_unitary(sector, PhaseShifter(1, tau))
+        u = _build_element_unitary(sector, PhaseShifter(1, tau))
         expected = np.diag([cmath.exp(1j * tau * occ[0]) for occ in sector.basis])
         assert np.max(np.abs(u - expected)) < 1e-14
 
@@ -50,7 +50,7 @@ def test_element_unitaries_are_unitary():
             sector = enumerate_sector(4, 2, spec)
             for el in (BeamSplitter(1, 4, 0.37), BeamSplitter(2, 3, -1.2),
                        PhaseShifter(3, 2.2)):
-                u = element_unitary(sector, el)
+                u = _build_element_unitary(sector, el)
                 assert np.max(np.abs(u.conj().T @ u - np.eye(sector.dim))) <= ATOL_ALGEBRA
 
 
@@ -58,7 +58,7 @@ def test_balanced_bs_on_two_bosonic_anyons():
     # the two-anyon interference column: (i e^{i phi}/sqrt 2, 0, i/sqrt 2)
     for phi in PHI_GRID:
         sector = enumerate_sector(2, 2, AnyonSpec.bosonic(phi))
-        u = element_unitary(sector, BeamSplitter(1, 2, math.pi / 4))
+        u = _build_element_unitary(sector, BeamSplitter(1, 2, math.pi / 4))
         col = u[:, sector.index[(1, 1)]]
         expected = np.array([1j * cmath.exp(1j * phi) / math.sqrt(2), 0.0,
                              1j / math.sqrt(2)])
@@ -219,7 +219,7 @@ def test_g_operator_propagation_identities_as_matrices():
 def test_g_operator_winding_zero_is_plain_beam_splitter():
     spec = AnyonSpec.bosonic(1.1)
     sector = enumerate_sector(2, 2, spec)
-    bs = element_unitary(sector, BeamSplitter(1, 2, 0.5))
+    bs = _build_element_unitary(sector, BeamSplitter(1, 2, 0.5))
     assert np.max(np.abs(GOperator(1, 2, 0, 0.5).matrix(sector) - bs)) < 1e-14
 
 
@@ -286,7 +286,7 @@ def test_single_particle_matrix_composition():
     net = Network(2, (PhaseShifter(2, 0.3), BeamSplitter(1, 2, 0.9), PhaseShifter(1, 1.7)))
     u = single_particle_matrix(net)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
-    # matches the spectral path on the single-particle sector
+    # matches evolve on the single-particle sector
     spec = AnyonSpec.bosonic(1.3)
     sector = enumerate_sector(2, 1, spec)
     st = evolve(net, StateVector.basis_state(sector, (1, 0)))
@@ -330,7 +330,7 @@ def test_block_kernel_matches_dense_unitary_on_every_ordered_pair():
                     for i, j in itertools.permutations(range(1, m + 1), 2):
                         el = BeamSplitter(i, j, theta)
                         dev = np.max(np.abs(kernel_unitary(sector, el)
-                                            - element_unitary(sector, el)))
+                                            - _build_element_unitary(sector, el)))
                         worst = max(worst, float(dev))
     assert worst <= 1e-12
 
@@ -341,7 +341,7 @@ def test_block_kernel_long_range_pair_with_four_bosons():
         sector = enumerate_sector(6, 4, AnyonSpec.bosonic(phi))
         for i, j in ((6, 1), (2, 5)):
             el = BeamSplitter(i, j, -1.1)
-            dev = np.max(np.abs(kernel_unitary(sector, el) - element_unitary(sector, el)))
+            dev = np.max(np.abs(kernel_unitary(sector, el) - _build_element_unitary(sector, el)))
             assert dev <= 1e-12
 
 
@@ -352,7 +352,7 @@ def test_block_kernel_on_vacuum_and_full_fermionic_sector():
                        enumerate_sector(4, 4, spec_f)):
             for el in (BeamSplitter(1, 3, 0.9), BeamSplitter(3, 2, 0.4), PhaseShifter(2, 0.6)):
                 dev = np.max(np.abs(kernel_unitary(sector, el)
-                                    - element_unitary(sector, el)))
+                                    - _build_element_unitary(sector, el)))
                 assert dev <= 1e-12
 
 
@@ -372,15 +372,37 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
 
 
 def test_pair_hop_spectrum_is_evenly_spaced_from_minus_n_to_n():
-    for n_max in range(1, 9):
-        vals, vecs = network_module._pair_hop_eigh(n_max)
-        assert vals.shape == (n_max, n_max + 1) and vecs.shape == (n_max, n_max + 1, n_max + 1)
-        for n_pair in range(1, n_max + 1):
-            spectrum = vals[n_pair - 1, :n_pair + 1]
+    # the stack holds the totals asked for, in their order, padded to the largest
+    cases = [tuple(range(1, n_max + 1)) for n_max in range(1, 9)] + [(7,), (2, 5, 8)]
+    for totals in cases:
+        vals, vecs = network_module._pair_hop_eigh(totals)
+        top = max(totals)
+        assert vals.shape == (len(totals), top + 1)
+        assert vecs.shape == (len(totals), top + 1, top + 1)
+        for pos, n_pair in enumerate(totals):
+            spectrum = vals[pos, :n_pair + 1]
             assert np.max(np.abs(spectrum - np.arange(-n_pair, n_pair + 1, 2))) <= 1e-12
-            assert (vals[n_pair - 1, n_pair + 1:] == 0).all()
-            assert (vecs[n_pair - 1, n_pair + 1:] == 0).all()
-            assert (vecs[n_pair - 1, :, n_pair + 1:] == 0).all()
+            assert (vals[pos, n_pair + 1:] == 0).all()
+            assert (vecs[pos, n_pair + 1:] == 0).all()
+            assert (vecs[pos, :, n_pair + 1:] == 0).all()
+
+
+def test_two_mode_beam_splitter_diagonalizes_only_its_own_pair_total(monkeypatch):
+    # |300,0> has the single pair total 300: one 301 x 301 eigh, no stack of 1..300
+    sizes = []
+
+    def eigh_spy(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    network_module._pair_hop_eigh.cache_clear()
+    sector = enumerate_sector(2, 300, AnyonSpec.bosonic(0.4))
+    out = evolve(Network(2, (BeamSplitter(1, 2, 0.3),)),
+                 StateVector.basis_state(sector, (300, 0)))
+    assert sizes == [(301, 301)]
+    assert abs(out.norm() - 1.0) <= 1e-12
 
 
 def test_phase_tables_match_direct_exponentials_byte_for_byte():
@@ -414,9 +436,9 @@ def test_block_kernel_batch_and_vector_match_spectral_evolve():
                          + 1j * rng.normal(size=(sector.dim, width)))
                 got = evolve_amplitudes(net, sector, batch)
                 assert got.shape == (sector.dim, width)
+                ref = dense_evolve(net, sector, batch)
                 for col in range(width):
-                    ref = evolve(net, StateVector.from_vector(sector, batch[:, col]))
-                    assert np.max(np.abs(got[:, col] - ref.to_vector())) <= 1e-12
+                    assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12
                     vec = evolve_amplitudes(net, sector, batch[:, col])
                     assert vec.shape == (sector.dim,)
                     assert np.max(np.abs(vec - got[:, col])) <= 1e-15
