@@ -18,6 +18,7 @@ from .network import (
     GOperator,
     Network,
     PhaseShifter,
+    Window,
     build_braiding_network,
     evolve,
     evolve_amplitudes,

@@ -163,13 +163,18 @@ def parse_network(text: str) -> Network:
 
 
 def serialize_network(network: Network) -> str:
-    """DSL text whose parse reproduces the network exactly."""
+    """DSL text whose parse reproduces the network exactly.
+
+    The DSL has no window, so a network holding one raises ValueError.
+    """
     lines = [f"modes {network.m}"]
     for el in network.elements:
         if isinstance(el, PhaseShifter):
             lines.append(f"ps {el.mode} {el.tau!r}")
-        else:
+        elif isinstance(el, BeamSplitter):
             lines.append(f"bs {el.mode_i} {el.mode_j} {el.theta!r}")
+        else:
+            raise ValueError(f"the network DSL has no form for {el!r}")
     return "\n".join(lines) + "\n"
 
 

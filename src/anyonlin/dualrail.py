@@ -27,13 +27,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .fock import AnyonSpec, StateVector, enumerate_sector, number_expectation
-from .network import BeamSplitter, Element, Network, PhaseShifter, \
+from .fock import AnyonSpec, StateVector, _shape_basis, enumerate_sector, number_expectation
+from .network import BeamSplitter, Element, Network, PhaseShifter, Window, \
     build_braiding_network, evolve_amplitudes
 
 __all__ = [
@@ -217,25 +217,19 @@ def _cp_elements(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> tuple[Ele
     if qubit_b != qubit_a + 1:
         raise CompileError(
             f"CP needs adjacent qubits sharing an auxiliary, got {qubit_a}, {qubit_b}")
-    braid_modes = (layout.qubit_modes[qubit_a - 1][1],
-                   layout.aux_modes[qubit_a - 1],
-                   layout.qubit_modes[qubit_b - 1][0])
-    elements = []
-    for el in build_braiding_network().elements:
-        if isinstance(el, PhaseShifter):
-            elements.append(PhaseShifter(braid_modes[el.mode - 1], el.tau))
-        else:
-            elements.append(BeamSplitter(braid_modes[el.mode_i - 1],
-                                         braid_modes[el.mode_j - 1], el.theta))
-    return tuple(elements)
+    # second mode of qubit_a, the auxiliary and first mode of qubit_b: 3a - 1 .. 3a + 1
+    return (Window(layout.qubit_modes[qubit_a - 1][1], build_braiding_network()),)
 
 
 def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
     """Braiding network between adjacent qubits through their auxiliary.
 
     The three braided modes are (second mode of qubit_a, auxiliary,
-    first mode of qubit_b).  Non-adjacent qubits raise CompileError:
-    routing is out of scope, chain CPs or compile SWAPs explicitly.
+    first mode of qubit_b), and the network holds the braid as one
+    ``Window`` on them, which the block kernel applies as one step
+    through a cached unitary per window total.  Non-adjacent qubits
+    raise CompileError: routing is out of scope, chain CPs or compile
+    SWAPs explicitly.
     """
     return Network(layout.m, _cp_elements(layout, qubit_a, qubit_b))
 
@@ -276,6 +270,17 @@ def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
     return amps
 
 
+@lru_cache(maxsize=16)
+def _code_rows(layout: LogicalLayout, fermionic: bool) -> np.ndarray:
+    """Sector positions of the code-space states |bits>_L, bits in binary order."""
+    n = layout.num_qubits
+    index = _shape_basis(layout.m, layout.n_particles, fermionic).index
+    rows = np.array([index[layout.code_occupation(format(idx, f"0{n}b"))]
+                     for idx in range(2 ** n)])
+    rows.setflags(write=False)
+    return rows
+
+
 def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
                     gates: Sequence[LogicalGate]) -> np.ndarray:
     """2^n x 2^n matrix of the compiled circuit on the code space.
@@ -283,12 +288,10 @@ def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
     All 2^n encoded inputs go through the block kernel as one
     (dim, 2^n) batch, and the code-space rows are read off directly.
     """
-    n = layout.num_qubits
     sector = enumerate_sector(layout.m, layout.n_particles, spec)
-    rows = [sector.index[layout.code_occupation(format(idx, f"0{n}b"))]
-            for idx in range(2 ** n)]
-    inputs = np.zeros((sector.dim, 2 ** n), dtype=np.complex128)
-    inputs[rows, np.arange(2 ** n)] = 1.0
+    rows = _code_rows(layout, spec.is_fermionic)
+    inputs = np.zeros((sector.dim, len(rows)), dtype=np.complex128)
+    inputs[rows, np.arange(len(rows))] = 1.0
     return evolve_amplitudes(compile_circuit(layout, gates), sector, inputs)[rows]
 
 

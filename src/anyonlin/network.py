@@ -1,15 +1,17 @@
 """Optical networks of phase shifters and beam splitters for anyons.
 
-A network is an ordered list of two kinds of elements acting on m modes,
+A network is an ordered list of elements acting on m modes,
 
     PS_i(tau)    = exp(i tau n_i),
     BS_ij(theta) = exp(i theta (chi†_i chi_j + chi†_j chi_i)),
 
-composed left to right: element k is applied to the state before
-element k+1.  Because the anyonic quadratic algebra does not close,
-multimode interferometers are *defined* by such networks rather than by
-an m x m matrix; two different networks with the same single-particle
-matrix can act differently on multi-particle states.
+and ``Window(first, sub)``, a fixed sub-network placed on the contiguous
+modes first .. first + sub.m - 1, composed left to right: element k is
+applied to the state before element k+1.  Because the anyonic quadratic
+algebra does not close, multimode interferometers are *defined* by such
+networks rather than by an m x m matrix; two different networks with the
+same single-particle matrix can act differently on multi-particle
+states.
 
 Two independent evolution paths are provided:
 
@@ -17,8 +19,13 @@ Two independent evolution paths are provided:
   arrays; each beam splitter acts on blocks of fixed pair total as the
   phi = 0 rotation dressed by a diagonal winding phase, applied as one
   gather of every block's rows, one matrix product per pair total and
-  one scatter, so nothing of size dim x dim is built.  ``evolve`` runs a
-  ``StateVector`` through it, and so do the dual-rail circuits.
+  one scatter, so nothing of size dim x dim is built.  A window is one
+  such step too: its blocks are the states of equal occupations outside
+  the window, and on the blocks of window total T it is the sub-network's
+  unitary U_T on the small (width, T) sector, built once by running that
+  sector's identity through this same kernel and cached.  ``evolve`` runs
+  a ``StateVector`` through it, and so do the dual-rail circuits, whose
+  CP gates are each one window holding the braiding network.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -46,8 +53,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence, Union
 
 import numpy as np
@@ -58,13 +67,16 @@ from .fock import (
     StateVector,
     _shape_basis,
     apply_create,
+    enumerate_sector,
     vacuum_state,
 )
 from .operators import quadratic_matrix
 
 __all__ = [
+    "KERNEL_CACHE_BYTES",
     "PhaseShifter",
     "BeamSplitter",
+    "Window",
     "Element",
     "Network",
     "GOperator",
@@ -117,7 +129,36 @@ class BeamSplitter:
         return (self.mode_i, self.mode_j)
 
 
-Element = Union[PhaseShifter, BeamSplitter]
+@dataclass(frozen=True)
+class Window:
+    """A fixed sub-network on the contiguous modes first .. first + network.m - 1.
+
+    It acts as its placed elements would, one after another, but the
+    kernel applies it as one block step (see ``evolve_amplitudes``).
+    """
+
+    first: int
+    network: Network
+
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return tuple(range(self.first, self.first + self.network.m))
+
+    def placed(self) -> tuple[PhaseShifter | BeamSplitter, ...]:
+        """The sub-network's phase shifters and beam splitters on the outer modes."""
+        shift = self.first - 1
+        out: list[PhaseShifter | BeamSplitter] = []
+        for el in self.network.elements:
+            for inner in el.placed() if isinstance(el, Window) else (el,):
+                if isinstance(inner, PhaseShifter):
+                    out.append(PhaseShifter(inner.mode + shift, inner.tau))
+                else:
+                    out.append(BeamSplitter(inner.mode_i + shift, inner.mode_j + shift,
+                                            inner.theta))
+        return tuple(out)
+
+
+Element = Union[PhaseShifter, BeamSplitter, Window]
 
 
 @dataclass(frozen=True)
@@ -137,13 +178,16 @@ class Network:
                     raise ValueError(f"element mode {mode} outside 1..{self.m}")
 
     def to_jsonable(self) -> dict:
+        """A JSON document; a window holds its start and its sub-network's document."""
         elements = []
         for el in self.elements:
             if isinstance(el, PhaseShifter):
                 elements.append({"type": "ps", "i": el.mode, "tau": el.tau})
-            else:
+            elif isinstance(el, BeamSplitter):
                 elements.append({"type": "bs", "i": el.mode_i, "j": el.mode_j,
                                  "theta": el.theta})
+            else:
+                elements.append({"type": "window", "first": el.first, **el.network.to_jsonable()})
         return {"m": self.m, "elements": elements}
 
     @classmethod
@@ -154,6 +198,8 @@ class Network:
                 elements.append(PhaseShifter(entry["i"], entry["tau"]))
             elif entry["type"] == "bs":
                 elements.append(BeamSplitter(entry["i"], entry["j"], entry["theta"]))
+            elif entry["type"] == "window":
+                elements.append(Window(entry["first"], cls.from_jsonable(entry)))
             else:
                 raise ValueError(f"unknown element type {entry['type']!r}")
         return cls(doc["m"], tuple(elements))
@@ -164,9 +210,14 @@ def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
 
     Phase shifters are diagonal and exponentiated exactly; a beam
     splitter's generator theta (chi†_i chi_j + chi†_j chi_i) is Hermitian,
-    so its eigendecomposition gives the unitary to machine precision.
+    so its eigendecomposition gives the unitary to machine precision.  A
+    window is the product of its placed elements' unitaries.
     """
-    if isinstance(element, PhaseShifter):
+    if isinstance(element, Window):
+        mat = np.eye(sector.dim, dtype=np.complex128)
+        for el in element.placed():
+            mat = _build_element_unitary(sector, el) @ mat
+    elif isinstance(element, PhaseShifter):
         mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
     else:
         i, j = element.mode_i, element.mode_j
@@ -188,17 +239,21 @@ def evolve(network: Network, state: StateVector) -> StateVector:
 
 
 @dataclass(frozen=True)
-class _PairBlocks:
-    """Every beam-splitter block of BS_{lo,hi} on one sector shape.
+class _Blocks:
+    """Every block of one kernel step on one sector shape.
 
-    ``rows`` lists the sector positions of the states in blocks of more
-    than one state, family by family, one family per pair total
-    N = n_lo + n_hi.  ``families`` holds each family's (N, start, stop)
-    in ``rows``; inside a family the positions run n_lo-major, so
-    ``rows[start:stop]`` reshapes to (N + 1, B) with one block per
-    column.  ``winding`` holds the integer k(k - 1)/2 + s k of each row,
-    where k = n_lo and s counts the particles strictly between lo and
-    hi; ``w_max`` is its largest value.
+    A block is a run of states with equal occupations outside the modes
+    the step acts on: the pair (lo, hi) of BS_{lo,hi}, or every mode
+    lo..hi of a window.  ``rows`` lists the sector positions of the
+    states in blocks, family by family, one family per total T of the
+    step's modes.  ``families`` holds each family's (T, start, stop) in
+    ``rows``; inside a family the positions run by the step's
+    occupations in increasing lexicographic order, which for a pair is
+    n_lo = 0..T, so ``rows[start:stop]`` reshapes to (block size, B)
+    with one block per column.  For a pair, ``winding`` holds the integer
+    k(k - 1)/2 + s k of each row, where k = n_lo and s counts the
+    particles strictly between lo and hi, and ``w_max`` is its largest
+    value; a window has no winding.
     """
 
     rows: np.ndarray
@@ -208,41 +263,102 @@ class _PairBlocks:
 
 
 @lru_cache(maxsize=256)
-def _pair_blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int) -> _PairBlocks:
-    """Gather record of BS_{lo,hi} on a sector shape; independent of phi.
+def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
+            window: bool = False) -> _Blocks:
+    """Gather record of BS_{lo,hi}, or of a window on lo..hi, on a sector shape.
 
-    States are sorted by their occupations outside (lo, hi), then by
-    n_lo; a run of equal outside occupations is one block, and it holds
-    every n_lo = 0..N of its pair total N that the class admits, which
-    leaves N = 1 for fermions.  Blocks of a single state are left out:
-    the hop vanishes on them.
+    Independent of phi.  States are sorted by their occupations outside
+    the step's modes, then by the occupations inside; a run of equal
+    outside occupations is one block, and it holds every inside
+    occupation of its total T that the class admits, which for a pair
+    leaves T = 1 for fermions.  Blocks the step leaves alone are left
+    out: a pair's blocks of a single state, on which the hop vanishes,
+    and a window's blocks of T = 0, on which every element is the
+    identity (a window's other single-state blocks, all modes filled
+    with fermions, can still take a phase).
     """
     occ = _shape_basis(m, n_total, fermionic).occ
-    k = occ[:, lo - 1]
-    rest = np.delete(occ, [lo - 1, hi - 1], axis=1)
-    order = np.lexsort((k,) + tuple(rest.T[::-1]))
+    inside = list(range(lo - 1, hi)) if window else [lo - 1, hi - 1]
+    rest = np.delete(occ, inside, axis=1)
+    order = np.lexsort(tuple(occ[:, inside].T[::-1]) + tuple(rest.T[::-1]))
     rest = rest[order]
     starts = np.flatnonzero(np.r_[True, np.any(rest[1:] != rest[:-1], axis=1)])
     lengths = np.diff(np.r_[starts, len(order)])
-    n_pair = occ[order[starts], lo - 1] + occ[order[starts], hi - 1]
-    between = occ[order[starts], lo:hi - 1].sum(axis=1)
+    totals = n_total - rest[starts].sum(axis=1)
+    keep = totals > 0 if window else lengths > 1
     rows, winding, families = [np.empty(0, np.intp)], [np.empty(0, np.intp)], []
     stop = 0
-    for n in sorted(set(n_pair[lengths > 1].tolist())):
-        pick = np.flatnonzero((n_pair == n) & (lengths > 1))
-        idx = order[starts[pick] + np.arange(n + 1)[:, None]]
-        kk = k[idx]
+    for total in sorted(set(totals[keep].tolist())):
+        pick = np.flatnonzero((totals == total) & keep)
+        idx = order[starts[pick] + np.arange(lengths[pick[0]])[:, None]]
         rows.append(idx.ravel())
-        winding.append((kk * (kk - 1) // 2 + between[pick] * kk).ravel())
-        families.append((int(n), stop, stop + idx.size))
+        if not window:
+            kk, between = occ[idx, lo - 1], occ[idx, lo:hi - 1].sum(axis=-1)
+            winding.append((kk * (kk - 1) // 2 + between * kk).ravel())
+        families.append((int(total), stop, stop + idx.size))
         stop += idx.size
     rows_arr, winding_arr = np.concatenate(rows), np.concatenate(winding)
     for arr in (rows_arr, winding_arr):
         arr.setflags(write=False)
-    return _PairBlocks(rows_arr, winding_arr, int(winding_arr.max(initial=0)), tuple(families))
+    return _Blocks(rows_arr, winding_arr, int(winding_arr.max(initial=0)), tuple(families))
 
 
-@lru_cache(maxsize=64)
+#: Bytes that the kernel's cached eigenpair stacks and window unitaries
+#: may hold together.
+KERNEL_CACHE_BYTES = 256 * 2 ** 20
+
+
+class _ByteLRU:
+    """Tuples of read-only arrays by key, held within ``budget`` bytes.
+
+    When a new value would pass the budget, the least recently used
+    values are dropped first; a value larger than the whole budget is
+    built and returned but not kept.  The lock guards the bookkeeping
+    only: a build may look up other keys (a window unitary is built
+    through the kernel), and two threads that miss one key both build it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self.entries: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple, build) -> tuple[np.ndarray, ...]:
+        with self.lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit[0]
+        value = build()
+        size = sum(arr.nbytes for arr in value)
+        with self.lock:
+            if size <= self.budget and key not in self.entries:
+                while self.held + size > self.budget:
+                    _key, (_value, old) = self.entries.popitem(last=False)
+                    self.held -= old
+                self.entries[key] = (value, size)
+                self.held += size
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_KERNEL_CACHE = _ByteLRU(KERNEL_CACHE_BYTES)
+
+
+def _kernel_cached(build):
+    """``build`` memoised by its arguments in the kernel's byte-bounded cache."""
+    @wraps(build)
+    def cached(*args):
+        return _KERNEL_CACHE.get((build, args), lambda: build(*args))
+    return cached
+
+
+@_kernel_cached
 def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the phi = 0 pair hop for each pair total N in ``totals``.
 
@@ -270,6 +386,26 @@ def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+@_kernel_cached
+def _window_unitaries(network: Network, spec: AnyonSpec,
+                      totals: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The sub-network's unitary U_T on the (network.m, T) sector for each T in ``totals``.
+
+    Each U_T comes from running the identity of that small sector through
+    ``evolve_amplitudes``; its rows and columns are then put in the order
+    of a window block, the inside occupations lexicographically
+    increasing.
+    """
+    mats = []
+    for total in totals:
+        small = enumerate_sector(network.m, total, spec)
+        order = np.lexsort(small.occ.T[::-1])
+        mat = evolve_amplitudes(network, small, np.eye(small.dim))[np.ix_(order, order)]
+        mat.setflags(write=False)
+        mats.append(mat)
+    return tuple(mats)
+
+
 def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
     """exp(i x c) for integer codes c in 0..top, from a table of top + 1 values.
 
@@ -279,6 +415,30 @@ def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
     return np.exp(1j * x * np.arange(top + 1))[codes]
 
 
+def _block_products(part: np.ndarray, mats, families) -> np.ndarray:
+    """Each family of the gathered rows ``part`` times its matrix, column by column.
+
+    One (size x size) by (size x B) BLAS call per family and batch
+    column, so every column meets the same calls whatever the batch
+    width.
+    """
+    out = np.empty_like(part)
+    for mat, (_total, start, stop) in zip(mats, families):
+        fam_shape = (len(part), len(mat), -1)
+        np.matmul(mat, part[:, start:stop].reshape(fam_shape),
+                  out=out[:, start:stop].reshape(fam_shape))
+    return out
+
+
+def _steps(elements, m: int):
+    """The elements in order, with each window as wide as all m modes run in place."""
+    for element in elements:
+        if isinstance(element, Window) and element.network.m == m:
+            yield from _steps(element.network.elements, m)
+        else:
+            yield element
+
+
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
     """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
 
@@ -286,15 +446,21 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     ``_build_element_unitary``: a phase shifter multiplies each basis
     amplitude by exp(i tau n_i), looked up from the n + 1 values of n_i.
     BS_ij conserves n_i + n_j and leaves every other mode alone, so it
-    splits into blocks of at most n + 1 states.  On a block of pair total N the beam splitter is
-    D W_N(theta) D†, where W_N is the phi = 0 hop exponentiated through
-    a cached small eigendecomposition and D_k = exp(i phi (k(k-1)/2 +
-    s k)) (-1)^{s k} dresses it with the statistical winding of the
-    k = n_lo particles (the sign only for fermions).  Each beam splitter
-    is one gather of its blocks' rows, one matrix product per pair total
-    N over all its blocks (a (N + 1) x (N + 1) by (N + 1) x B BLAS call
-    per batch column), and one scatter; nothing of size dim x dim is
-    built.
+    splits into blocks of at most n + 1 states.  On a block of pair
+    total N the beam splitter is D W_N(theta) D†, where W_N is the
+    phi = 0 hop exponentiated through a cached small eigendecomposition
+    and D_k = exp(i phi (k(k-1)/2 + s k)) (-1)^{s k} dresses it with the
+    statistical winding of the k = n_lo particles (the sign only for
+    fermions).  A window conserves its modes' total T and leaves the
+    other modes alone; the phases of its elements count only particles
+    between their own modes, all inside the window, so on a block of
+    total T it is the sub-network's unitary U_T on the (width, T) sector,
+    cached per (sub-network, spec, totals).  A window as wide as the
+    sector runs its elements in place instead, so no sector-sized U_T is
+    built.  Each beam splitter or window is one gather of its blocks'
+    rows, one matrix product per total over all its blocks (one BLAS
+    call per batch column), and one scatter; nothing of size dim x dim
+    is built.
     """
     if network.m != sector.m:
         raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
@@ -310,12 +476,19 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     shape = (sector.m, sector.n_total, sector.spec.is_fermionic)
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
-    for element in network.elements:
+    for element in _steps(network.elements, sector.m):
         if isinstance(element, PhaseShifter):
             state *= _lookup_exp(element.tau, sector.occ[:, element.mode - 1], sector.n_total)
             continue
-        lo, hi = sorted((element.mode_i, element.mode_j))
-        blocks = _pair_blocks(*shape, lo, hi)
+        if isinstance(element, Window):
+            blocks = _blocks(*shape, element.first, element.modes[-1], window=True)
+            if blocks.families:
+                totals = tuple(total for total, _, _ in blocks.families)
+                mats = _window_unitaries(element.network, sector.spec, totals)
+                where = blocks.rows + columns
+                flat[where] = _block_products(flat[where], mats, blocks.families)
+            continue
+        blocks = _blocks(*shape, *sorted((element.mode_i, element.mode_j)))
         if not blocks.families:
             continue
         vals, vecs = _pair_hop_eigh(tuple(n_pair for n_pair, _, _ in blocks.families))
@@ -324,12 +497,8 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
         where = blocks.rows + columns
         part = flat[where]
         part *= dress.conj()
-        hopped = np.empty_like(part)
-        for pos, (n_pair, start, stop) in enumerate(blocks.families):
-            fam_shape = (len(part), n_pair + 1, -1)
-            np.matmul(w[pos, :n_pair + 1, :n_pair + 1],
-                      part[:, start:stop].reshape(fam_shape),
-                      out=hopped[:, start:stop].reshape(fam_shape))
+        hopped = _block_products(part, [w[pos, :n_pair + 1, :n_pair + 1] for pos, (n_pair, _, _)
+                                        in enumerate(blocks.families)], blocks.families)
         hopped *= dress
         flat[where] = hopped
     return np.ascontiguousarray(state.T).reshape(amps.shape)
@@ -441,7 +610,7 @@ def single_particle_matrix(network: Network) -> np.ndarray:
     does not determine the multi-particle action.
     """
     mat = np.eye(network.m, dtype=np.complex128)
-    for el in network.elements:
+    for el in Window(1, network).placed():  # every window expanded
         if isinstance(el, PhaseShifter):
             factor = np.eye(network.m, dtype=np.complex128)
             factor[el.mode - 1, el.mode - 1] = cmath.exp(1j * el.tau)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, ParticleClass, PhaseShifter, \
-    StateVector, build_braiding_network
+    StateVector, Window, build_braiding_network
 from anyonlin import network as network_module
 from anyonlin.cli import CliError, build_parser, main, parse_angle, parse_complex, \
     parse_network, parse_state, serialize_network
@@ -98,6 +98,13 @@ def test_serialize_round_trip():
                 Network(4, (BeamSplitter(2, 4, 0.123456789), PhaseShifter(1, -2.5),
                             BeamSplitter(1, 2, 1e-3))),):
         assert parse_network(serialize_network(net)) == net
+
+
+def test_serialize_refuses_a_window():
+    # the DSL has no window line, and a window must not pass for a beam splitter
+    net = Network(4, (PhaseShifter(1, 0.3), Window(2, build_braiding_network())))
+    with pytest.raises(ValueError, match="no form"):
+        serialize_network(net)
 
 
 def test_parse_state_basis_and_superposition():

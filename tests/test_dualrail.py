@@ -13,7 +13,7 @@ from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp
     simulate_circuit
 from anyonlin import network as network_module
 from anyonlin.fock import StateVector
-from anyonlin.network import BeamSplitter, Network
+from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_braiding_network
 
 from conftest import PHI_GRID, both_classes, dense_evolve, haar_unitary, phase_align
 
@@ -266,7 +266,23 @@ def test_compile_circuit_concatenates_elements():
     gates = [Rz(1, 0.5), CP(1, 2)]
     net = compile_circuit(layout, gates)
     assert net.m == layout.m
-    assert len(net.elements) == 3 + 7
+    assert len(net.elements) == 3 + 1
+    assert net.elements[-1] == Window(2, build_braiding_network())
+
+
+def test_cp_window_braids_the_left_qubit_aux_and_right_qubit_modes():
+    layout = LogicalLayout(3)
+    (window,) = compile_cp(layout, 2, 3).elements
+    braid_modes = (layout.qubit_modes[1][1], layout.aux_modes[1], layout.qubit_modes[2][0])
+    assert window.modes == braid_modes == (5, 6, 7)
+    remapped = []
+    for el in build_braiding_network().elements:
+        if isinstance(el, PhaseShifter):
+            remapped.append(PhaseShifter(braid_modes[el.mode - 1], el.tau))
+        else:
+            remapped.append(BeamSplitter(braid_modes[el.mode_i - 1], braid_modes[el.mode_j - 1],
+                                         el.theta))
+    assert window.placed() == tuple(remapped)
 
 
 def test_compile_circuit_validates_one_network(monkeypatch):
@@ -349,10 +365,52 @@ def test_circuit_paths_build_no_sector_matrix(monkeypatch):
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(network_module, "_build_element_unitary", no_dense)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
-    network_module._pair_hop_eigh.cache_clear()
+    network_module._KERNEL_CACHE.clear()
     layout = LogicalLayout(3)
     gates = [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2), Rx(3, 0.5), CP(2, 3)]
     for spec in both_classes(0.9):
         logical_unitary(spec, layout, gates)
         run_circuit(spec, layout, gates, "011")
     assert sizes and max(sizes) <= layout.n_particles + 1
+
+
+def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
+    # a braid's unitaries depend on phi and the class only, so fresh U1
+    # angles reuse the ones the first operation built
+    rng = np.random.default_rng(8)
+    layout = LogicalLayout(3)
+
+    def gates():
+        singles = [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 4)]
+        return singles + [CP(1, 2), CP(2, 3)]
+
+    built = []
+    real_evolve = network_module.evolve_amplitudes
+
+    def spy(network, sector, amps):
+        built.append(network)
+        return real_evolve(network, sector, amps)
+
+    # the kernel builds window unitaries through this module name; the
+    # circuit itself goes through dualrail's own binding
+    monkeypatch.setattr(network_module, "evolve_amplitudes", spy)
+    network_module._KERNEL_CACHE.clear()
+    for spec in both_classes(1.7):
+        logical_unitary(spec, layout, gates())
+        assert built and set(built) == {build_braiding_network()}
+        built.clear()
+        logical_unitary(spec, layout, gates())
+        assert built == []
+
+
+def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
+    layout = LogicalLayout(2)
+    logical_unitary(AnyonSpec.bosonic(0.3), layout, [CP(1, 2)])
+
+    def no_occupation(*args):
+        raise AssertionError("code-space rows rebuilt")
+
+    monkeypatch.setattr(LogicalLayout, "code_occupation", no_occupation)
+    for phi in (0.3, 2.9):
+        got = logical_unitary(AnyonSpec.bosonic(phi), layout, [CP(1, 2)])
+        assert np.max(np.abs(got - cp_mat(phi))) <= 1e-12

@@ -3,11 +3,13 @@
 import cmath
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, \
+from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, Window, \
     build_braiding_network, enumerate_sector, evolve, propagate_algebraic, \
     single_particle_matrix
 from anyonlin import network as network_module
@@ -300,6 +302,32 @@ def test_network_json_round_trip():
     assert doc["m"] == 3
     assert doc["elements"][0] == {"type": "bs", "i": 2, "j": 3, "theta": math.pi / 2}
     assert Network.from_jsonable(doc) == net
+    windowed = Network(5, (PhaseShifter(1, 0.2), Window(2, net)))
+    doc = windowed.to_jsonable()
+    assert doc["elements"][1] == {"type": "window", "first": 2, **net.to_jsonable()}
+    assert Network.from_jsonable(doc) == windowed
+
+
+def test_window_acts_as_its_placed_elements():
+    braid = build_braiding_network()
+    inner = Network(4, (BeamSplitter(1, 4, 0.4), Window(2, braid), PhaseShifter(3, -0.6)))
+    win = Window(2, inner)
+    assert win.modes == (2, 3, 4, 5)
+    shifted = (BeamSplitter(2, 5, 0.4),) + Window(3, braid).placed() + (PhaseShifter(4, -0.6),)
+    assert win.placed() == shifted
+    assert Window(3, braid).placed()[0] == BeamSplitter(4, 5, math.pi / 2)
+    flat = Network(6, (PhaseShifter(1, 0.3),) + shifted)
+    net = Network(6, (PhaseShifter(1, 0.3), win))
+    assert np.max(np.abs(single_particle_matrix(net) - single_particle_matrix(flat))) <= 1e-15
+    sector = enumerate_sector(6, 2, AnyonSpec.fermionic(0.9))
+    dense = _build_element_unitary(sector, win)
+    assert not dense.flags.writeable
+    want = dense_evolve(Network(6, shifted), sector, np.eye(sector.dim))
+    assert np.max(np.abs(dense - want)) <= 1e-13
+    with pytest.raises(ValueError):
+        Network(3, (Window(2, braid),))
+    with pytest.raises(ValueError):
+        Network(4, (Window(0, braid),))
 
 
 # ------------------------------------------------------------- block kernel
@@ -365,7 +393,7 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
                 continue
             occ = enumerate_sector(m, n, spec).occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                blocks = network_module._pair_blocks(m, n, spec.is_fermionic, lo, hi)
+                blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi)
                 for n_pair, start, stop in blocks.families:
                     idx = blocks.rows[start:stop].reshape(n_pair + 1, -1)
                     assert (occ[idx, lo - 1] == np.arange(n_pair + 1)[:, None]).all()
@@ -397,7 +425,7 @@ def test_two_mode_beam_splitter_diagonalizes_only_its_own_pair_total(monkeypatch
 
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
-    network_module._pair_hop_eigh.cache_clear()
+    network_module._KERNEL_CACHE.clear()
     sector = enumerate_sector(2, 300, AnyonSpec.bosonic(0.4))
     out = evolve(Network(2, (BeamSplitter(1, 2, 0.3),)),
                  StateVector.basis_state(sector, (300, 0)))
@@ -414,7 +442,7 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
             for m, n in ((4, 2), (6, 3), (8, 5)):
                 occ = enumerate_sector(m, n, spec).occ
                 for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                    blocks = network_module._pair_blocks(m, n, spec.is_fermionic, lo, hi)
+                    blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi)
                     got = network_module._lookup_exp(x, blocks.winding, blocks.w_max)
                     want = np.exp(1j * x * blocks.winding.astype(float))
                     assert got.tobytes() == want.tobytes()
@@ -425,23 +453,29 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
 
 
 def test_block_kernel_batch_and_vector_match_spectral_evolve():
+    # every batch column meets the same BLAS calls as a lone vector, so
+    # they agree bit for bit, windows included
     rng = np.random.default_rng(11)
-    net = Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
-                      BeamSplitter(2, 4, 1.2), PhaseShifter(4, -0.3)))
-    for width in (1, 2, 3, 4, 8):
-        for phi in KERNEL_PHIS:
-            for spec in both_classes(phi):
-                sector = enumerate_sector(4, 2, spec)
-                batch = (rng.normal(size=(sector.dim, width))
-                         + 1j * rng.normal(size=(sector.dim, width)))
-                got = evolve_amplitudes(net, sector, batch)
-                assert got.shape == (sector.dim, width)
-                ref = dense_evolve(net, sector, batch)
-                for col in range(width):
-                    assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12
-                    vec = evolve_amplitudes(net, sector, batch[:, col])
-                    assert vec.shape == (sector.dim,)
-                    assert np.max(np.abs(vec - got[:, col])) <= 1e-15
+    sub = Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8)))
+    nets = (Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
+                        BeamSplitter(2, 4, 1.2), PhaseShifter(4, -0.3))),
+            Network(4, (PhaseShifter(1, 0.4), Window(2, sub), BeamSplitter(1, 2, -0.9),
+                        Window(1, sub))))
+    for net in nets:
+        for width in (1, 2, 3, 4, 8):
+            for phi in KERNEL_PHIS:
+                for spec in both_classes(phi):
+                    sector = enumerate_sector(4, 2, spec)
+                    batch = (rng.normal(size=(sector.dim, width))
+                             + 1j * rng.normal(size=(sector.dim, width)))
+                    got = evolve_amplitudes(net, sector, batch)
+                    assert got.shape == (sector.dim, width)
+                    ref = dense_evolve(net, sector, batch)
+                    for col in range(width):
+                        assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12
+                        vec = evolve_amplitudes(net, sector, batch[:, col])
+                        assert vec.shape == (sector.dim,)
+                        assert vec.tobytes() == got[:, col].tobytes()
 
 
 def test_block_kernel_rejects_mismatched_inputs():
@@ -452,3 +486,81 @@ def test_block_kernel_rejects_mismatched_inputs():
         evolve_amplitudes(Network(3, ()), sector, np.ones(sector.dim + 1))
     with pytest.raises(ValueError):
         evolve_amplitudes(Network(3, ()), sector, np.ones((sector.dim, 2, 2)))
+
+
+def test_kernel_cache_stays_within_its_byte_budget(monkeypatch):
+    # a sweep of distinct two-mode totals: each eigenpair stack is
+    # (N + 1)^2 float64s, so a 1 MiB budget holds only a few of them
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    monkeypatch.setattr(cache, "budget", 2 ** 20)
+    first = [arr.copy() for arr in network_module._pair_hop_eigh((100,))]
+    for n_pair in range(101, 160):
+        vals, vecs = network_module._pair_hop_eigh((n_pair,))
+        assert vals.shape == (1, n_pair + 1)
+        assert cache.held == sum(size for _value, size in cache.entries.values())
+        assert cache.held <= cache.budget
+    assert 1 < len(cache.entries) < 59
+    key = (network_module._pair_hop_eigh.__wrapped__, ((100,),))
+    assert key not in cache.entries
+    again = network_module._pair_hop_eigh((100,))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
+    assert key in cache.entries
+    # a value larger than the whole budget is returned but not kept
+    held = dict(cache.entries)
+    big = network_module._pair_hop_eigh((400,))
+    assert big[1].nbytes > cache.budget
+    assert dict(cache.entries) == held
+    cache.clear()
+    assert cache.held == 0 and not cache.entries
+
+
+def test_kernel_cache_bookkeeping_holds_under_threads(monkeypatch):
+    # more threads than cores hit and evict one small budget; a lost
+    # update would leave ``held`` off the sum of what the cache holds
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    monkeypatch.setattr(cache, "budget", 1000)   # two or three tiny stacks
+    errors = []
+
+    def work(offset):
+        try:
+            for step in range(5000):
+                network_module._pair_hop_eigh((1 + (offset + step) % 9,))
+        except Exception as err:  # reported below, with the thread's result
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cache.held == sum(size for _value, size in cache.entries.values())
+    assert cache.held <= cache.budget
+    cache.clear()
+
+
+def test_window_unitaries_are_cached_and_evicted_by_bytes(monkeypatch):
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    braid = build_braiding_network()
+    spec = AnyonSpec.bosonic(0.7)
+    first = network_module._window_unitaries(braid, spec, (1, 2, 3))
+    assert [mat.shape for mat in first] == [(3, 3), (6, 6), (10, 10)]
+    assert all(not mat.flags.writeable for mat in first)
+    assert network_module._window_unitaries(braid, spec, (1, 2, 3)) is first
+    monkeypatch.setattr(cache, "budget", sum(mat.nbytes for mat in first))
+    for phi in (0.1, 0.2, 0.3):
+        network_module._window_unitaries(braid, AnyonSpec.bosonic(phi), (1, 2, 3))
+        assert cache.held <= cache.budget
+    again = network_module._window_unitaries(braid, spec, (1, 2, 3))
+    assert again is not first
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
+    cache.clear()

@@ -13,8 +13,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, build_braiding_network, \
-    evolve, evolve_amplitudes, propagate_algebraic, single_particle_matrix  # noqa: E402
+from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, Window, \
+    build_braiding_network, evolve, evolve_amplitudes, propagate_algebraic, \
+    single_particle_matrix  # noqa: E402
+from anyonlin import network as network_module  # noqa: E402
 from anyonlin.fock import StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
@@ -58,12 +60,34 @@ def beam_splitter_cases(draw):
 def networks(draw, m):
     elements = []
     for _ in range(draw(st.integers(1, 5))):
-        if draw(st.booleans()):
+        if m == 1 or draw(st.booleans()):
             elements.append(PhaseShifter(draw(st.integers(1, m)), draw(angles)))
         else:
             i, j = draw(st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True))
             elements.append(BeamSplitter(i, j, draw(angles)))
     return Network(m, tuple(elements))
+
+
+@st.composite
+def window_cases(draw, full_width):
+    """A class, phi, a sector of m <= 6 modes, a network holding one window
+    of a random sub-network, and a random amplitude vector.
+
+    The window is as wide as the sector when ``full_width`` is set, and
+    strictly narrower otherwise, then often at either end of the modes.
+    """
+    spec = draw(specs())
+    m = draw(st.integers(1 if full_width else 2, 6))
+    width = m if full_width else draw(st.integers(1, m - 1))
+    first = draw(st.one_of(st.just(1), st.just(m - width + 1), st.integers(1, m - width + 1)))
+    window = Window(first, draw(networks(width)))
+    around = draw(networks(m)).elements if m > 1 else ()
+    network = Network(m, around[:1] + (window,) + around[1:])
+    n = draw(st.integers(0, m if spec.is_fermionic else 4))
+    sector = enumerate_sector(m, n, spec)
+    amps = np.array(draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=sector.dim,
+                                  max_size=sector.dim)), dtype=np.complex128)
+    return network, sector, amps
 
 
 def creation_monomial(spec, m, monomial):
@@ -138,3 +162,29 @@ def test_braiding_network_is_one_particle_identity_with_two_particle_eigenphases
         assert np.max(np.abs(dense - expected)) <= 1e-12
         kernel = evolve_amplitudes(braid, two, state.to_vector())
         assert np.max(np.abs(kernel - expected)) <= 1e-12
+
+
+@PROPERTY
+@given(window_cases(full_width=False))
+def test_window_step_matches_the_dense_oracle(case):
+    network, sector, amps = case
+    kernel = evolve_amplitudes(network, sector, amps)
+    dense = dense_evolve(network, sector, amps)
+    assert np.max(np.abs(kernel - dense)) <= 1e-12
+
+
+@PROPERTY
+@given(window_cases(full_width=True))
+def test_window_as_wide_as_the_sector_runs_in_place(case):
+    # no sector-sized matrix: neither the dense oracle nor a window unitary
+    network, sector, amps = case
+    dense = dense_evolve(network, sector, amps)
+
+    def no_matrix(*args):
+        raise AssertionError("sector-sized matrix requested")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "_build_element_unitary", no_matrix)
+        patch.setattr(network_module, "_window_unitaries", no_matrix)
+        kernel = evolve_amplitudes(network, sector, amps)
+    assert np.max(np.abs(kernel - dense)) <= 1e-12
