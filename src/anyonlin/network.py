@@ -18,14 +18,19 @@ Two independent evolution paths are provided:
 * ``evolve_amplitudes``: block kernel on (dim,) or (dim, k) amplitude
   arrays; each beam splitter acts on blocks of fixed pair total as the
   phi = 0 rotation dressed by a diagonal winding phase, applied as one
-  gather of every block's rows, one matrix product per pair total and
+  gather of its live blocks' rows, one matrix product per pair total and
   one scatter, so nothing of size dim x dim is built.  A window is one
   such step too: its blocks are the states of equal occupations outside
   the window, and on the blocks of window total T it is the sub-network's
   unitary U_T on the small (width, T) sector, built once by running that
-  sector's identity through this same kernel and cached.  ``evolve`` runs
-  a ``StateVector`` through it, and so do the dual-rail circuits, whose
-  CP gates are each one window holding the braiding network.
+  sector's identity through this same kernel and cached.  The kernel
+  keeps one mask of live sector rows, those nonzero in some batch column
+  of the input; a step multiplies only the blocks that hold a live row
+  and marks every row of them live.  Any other block holds exact zeros,
+  which a unitary maps to zeros, so skipping it is exact, not a
+  tolerance cut; phase shifters multiply the whole state.  ``evolve``
+  runs a ``StateVector`` through it, and so do the dual-rail circuits,
+  whose CP gates are each one window holding the braiding network.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -57,7 +62,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -238,8 +243,67 @@ def evolve(network: Network, state: StateVector) -> StateVector:
     return StateVector.from_vector(state.sector, vec)
 
 
-@dataclass(frozen=True)
-class _Blocks:
+#: Bytes that the kernel's cached gather records, eigenpair stacks and
+#: window unitaries may hold together.
+KERNEL_CACHE_BYTES = 256 * 2 ** 20
+
+
+class _ByteLRU:
+    """Tuples by key, held within ``budget`` bytes of their array fields.
+
+    A value is sized by the ``nbytes`` of its read-only arrays; its other
+    fields are a few small ints.  When a new value would pass the budget, the least recently used
+    values are dropped first; a value larger than the whole budget is
+    built and returned but not kept.  The lock guards the bookkeeping
+    only: a build may look up other keys (a window unitary is built
+    through the kernel), and two threads that miss one key both build it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self.entries: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple, build) -> tuple[np.ndarray, ...]:
+        with self.lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+                return hit[0]
+        value = build()
+        size = sum(arr.nbytes for arr in value if isinstance(arr, np.ndarray))
+        with self.lock:
+            if size <= self.budget and key not in self.entries:
+                while self.held + size > self.budget:
+                    _key, (_value, old) = self.entries.popitem(last=False)
+                    self.held -= old
+                self.entries[key] = (value, size)
+                self.held += size
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_KERNEL_CACHE = _ByteLRU(KERNEL_CACHE_BYTES)
+
+
+def _kernel_cached(build):
+    """``build`` memoised by its arguments in the kernel's byte-bounded cache.
+
+    Arguments are positional only and ``build`` has no defaults, so each
+    value has one key; a keyword call fails with ``TypeError``.
+    """
+    @wraps(build)
+    def cached(*args):
+        return _KERNEL_CACHE.get((build, args), lambda: build(*args))
+    return cached
+
+
+class _Blocks(NamedTuple):
     """Every block of one kernel step on one sector shape.
 
     A block is a run of states with equal occupations outside the modes
@@ -247,24 +311,30 @@ class _Blocks:
     lo..hi of a window.  ``rows`` lists the sector positions of the
     states in blocks, family by family, one family per total T of the
     step's modes.  ``families`` holds each family's (T, start, stop) in
-    ``rows``; inside a family the positions run by the step's
+    ``rows``, and ``totals`` its T alone, the key of the step's
+    matrices; inside a family the positions run by the step's
     occupations in increasing lexicographic order, which for a pair is
     n_lo = 0..T, so ``rows[start:stop]`` reshapes to (block size, B)
-    with one block per column.  For a pair, ``winding`` holds the integer
-    k(k - 1)/2 + s k of each row, where k = n_lo and s counts the
-    particles strictly between lo and hi, and ``w_max`` is its largest
-    value; a window has no winding.
+    with one block per column.  ``block`` holds the
+    block number of each entry of ``rows``, counted over the families in
+    order, so a block's entries are the equal values of ``block``.  For a
+    pair, ``winding`` holds the integer k(k - 1)/2 + s k of each row,
+    where k = n_lo and s counts the particles strictly between lo and
+    hi, and ``w_max`` is its largest value; a window has no winding.
+    The arrays are read-only.
     """
 
     rows: np.ndarray
     winding: np.ndarray
     w_max: int
+    block: np.ndarray
     families: tuple[tuple[int, int, int], ...]
+    totals: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
+@_kernel_cached
 def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
-            window: bool = False) -> _Blocks:
+            window: bool) -> _Blocks:
     """Gather record of BS_{lo,hi}, or of a window on lo..hi, on a sector shape.
 
     Independent of phi.  States are sorted by their occupations outside
@@ -286,76 +356,25 @@ def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
     lengths = np.diff(np.r_[starts, len(order)])
     totals = n_total - rest[starts].sum(axis=1)
     keep = totals > 0 if window else lengths > 1
-    rows, winding, families = [np.empty(0, np.intp)], [np.empty(0, np.intp)], []
-    stop = 0
+    rows, winding, block = ([np.empty(0, np.intp)] for _ in range(3))
+    families = []
+    stop = n_blocks = 0
     for total in sorted(set(totals[keep].tolist())):
         pick = np.flatnonzero((totals == total) & keep)
         idx = order[starts[pick] + np.arange(lengths[pick[0]])[:, None]]
         rows.append(idx.ravel())
+        block.append(np.tile(np.arange(n_blocks, n_blocks + len(pick)), len(idx)))
+        n_blocks += len(pick)
         if not window:
             kk, between = occ[idx, lo - 1], occ[idx, lo:hi - 1].sum(axis=-1)
             winding.append((kk * (kk - 1) // 2 + between * kk).ravel())
         families.append((int(total), stop, stop + idx.size))
         stop += idx.size
-    rows_arr, winding_arr = np.concatenate(rows), np.concatenate(winding)
-    for arr in (rows_arr, winding_arr):
+    arrays = [np.concatenate(parts) for parts in (rows, winding, block)]
+    for arr in arrays:
         arr.setflags(write=False)
-    return _Blocks(rows_arr, winding_arr, int(winding_arr.max(initial=0)), tuple(families))
-
-
-#: Bytes that the kernel's cached eigenpair stacks and window unitaries
-#: may hold together.
-KERNEL_CACHE_BYTES = 256 * 2 ** 20
-
-
-class _ByteLRU:
-    """Tuples of read-only arrays by key, held within ``budget`` bytes.
-
-    When a new value would pass the budget, the least recently used
-    values are dropped first; a value larger than the whole budget is
-    built and returned but not kept.  The lock guards the bookkeeping
-    only: a build may look up other keys (a window unitary is built
-    through the kernel), and two threads that miss one key both build it.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.held = 0
-        self.entries: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
-        self.lock = threading.Lock()
-
-    def get(self, key: tuple, build) -> tuple[np.ndarray, ...]:
-        with self.lock:
-            hit = self.entries.get(key)
-            if hit is not None:
-                self.entries.move_to_end(key)
-                return hit[0]
-        value = build()
-        size = sum(arr.nbytes for arr in value)
-        with self.lock:
-            if size <= self.budget and key not in self.entries:
-                while self.held + size > self.budget:
-                    _key, (_value, old) = self.entries.popitem(last=False)
-                    self.held -= old
-                self.entries[key] = (value, size)
-                self.held += size
-        return value
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.held = 0
-
-
-_KERNEL_CACHE = _ByteLRU(KERNEL_CACHE_BYTES)
-
-
-def _kernel_cached(build):
-    """``build`` memoised by its arguments in the kernel's byte-bounded cache."""
-    @wraps(build)
-    def cached(*args):
-        return _KERNEL_CACHE.get((build, args), lambda: build(*args))
-    return cached
+    return _Blocks(arrays[0], arrays[1], int(arrays[1].max(initial=0)), arrays[2],
+                   tuple(families), tuple(total for total, _, _ in families))
 
 
 @_kernel_cached
@@ -415,15 +434,44 @@ def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
     return np.exp(1j * x * np.arange(top + 1))[codes]
 
 
+def _live_blocks(blocks: _Blocks, live: np.ndarray):
+    """The rows and families of one step's blocks that hold a live row.
+
+    ``live`` flags the sector rows that may be nonzero in some batch
+    column.  A block with no live row holds exact zeros, which its
+    unitary maps to zeros, so the step skips it; every row of a kept
+    block is marked live.  Returns the kept entries of ``blocks.rows``,
+    the mask ``keep`` that picks them and the kept families as
+    (f, T, start, stop): f is the family's place in ``blocks.families``
+    and start:stop its span in the kept rows.  When every block is kept
+    these are the record's own rows and families.
+    Inside a family the kept blocks are whole columns of its (block
+    size, B) layout, so the kept span reshapes the same way.
+    """
+    hit = np.zeros(len(blocks.rows), dtype=bool)
+    hit[blocks.block[live[blocks.rows]]] = True
+    keep = hit[blocks.block]
+    rows = blocks.rows[keep]
+    live[rows] = True
+    kept, stop = [], 0
+    for f, (total, first, last) in enumerate(blocks.families):
+        start, stop = stop, stop + np.count_nonzero(keep[first:last])
+        if stop > start:
+            kept.append((f, total, start, stop))
+    return rows, keep, kept
+
+
 def _block_products(part: np.ndarray, mats, families) -> np.ndarray:
     """Each family of the gathered rows ``part`` times its matrix, column by column.
 
-    One (size x size) by (size x B) BLAS call per family and batch
+    ``families`` holds (f, T, start, stop) as ``_live_blocks`` gives
+    them.  One (size x size) by (size x B) BLAS call per family and batch
     column, so every column meets the same calls whatever the batch
-    width.
+    width; B counts the blocks kept for the step, so a vector and a batch
+    column agree bit for bit when the same blocks are live.
     """
     out = np.empty_like(part)
-    for mat, (_total, start, stop) in zip(mats, families):
+    for mat, (_f, _total, start, stop) in zip(mats, families):
         fam_shape = (len(part), len(mat), -1)
         np.matmul(mat, part[:, start:stop].reshape(fam_shape),
                   out=out[:, start:stop].reshape(fam_shape))
@@ -457,10 +505,15 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     total T it is the sub-network's unitary U_T on the (width, T) sector,
     cached per (sub-network, spec, totals).  A window as wide as the
     sector runs its elements in place instead, so no sector-sized U_T is
-    built.  Each beam splitter or window is one gather of its blocks'
-    rows, one matrix product per total over all its blocks (one BLAS
-    call per batch column), and one scatter; nothing of size dim x dim
-    is built.
+    built.  Each beam splitter or window is one gather of its live
+    blocks' rows, one matrix product per total over those blocks (one
+    BLAS call per batch column), and one scatter; nothing of size
+    dim x dim is built.  A block is live when one of its rows is nonzero
+    in some batch column, or was in a block an earlier step kept; the
+    other blocks hold exact zeros and stay zero, so skipping them is
+    exact.  Each batch column goes through the same arithmetic as a lone
+    vector, bit for bit, when the same blocks are live, which always
+    holds for inputs with no zero amplitude.
     """
     if network.m != sector.m:
         raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
@@ -468,11 +521,14 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     if amps.ndim not in (1, 2) or amps.shape[0] != sector.dim:
         raise ValueError(f"amplitudes of shape {amps.shape} do not fit sector dim {sector.dim}")
     # one row per input column, so every column meets the same BLAS calls
-    # whatever the batch width: a vector and a batch column agree bit for bit
+    # whatever the batch width: a vector and a batch column agree bit for
+    # bit when the same blocks are live, as they are for dense inputs
     state = np.array(amps.reshape(sector.dim, -1).T, dtype=np.complex128, order="C")
     # sector row r of input column c sits at flat[c * dim + r]
     flat = state.reshape(-1)
     columns = sector.dim * np.arange(len(state))[:, None]
+    # rows that may be nonzero in some column; a phase shifter keeps zeros
+    live = state.any(axis=0)
     shape = (sector.m, sector.n_total, sector.spec.is_fermionic)
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
@@ -480,25 +536,27 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
         if isinstance(element, PhaseShifter):
             state *= _lookup_exp(element.tau, sector.occ[:, element.mode - 1], sector.n_total)
             continue
-        if isinstance(element, Window):
-            blocks = _blocks(*shape, element.first, element.modes[-1], window=True)
-            if blocks.families:
-                totals = tuple(total for total, _, _ in blocks.families)
-                mats = _window_unitaries(element.network, sector.spec, totals)
-                where = blocks.rows + columns
-                flat[where] = _block_products(flat[where], mats, blocks.families)
+        window = isinstance(element, Window)
+        if window:
+            blocks = _blocks(*shape, element.first, element.modes[-1], True)
+        else:
+            blocks = _blocks(*shape, *sorted((element.mode_i, element.mode_j)), False)
+        rows, keep, families = _live_blocks(blocks, live)
+        if not families:
             continue
-        blocks = _blocks(*shape, *sorted((element.mode_i, element.mode_j)))
-        if not blocks.families:
+        where = rows + columns
+        if window:
+            unitaries = _window_unitaries(element.network, sector.spec, blocks.totals)
+            flat[where] = _block_products(flat[where], [unitaries[f] for f, *_ in families],
+                                          families)
             continue
-        vals, vecs = _pair_hop_eigh(tuple(n_pair for n_pair, _, _ in blocks.families))
+        vals, vecs = _pair_hop_eigh(blocks.totals)
         w = (vecs * np.exp(1j * element.theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
-        dress = _lookup_exp(phi, blocks.winding, blocks.w_max)
-        where = blocks.rows + columns
+        dress = _lookup_exp(phi, blocks.winding[keep], blocks.w_max)
         part = flat[where]
         part *= dress.conj()
-        hopped = _block_products(part, [w[pos, :n_pair + 1, :n_pair + 1] for pos, (n_pair, _, _)
-                                        in enumerate(blocks.families)], blocks.families)
+        hopped = _block_products(part, [w[f, :n_pair + 1, :n_pair + 1]
+                                        for f, n_pair, _, _ in families], families)
         hopped *= dress
         flat[where] = hopped
     return np.ascontiguousarray(state.T).reshape(amps.shape)

@@ -403,6 +403,27 @@ def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
         assert built == []
 
 
+def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
+    # the 8 encoded inputs lie in 4 blocks of qubit 1's pair; the other
+    # 532 rows of that beam splitter's bosonic record hold exact zeros
+    shapes = []
+    real_products = network_module._block_products
+
+    def spy(part, mats, families):
+        shapes.append(part.shape)
+        return real_products(part, mats, families)
+
+    monkeypatch.setattr(network_module, "_block_products", spy)
+    layout = LogicalLayout(3)
+    gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
+    record = network_module._blocks(layout.m, layout.n_particles, False, 1, 2, False)
+    assert len(record.rows) == 540
+    for spec in both_classes(1.1):
+        shapes.clear()
+        logical_unitary(spec, layout, gates)
+        assert shapes[0] == (8, 8)
+
+
 def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
     layout = LogicalLayout(2)
     logical_unitary(AnyonSpec.bosonic(0.3), layout, [CP(1, 2)])

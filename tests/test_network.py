@@ -393,7 +393,7 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
                 continue
             occ = enumerate_sector(m, n, spec).occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi)
+                blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
                 for n_pair, start, stop in blocks.families:
                     idx = blocks.rows[start:stop].reshape(n_pair + 1, -1)
                     assert (occ[idx, lo - 1] == np.arange(n_pair + 1)[:, None]).all()
@@ -442,7 +442,7 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
             for m, n in ((4, 2), (6, 3), (8, 5)):
                 occ = enumerate_sector(m, n, spec).occ
                 for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                    blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi)
+                    blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
                     got = network_module._lookup_exp(x, blocks.winding, blocks.w_max)
                     want = np.exp(1j * x * blocks.winding.astype(float))
                     assert got.tobytes() == want.tobytes()
@@ -476,6 +476,65 @@ def test_block_kernel_batch_and_vector_match_spectral_evolve():
                         vec = evolve_amplitudes(net, sector, batch[:, col])
                         assert vec.shape == (sector.dim,)
                         assert vec.tobytes() == got[:, col].tobytes()
+
+
+def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch):
+    # an all-zero input makes no product call, and a one-hot input
+    # gathers the one block of its row; a block of zeros stays zero
+    shapes = []
+    real_products = network_module._block_products
+
+    def spy(part, mats, families):
+        shapes.append(part.shape)
+        return real_products(part, mats, families)
+
+    monkeypatch.setattr(network_module, "_block_products", spy)
+    sub = Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8)))
+    net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, sub), PhaseShifter(3, 0.2),
+                      BeamSplitter(2, 5, -0.3)))
+    for spec in both_classes(0.9):
+        sector = enumerate_sector(5, 3, spec)
+        for amps in (np.zeros(sector.dim), np.zeros((sector.dim, 3), dtype=complex)):
+            out = evolve_amplitudes(net, sector, amps)
+            assert out.shape == amps.shape and not out.any()
+        assert shapes == []
+        # pair (1, 4) of |1,0,1,0,1> holds one particle: a block of 2 states
+        hot = StateVector.basis_state(sector, (1, 0, 1, 0, 1)).to_vector()
+        out = evolve_amplitudes(net, sector, hot)
+        assert shapes[0] == (1, 2)
+        assert np.max(np.abs(out - dense_evolve(net, sector, hot))) <= 1e-12
+        shapes.clear()
+
+
+def test_gather_records_are_held_by_bytes(monkeypatch):
+    # a sweep of shapes under a small budget evicts the first record; its
+    # rebuild is byte-identical and read-only like the first
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    first = network_module._blocks(8, 5, False, 2, 7, False)
+    saved = [arr.copy() for arr in (first.rows, first.winding, first.block)]
+    monkeypatch.setattr(cache, "budget", 4 * sum(arr.nbytes for arr in saved))
+    for m in range(3, 9):
+        for n in range(1, 6):
+            for lo, hi in itertools.combinations(range(1, m + 1), 2):
+                for window in (False, True):
+                    network_module._blocks(m, n, False, lo, hi, window)
+                    assert cache.held == sum(size for _value, size in cache.entries.values())
+                    assert cache.held <= cache.budget
+    key = (network_module._blocks.__wrapped__, (8, 5, False, 2, 7, False))
+    assert key not in cache.entries
+    again = network_module._blocks(8, 5, False, 2, 7, False)
+    assert again is not first
+    for arr, want in zip((again.rows, again.winding, again.block), saved):
+        assert arr.dtype == want.dtype and arr.shape == want.shape
+        assert arr.tobytes() == want.tobytes()
+        assert not arr.flags.writeable
+    assert (again.w_max, again.families, again.totals) == \
+        (first.w_max, first.families, first.totals)
+    # every record has one key: a keyword call fails instead of missing it
+    with pytest.raises(TypeError):
+        network_module._blocks(8, 5, False, 2, 7, window=False)
+    cache.clear()
 
 
 def test_block_kernel_rejects_mismatched_inputs():
