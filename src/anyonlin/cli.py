@@ -59,11 +59,10 @@ class CliError(ValueError):
 MAX_DENSE_DIM = 4096
 #: Largest sector ``compile`` accepts; the block kernel holds only (dim,) vectors.
 MAX_KERNEL_DIM = 10 ** 6
-#: Largest ``cat`` cutoff.  The shell unitaries the cat path keeps stay
-#: within ``coherent.SHELL_CACHE_BYTES``, the 256 MiB ``MAX_DENSE_DIM``
-#: gives one dense matrix, at any cutoff; what this bounds is the
-#: (n_max + 1)^2 output and the widest shell a call may build, dim
-#: 2 n_max + 1 (three unitaries of about 4 MiB each at 255).
+#: Largest ``cat`` cutoff.  The band stacks of shell unitaries the cat
+#: path keeps stay within the kernel cache's 256 MiB at any cutoff; what
+#: this bounds is the (n_max + 1)^2 output and the widest band a call may
+#: build, 16 shells of dim up to 2 n_max + 1 (64 MiB at 255).
 MAX_CAT_NMAX = 255
 
 

@@ -32,6 +32,12 @@ At phi = pi the mirror network PS1(pi/2) BS12(pi/2) PS2(pi/2) reflects a
 single-mode coherent state into an equal-weight superposition of two
 coherent branches, i.e. a cat state.
 
+``evolve_truncated`` runs a two-mode state through any two-mode network
+exactly.  Total occupation is conserved and, on two modes, each shell N
+is one block of the network kernel, so the network acts on it as one
+(N + 1) x (N + 1) unitary; these are built from the kernel's pair-hop
+eigenpairs in bands of 16 shells and kept in the kernel's cache.
+
 States here are dense amplitude arrays over a per-mode occupation cutoff
 n_max.  All shipped routines keep |amplitude| <= 1 with n_max = 40 by
 default, which makes every truncation tail irrelevant at the 1e-8 level.
@@ -42,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -50,14 +55,13 @@ from typing import Union
 
 import numpy as np
 
-from .fock import PRUNE_EPS, AnyonSpec, enumerate_sector
-from .network import BeamSplitter, Network, PhaseShifter, _build_element_unitary, \
+from .fock import PRUNE_EPS, AnyonSpec
+from .network import BeamSplitter, Network, PhaseShifter, Window, _kernel_cached, _pair_hops, \
     single_particle_matrix
 from .network import evolve  # unused here; perfbench instruments and counts it by this name
 
 __all__ = [
     "DEFAULT_N_MAX",
-    "SHELL_CACHE_BYTES",
     "Truncation",
     "DegenerateStateError",
     "NotClosedUnderLinearOpticsError",
@@ -90,10 +94,6 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 40
-
-#: Byte budget of the shell unitaries ``evolve_truncated`` keeps: the
-#: 256 MiB the CLI allows one dense matrix.
-SHELL_CACHE_BYTES = 256 * 2 ** 20
 
 
 class DegenerateStateError(ValueError):
@@ -201,11 +201,10 @@ def displacement(g: complex, truncation: Truncation = Truncation()) -> np.ndarra
 
 def coherent_amplitudes(g: complex, n_max: int) -> np.ndarray:
     """Closed-form amplitudes e^{-|g|^2 / 2} g^n / sqrt(n!) up to the cutoff."""
-    amps = np.zeros(n_max + 1, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(g) ** 2)
-    for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * g / math.sqrt(n)
-    return amps
+    factors = np.empty(n_max + 1, dtype=np.complex128)
+    factors[0] = math.exp(-0.5 * abs(g) ** 2)
+    factors[1:] = g / np.sqrt(np.arange(1.0, n_max + 1))
+    return np.cumprod(factors)
 
 
 def coherent_state(g: complex, truncation: Truncation = Truncation()) -> TruncatedState:
@@ -376,105 +375,66 @@ def evolve_family(family: CoherentFamily, network: Network, spec: AnyonSpec
     return type(family)(u, v)
 
 
-@dataclass(frozen=True)
-class _ShellLayout:
-    """Total-occupation shells of an (n_max + 1)^2 array laid end to end.
+#: Consecutive shell totals built and cached as one stack.  A wider band
+#: means fewer products per call but more zero padding and more shells
+#: built past the top live one; at 16 a ``cat`` at n_max = 40 multiplies
+#: two or three bands, which build cold in about 2, 3 and 7 ms.
+_BAND = 16
 
-    Shell n fills ``buf[offsets[n]:offsets[n + 1]]`` in the order of the
-    bosonic two-mode sector basis, |n, 0>, |n - 1, 1>, ..., |0, n>, so
-    |l, k> sits at n (n + 1) / 2 + k; ``starts`` holds every shell's
-    first offset as an array.  ``shell`` and ``pos`` give the shell and
-    the buffer position of each |l, k> inside the cutoff; ``outside``
-    lists the buffer positions past it.
+
+@_kernel_cached
+def _band_unitaries(network: Network, spec: AnyonSpec, band: int) -> tuple[np.ndarray]:
+    """The network's unitary on each shell of totals N = 16 band .. 16 band + 15.
+
+    Entry i of the read-only stack holds the unitary on the bosonic
+    (2, N) sector of N = 16 band + i, in n_1 = 0..N order (the kernel's
+    n_lo order), in its top-left (N + 1) x (N + 1) corner; the rest is
+    zero.  Each is built by running the identity through the placed
+    elements: a phase shifter multiplies row n_1 by exp(i tau n) with n
+    the occupation of its mode, and a beam splitter is D W_N D† with the
+    kernel's W_N and D = exp(i phi n_1 (n_1 - 1) / 2), its winding on two
+    modes, where no particle sits between the pair.  Shell by shell, so
+    that a build holds no more than one shell's temporaries.
     """
-
-    offsets: tuple[int, ...]
-    starts: np.ndarray
-    shell: np.ndarray
-    pos: np.ndarray
-    outside: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _shell_layout(n_max: int) -> _ShellLayout:
-    offsets = tuple(n * (n + 1) // 2 for n in range(2 * n_max + 2))
-    starts = np.array(offsets[:-1])
-    k = np.arange(n_max + 1)
-    shell = k[:, None] + k[None, :]
-    pos = shell * (shell + 1) // 2 + k
-    inside = np.zeros(offsets[-1], dtype=bool)
-    inside[pos] = True
-    outside = np.flatnonzero(~inside)
-    for arr in (starts, shell, pos, outside):
-        arr.setflags(write=False)
-    return _ShellLayout(offsets, starts, shell, pos, outside)
+    totals = range(band * _BAND, (band + 1) * _BAND)
+    stack = np.zeros((_BAND, totals[-1] + 1, totals[-1] + 1), dtype=np.complex128)
+    placed = Window(1, network).placed()
+    for shell, total in zip(stack, totals):
+        n_1 = np.arange(total + 1)
+        dress = np.exp(1j * spec.phi * (n_1 * (n_1 - 1) // 2))[:, None]
+        unitary = np.eye(total + 1, dtype=np.complex128)
+        for el in placed:
+            if isinstance(el, PhaseShifter):
+                unitary *= np.exp(1j * el.tau * (n_1 if el.mode == 1 else total - n_1))[:, None]
+            else:
+                unitary = dress * (_pair_hops((total,), el.theta)[0] @ (dress.conj() * unitary))
+        shell[:total + 1, :total + 1] = unitary
+    stack.setflags(write=False)
+    return (stack,)
 
 
-def _held_bytes(shells: list) -> int:
-    return sum(mat.nbytes for mats in shells if mats is not None for mat in mats)
-
-
-class _ShellUnitaries:
-    """Shell records per (spec, network), bounded by the bytes they hold.
-
-    A record lists, per total-occupation shell n, the network's element
-    unitaries on the bosonic (2, n) sector in element order, or None
-    while shell n is not kept.  A shell's sector does not depend on the
-    cutoff, so every n_max shares one record, which grows to the longest
-    shell list asked for and is filled one shell at a time, the first
-    time that shell is evolved.  When a new shell would pass ``budget``
-    bytes, the least recently used other records are dropped; a shell
-    that still does not fit is built and returned but not kept.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self.records: OrderedDict[tuple[AnyonSpec, Network], list] = OrderedDict()
-
-    def record(self, spec: AnyonSpec, network: Network, n_shells: int) -> list:
-        key = (spec, network)
-        shells = self.records.get(key)
-        if shells is None:
-            shells = self.records[key] = []
-        else:
-            self.records.move_to_end(key)
-        if len(shells) < n_shells:
-            shells.extend([None] * (n_shells - len(shells)))
-        return shells
-
-    def fill(self, shells: list, spec: AnyonSpec, network: Network, n: int
-             ) -> tuple[np.ndarray, ...]:
-        sector = enumerate_sector(2, n, spec)
-        mats = tuple(_build_element_unitary(sector, el) for el in network.elements)
-        size = sum(mat.nbytes for mat in mats)
-        # shells was just looked up, so it is the most recent and never dropped here
-        while self.nbytes + size > self.budget and len(self.records) > 1:
-            _key, old = self.records.popitem(last=False)
-            self.nbytes -= _held_bytes(old)
-        if self.nbytes + size <= self.budget:
-            shells[n] = mats
-            self.nbytes += size
-        return mats
-
-
-_SHELL_UNITARIES = _ShellUnitaries(SHELL_CACHE_BYTES)
+def _shell_view(grid: np.ndarray, n_max: int) -> np.ndarray:
+    """The (n_max + 1)^2 view of ``grid`` whose entry [l, k] is grid[l + k, l]."""
+    row, item = grid.strides
+    return np.ndarray((n_max + 1, n_max + 1), grid.dtype, grid, 0, (row + item, row))
 
 
 def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
                      ) -> TruncatedState:
-    """Brute-force evolution of a two-mode truncated state, shell by shell.
+    """Exact evolution of a two-mode truncated state, all shells at once.
 
     Phase shifters and beam splitters conserve total particle number, so
-    each total-occupation shell evolves independently through the dense
-    unitaries of its sector, built by ``network._build_element_unitary``
-    and applied in element order.  The shells are gathered into one flat
-    buffer and evolved in place, then amplitudes of magnitude
-    <= PRUNE_EPS are dropped.  A shell of norm <= PRUNE_EPS / 2 is not
-    evolved: its unitaries are unitary to roundoff, so none of its
-    outputs could pass that prune, and its untouched inputs are pruned
-    alike.  Amplitude pushed past the per-mode cutoff (only possible on
-    shells above n_max) is dropped with a warning.
+    each total-occupation shell N evolves independently by the whole
+    network's unitary on the bosonic (2, N) sector.  The amplitudes are
+    laid into a zero-padded (2 n_max + 1)^2 grid, row N = l + k holding
+    shell N in column l = n_1, and each band of 16 shells that holds a
+    live one is multiplied by its cached stack of shell unitaries
+    (``_band_unitaries``) in one batched product, cut to the top live
+    shell.  A shell of norm <= PRUNE_EPS / 2 is not live: a unitary keeps
+    its every output below PRUNE_EPS, so leaving it unevolved changes
+    nothing once amplitudes of magnitude <= PRUNE_EPS are dropped.
+    Amplitude pushed past the per-mode cutoff (only possible on shells
+    above n_max) is dropped with a warning.
     """
     if state.num_modes != 2:
         raise ValueError("expected a two-mode state")
@@ -482,26 +442,25 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
         raise ValueError("expected a two-mode network")
     if spec.is_fermionic:
         raise ValueError("truncated two-mode states are defined for bosonic anyons")
-    layout = _shell_layout(state.n_max)
-    buf = np.zeros(layout.offsets[-1], dtype=np.complex128)
-    buf[layout.pos] = state.amps
-    norms_sq = np.add.reduceat(buf.real ** 2 + buf.imag ** 2, layout.starts)
-    shells = _SHELL_UNITARIES.record(spec, network, len(layout.starts))
-    for n in np.flatnonzero(norms_sq > (0.5 * PRUNE_EPS) ** 2).tolist():
-        lo, hi = layout.offsets[n], layout.offsets[n + 1]
-        mats = shells[n]
-        if mats is None:
-            mats = _SHELL_UNITARIES.fill(shells, spec, network, n)
-        vec = buf[lo:hi]
-        for mat in mats:
-            vec = mat.dot(vec)
-        buf[lo:hi] = vec
-    buf[~(np.abs(buf) > PRUNE_EPS)] = 0.0
+    n_max = state.n_max
+    grid = np.zeros((2 * n_max + 1, 2 * n_max + 1), dtype=np.complex128)
+    shells = _shell_view(grid, n_max)
+    shells[...] = state.amps
+    parts = grid.view(np.float64)
+    live = np.flatnonzero(np.einsum("ij,ij->i", parts, parts) > (0.5 * PRUNE_EPS) ** 2)
+    top = int(live[-1]) + 1 if live.size else 0
+    for band in sorted(set((live // _BAND).tolist())):
+        lo, hi = band * _BAND, min((band + 1) * _BAND, top)
+        stack, = _band_unitaries(network, spec, band)
+        grid[lo:hi, :hi] = np.matmul(stack[:hi - lo, :hi, :hi], grid[lo:hi, :hi, None])[..., 0]
+    evolved = grid[:top, :top]
+    evolved[~(np.abs(evolved) > PRUNE_EPS)] = 0.0
+    grid[top:] = 0.0    # shells past the top live one: every amplitude is below the prune
     # += into zeros, not assignment, so that a kept -0.0 part reads +0.0
     out = np.zeros_like(state.amps)
-    out += buf[layout.pos]
-    dropped = buf[layout.outside]
-    lost = np.vdot(dropped, dropped).real
+    out += shells
+    shells[...] = 0.0
+    lost = np.vdot(evolved, evolved).real
     if lost > 1e-12:
         warnings.warn(f"dropped probability {lost:.3g} past the cutoff",
                       TruncationRiskWarning, stacklevel=2)

@@ -44,7 +44,7 @@ Two independent evolution paths are provided:
 ``_build_element_unitary`` diagonalizes an element's Hermitian generator
 on the whole sector and exponentiates it.  It is the dense oracle the
 tests compare both paths against; at run time only ``GOperator.matrix``
-and the truncated-state shells of ``coherent`` use it.
+uses it.
 
 Agreement of the paths with each other and with the dense oracle is
 the core correctness theorem of this module.  The intermediate-mode
@@ -61,7 +61,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -182,6 +182,15 @@ class Network:
                 if not 1 <= mode <= self.m:
                     raise ValueError(f"element mode {mode} outside 1..{self.m}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once per object: kernel cache keys hold
+        # networks and are hashed on every lookup, and this walks every element
+        return hash((self.m, self.elements))
+
     def to_jsonable(self) -> dict:
         """A JSON document; a window holds its start and its sub-network's document."""
         elements = []
@@ -252,39 +261,45 @@ class _ByteLRU:
     """Tuples by key, held within ``budget`` bytes of their array fields.
 
     A value is sized by the ``nbytes`` of its read-only arrays; its other
-    fields are a few small ints.  When a new value would pass the budget, the least recently used
-    values are dropped first; a value larger than the whole budget is
-    built and returned but not kept.  The lock guards the bookkeeping
-    only: a build may look up other keys (a window unitary is built
-    through the kernel), and two threads that miss one key both build it.
+    fields are a few small ints.  When a new value would pass the budget,
+    the least recently used values are dropped first; a value larger than
+    the whole budget is built and returned but not kept.  ``entries`` maps
+    each key to its (value, size) pair and ``order`` lists the keys by the
+    id of that pair, least recent first, so a hit hashes its key once.
+    The lock guards the bookkeeping only: a build may look up other keys
+    (a window unitary is built through the kernel), and two threads that
+    miss one key both build it.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.held = 0
-        self.entries: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], int]] = OrderedDict()
+        self.entries: dict[tuple, tuple[tuple[np.ndarray, ...], int]] = {}
+        self.order: OrderedDict[int, tuple] = OrderedDict()
         self.lock = threading.Lock()
 
     def get(self, key: tuple, build) -> tuple[np.ndarray, ...]:
         with self.lock:
             hit = self.entries.get(key)
             if hit is not None:
-                self.entries.move_to_end(key)
+                self.order.move_to_end(id(hit))
                 return hit[0]
         value = build()
         size = sum(arr.nbytes for arr in value if isinstance(arr, np.ndarray))
         with self.lock:
             if size <= self.budget and key not in self.entries:
                 while self.held + size > self.budget:
-                    _key, (_value, old) = self.entries.popitem(last=False)
-                    self.held -= old
-                self.entries[key] = (value, size)
+                    _id, old_key = self.order.popitem(last=False)
+                    self.held -= self.entries.pop(old_key)[1]
+                entry = self.entries[key] = (value, size)
+                self.order[id(entry)] = key
                 self.held += size
         return value
 
     def clear(self) -> None:
         with self.lock:
             self.entries.clear()
+            self.order.clear()
             self.held = 0
 
 
@@ -403,6 +418,12 @@ def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     for arr in (vals, vecs):
         arr.setflags(write=False)
     return vals, vecs
+
+
+def _pair_hops(totals: tuple[int, ...], theta: float) -> np.ndarray:
+    """W_N(theta) = exp(i theta hop_N) for each N in ``totals``, padded like ``_pair_hop_eigh``."""
+    vals, vecs = _pair_hop_eigh(totals)
+    return (vecs * np.exp(1j * theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
 @_kernel_cached
@@ -550,8 +571,7 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
             flat[where] = _block_products(flat[where], [unitaries[f] for f, *_ in families],
                                           families)
             continue
-        vals, vecs = _pair_hop_eigh(blocks.totals)
-        w = (vecs * np.exp(1j * element.theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        w = _pair_hops(blocks.totals, element.theta)
         dress = _lookup_exp(phi, blocks.winding[keep], blocks.w_max)
         part = flat[where]
         part *= dress.conj()

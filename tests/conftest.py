@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from anyonlin import AnyonSpec
+from anyonlin.fock import StateVector, enumerate_sector
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
 from anyonlin.network import _build_element_unitary
 
@@ -37,6 +38,31 @@ def dense_evolve(network, sector, amps):
     for element in network.elements:
         amps = _build_element_unitary(sector, element).dot(amps)
     return amps
+
+
+def shellwise_oracle(state, network, spec):
+    """Reference evolution of a two-mode truncated state: each total-occupation
+    shell as a ``StateVector`` through ``dense_evolve``, pruned as
+    ``from_vector`` prunes.  Returns (amplitudes within the cutoff,
+    probability past it)."""
+    n_max = state.n_max
+    out = np.zeros_like(state.amps)
+    lost = 0.0
+    for n in range(2 * n_max + 1):
+        entries = {(l, n - l): state.amps[l, n - l]
+                   for l in range(max(0, n - n_max), min(n, n_max) + 1)
+                   if state.amps[l, n - l] != 0.0}
+        if not entries:
+            continue
+        sector = enumerate_sector(2, n, spec)
+        vec = dense_evolve(network, sector, StateVector(sector, entries).to_vector())
+        evolved = StateVector.from_vector(sector, vec)
+        for (l, k), amp in evolved.amps.items():
+            if l <= n_max and k <= n_max:
+                out[l, k] += amp
+            else:
+                lost += abs(amp) ** 2
+    return out, lost
 
 
 def state_deviation(state, expected):

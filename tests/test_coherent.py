@@ -10,18 +10,18 @@ import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter
 from anyonlin import coherent
-from anyonlin.coherent import SHELL_CACHE_BYTES, DegenerateStateError, ExactGreater, ExactLess, \
+from anyonlin import network as network_module
+from anyonlin.coherent import DegenerateStateError, ExactGreater, ExactLess, \
     NotClosedUnderLinearOpticsError, SingleMode, TruncatedState, Truncation, \
     TruncationRiskWarning, Type1, Type2, cat_closed_form, coherence_function, \
     coherent_amplitudes, coherent_state, deformed_binomial_coeffs, \
     deformed_binomial_prefactor, displacement, displacement_product_factor, \
     evolve_family, evolve_truncated, generalized_coherent_state, kerr_interconvert, \
     mirror_cat, mirror_network, two_mode_family_state
-from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
-    vacuum_state
+from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, vacuum_state
 from anyonlin.network import single_particle_matrix
 
-from conftest import dense_evolve
+from conftest import shellwise_oracle
 
 TR = Truncation(40)
 
@@ -50,6 +50,16 @@ def test_displaced_vacuum_matches_closed_form_amplitudes():
     for g in (0.5, 0.9j, 0.7 + 0.2j):
         d = displacement(g, TR)
         assert np.max(np.abs(d[:, 0] - coherent_amplitudes(g, 40))) < 1e-10
+
+
+def test_coherent_amplitudes_match_the_recurrence():
+    # the cumulative product rounds each step as g / sqrt(n) first, the
+    # recurrence as (a_{n-1} g) / sqrt(n); amplitudes stay below 1
+    for g, n_max in ((0.0, 5), (0.5, 40), (0.7 + 0.2j, 40), (-1.5j, 60), (5.0 - 2.0j, 120)):
+        ref = [math.exp(-0.5 * abs(g) ** 2) + 0j]
+        for n in range(1, n_max + 1):
+            ref.append(ref[-1] * g / math.sqrt(n))
+        assert np.max(np.abs(coherent_amplitudes(g, n_max) - np.array(ref))) <= 1e-15
 
 
 def test_displacement_identity_on_interior_block():
@@ -332,36 +342,13 @@ def test_family_evolution_matches_brute_force():
             assert abs(1.0 - brute.normalized().fidelity(closed)) < 1e-8
 
 
-def shellwise_oracle(state, network, spec):
-    """Per-shell StateVector route through the dense oracle: (amplitudes, lost probability)."""
-    n_max = state.n_max
-    out = np.zeros_like(state.amps)
-    lost = 0.0
-    for n in range(2 * n_max + 1):
-        entries = {(l, n - l): state.amps[l, n - l]
-                   for l in range(max(0, n - n_max), min(n, n_max) + 1)
-                   if state.amps[l, n - l] != 0.0}
-        if not entries:
-            continue
-        sector = enumerate_sector(2, n, spec)
-        vec = dense_evolve(network, sector, StateVector(sector, entries).to_vector())
-        evolved = StateVector.from_vector(sector, vec)
-        for (l, k), amp in evolved.amps.items():
-            if l <= n_max and k <= n_max:
-                out[l, k] += amp
-            else:
-                lost += abs(amp) ** 2
-    return out, lost
-
-
-def test_evolve_truncated_is_byte_identical_to_shellwise_evolve():
+def test_evolve_truncated_matches_the_shellwise_oracle():
     networks = (mirror_network(),
                 Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
                             BeamSplitter(2, 1, -0.35))))
     families = (SingleMode(0.8, 1), SingleMode(0.6 - 0.3j, 2),
-                Type1(0.5, 0.3j), Type2(-0.2, 0.6))
-    # network outside family: one network's n_max = 40 shells fill most of
-    # the 256-entry unitary cache
+                Type1(0.5, 0.3j), Type2(-0.2, 0.6), Type1(1.5, -1.2j))
+    # the last family reaches the third band of shells at n_max = 40
     for n_max in (3, 8, 40):
         for phi in (0.0, 1.1, math.pi):
             spec = AnyonSpec.bosonic(phi)
@@ -372,7 +359,7 @@ def test_evolve_truncated_is_byte_identical_to_shellwise_evolve():
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         got = evolve_truncated(start, net, spec)
-                    assert got.amps.tobytes() == want.tobytes()
+                    assert np.max(np.abs(got.amps - want)) <= 1e-13
                     warned = [w for w in caught if w.category is TruncationRiskWarning]
                     assert bool(warned) == (lost > 1e-12)
 
@@ -398,7 +385,7 @@ def test_evolve_truncated_warns_on_probability_past_cutoff():
     assert lost > 1e-3
     with pytest.warns(TruncationRiskWarning, match="dropped probability"):
         got = evolve_truncated(start, net, spec)
-    assert got.amps.tobytes() == want.tobytes()
+    assert np.max(np.abs(got.amps - want)) <= 1e-13
     assert abs(1.0 - got.norm() ** 2 - lost) < 1e-12
 
 
@@ -409,23 +396,27 @@ def shell_norms(amps):
     return np.sqrt(np.bincount(shell, weights=np.abs(amps.ravel()) ** 2))
 
 
-def fresh_shell_cache(monkeypatch, budget=SHELL_CACHE_BYTES):
-    cache = coherent._ShellUnitaries(budget)
-    monkeypatch.setattr(coherent, "_SHELL_UNITARIES", cache)
+@pytest.fixture
+def kernel_cache(monkeypatch):
+    """A fresh kernel cache of the full budget, in place for one test."""
+    cache = network_module._ByteLRU(network_module.KERNEL_CACHE_BYTES)
+    monkeypatch.setattr(network_module, "_KERNEL_CACHE", cache)
     return cache
 
 
-def held_bytes(cache):
-    return sum(mat.nbytes for shells in cache.records.values()
-               for mats in shells if mats is not None for mat in mats)
+def band_stack_keys(cache):
+    """(network, spec, band) of each band stack the kernel cache holds, least recent first."""
+    build = coherent._band_unitaries.__wrapped__
+    return [args for fn, args in cache.order.values() if fn is build]
 
 
-def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(monkeypatch):
-    # shells on both sides of the PRUNE_EPS / 2 bound, three of them past n_max = 4
-    cache = fresh_shell_cache(monkeypatch)
-    n_max = 4
-    norms = {1: 0.8, 2: 0.4 * PRUNE_EPS, 3: 0.6 * PRUNE_EPS, 4: 0.6,
-             5: 2 * PRUNE_EPS, 6: 0.4 * PRUNE_EPS, 7: 0.6 * PRUNE_EPS}
+def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(kernel_cache):
+    # shells on both sides of the PRUNE_EPS / 2 bound in three bands of 16
+    # shells; the middle band holds no live shell, the last one only one
+    n_max = 20
+    norms = {1: 0.8, 2: 0.4 * PRUNE_EPS, 3: 0.6 * PRUNE_EPS, 4: 0.6, 5: 2 * PRUNE_EPS,
+             17: 0.4 * PRUNE_EPS, 25: 0.3 * PRUNE_EPS,
+             33: 0.6 * PRUNE_EPS, 36: 0.4 * PRUNE_EPS, 38: 0.2 * PRUNE_EPS}
     rng = np.random.default_rng(3)
     amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for n, norm in norms.items():
@@ -438,43 +429,48 @@ def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(monkeypa
                       BeamSplitter(2, 1, -0.35)))
     want, _ = shellwise_oracle(TruncatedState(amps), net, spec)
     got = evolve_truncated(TruncatedState(amps), net, spec)
-    assert got.amps.tobytes() == want.tobytes()
-    shells = cache.records[spec, net]
-    evolved = {n for n, mats in enumerate(shells) if mats is not None}
-    assert evolved == {n for n, norm in norms.items() if norm > 0.5 * PRUNE_EPS}
+    assert np.max(np.abs(got.amps - want)) <= 1e-13
+    out = shell_norms(got.amps)
+    assert all(out[n] == 0.0 for n, norm in norms.items() if norm < PRUNE_EPS)
+    assert band_stack_keys(kernel_cache) == [(net, spec, 0), (net, spec, 2)]
 
 
-def test_alternating_networks_build_each_shell_unitary_once(monkeypatch):
+def test_alternating_networks_build_each_shell_unitary_once(monkeypatch, kernel_cache):
+    # a band stack holds the whole network on 16 shells and is built once;
+    # a build asks the kernel for each beam splitter's W_N once per shell
     builds = Counter()
-    build = coherent._build_element_unitary
+    hops = coherent._pair_hops
 
-    def counting_build(sector, element):
-        builds[sector.n_total, element] += 1
-        return build(sector, element)
+    def counting_hops(totals, theta):
+        builds[totals, theta] += 1
+        return hops(totals, theta)
 
-    monkeypatch.setattr(coherent, "_build_element_unitary", counting_build)
-    fresh_shell_cache(monkeypatch)
+    monkeypatch.setattr(coherent, "_pair_hops", counting_hops)
     spec = AnyonSpec.bosonic(math.pi)
     networks = (mirror_network(),
                 Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
                             BeamSplitter(2, 1, -0.35))))
-    start = two_mode_family_state(Type1(0.5, 0.3j), spec, TR)
+    start = two_mode_family_state(Type1(1.5, -1.2j), spec, TR)
     first = [evolve_truncated(start, net, spec).amps.tobytes() for net in networks]
     for _ in range(50):
         assert [evolve_truncated(start, net, spec).amps.tobytes() for net in networks] == first
-    live = np.count_nonzero(shell_norms(start.amps) > 0.5 * PRUNE_EPS)
+    live = np.flatnonzero(shell_norms(start.amps) > 0.5 * PRUNE_EPS)
+    bands = {n // coherent._BAND for n in live}
+    assert bands == {0, 1, 2}
     assert set(builds.values()) == {1}
-    assert len(builds) == live * sum(len(net.elements) for net in networks)
+    # three beam splitters over both networks
+    assert len(builds) == len(bands) * coherent._BAND * 3
+    assert len(band_stack_keys(kernel_cache)) == len(bands) * len(networks)
 
 
-def test_shell_records_stay_within_their_byte_budget(monkeypatch):
+def test_band_stacks_stay_within_the_kernel_cache_budget(monkeypatch, kernel_cache):
     networks = (mirror_network(),
                 Network(2, (BeamSplitter(1, 2, 0.3),)),
                 Network(2, (PhaseShifter(2, 0.4), BeamSplitter(2, 1, 1.2))))
-    full = fresh_shell_cache(monkeypatch)
-    # 1/1024 of the budget holds a few shells of n_max = 40, so it drops
-    # records and leaves shells unkept
-    small = coherent._ShellUnitaries(SHELL_CACHE_BYTES // 1024)
+    full = kernel_cache
+    # a band-1 stack is 16 x 32^2 complex128s (256 KiB), so 1/512 of the
+    # budget holds only a few stacks and drops the least recent
+    small = network_module._ByteLRU(network_module.KERNEL_CACHE_BYTES // 512)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationRiskWarning)
         for n_max in (3, 8, 20, 40):
@@ -484,16 +480,16 @@ def test_shell_records_stay_within_their_byte_budget(monkeypatch):
                 for net in networks:
                     outs = []
                     for cache in (full, small):
-                        monkeypatch.setattr(coherent, "_SHELL_UNITARIES", cache)
+                        monkeypatch.setattr(network_module, "_KERNEL_CACHE", cache)
                         outs.append(evolve_truncated(start, net, spec).amps.tobytes())
-                        assert held_bytes(cache) == cache.nbytes <= cache.budget
-                        assert list(cache.records)[-1] == (spec, net)
+                        assert cache.held == sum(size for _value, size in cache.entries.values())
+                        assert cache.held <= cache.budget
+                        assert band_stack_keys(cache)[-1][:2] == (net, spec)
                     assert outs[0] == outs[1]
-    assert full.budget == SHELL_CACHE_BYTES
-    assert len(full.records) == 2 * len(networks)
-    assert len(small.records) < 2 * len(networks)
-    assert any(mats is None and norm > 0.5 * PRUNE_EPS
-               for mats, norm in zip(small.records[spec, net], shell_norms(start.amps)))
+    assert len(band_stack_keys(full)) == 2 * len(networks) * 2     # bands 0 and 1
+    assert len(band_stack_keys(small)) < len(band_stack_keys(full))
+    stack, = coherent._band_unitaries(net, spec, 1)
+    assert stack.shape == (16, 32, 32) and not stack.flags.writeable
 
 
 def test_evolve_truncated_rejects_fermions():

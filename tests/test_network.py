@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -623,3 +624,35 @@ def test_window_unitaries_are_cached_and_evicted_by_bytes(monkeypatch):
     assert again is not first
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
     cache.clear()
+
+
+def test_kernel_cache_hit_hashes_its_key_once(monkeypatch):
+    # a network hashes its elements once per object, and a hit hashes its
+    # key, so the network in it, once
+    monkeypatch.setattr(network_module, "_KERNEL_CACHE",
+                        network_module._ByteLRU(network_module.KERNEL_CACHE_BYTES))
+    hashes = Counter()
+    for cls in (PhaseShifter, BeamSplitter, Window, Network):
+        def counting(self, original=cls.__hash__, name=cls.__name__):
+            hashes[name] += 1
+            return original(self)
+        monkeypatch.setattr(cls, "__hash__", counting)
+    spec = AnyonSpec.bosonic(0.7)
+
+    def fresh_braid():
+        return Network(3, (Window(1, Network(3, build_braiding_network().elements)),))
+
+    braid = fresh_braid()
+    first = network_module._window_unitaries(braid, spec, (1, 2, 3))
+    hashes.clear()
+    for _ in range(10):
+        assert network_module._window_unitaries(braid, spec, (1, 2, 3)) is first
+    assert hashes == {"Network": 10}
+    # an equal network object hits the same entry; its first hash walks
+    # its elements once, every later one is read back
+    twin = fresh_braid()
+    hashes.clear()
+    for _ in range(10):
+        assert network_module._window_unitaries(twin, spec, (1, 2, 3)) is first
+    assert hashes == {"Network": 11, "Window": 1, "BeamSplitter": 4, "PhaseShifter": 3}
+    assert twin == braid and hash(twin) == hash(braid)

@@ -6,6 +6,7 @@ suite draws the same cases.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, Window, \
     build_braiding_network, evolve, evolve_amplitudes, propagate_algebraic, \
     single_particle_matrix  # noqa: E402
 from anyonlin import network as network_module  # noqa: E402
-from anyonlin.fock import StateVector, apply_create, enumerate_sector, \
+from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
+    evolve_truncated  # noqa: E402
+from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve  # noqa: E402
+from conftest import dense_evolve, shellwise_oracle  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -117,6 +120,34 @@ def sparse_cases(draw):
         for row in hot:
             batch[row, col] = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0))
     return network, sector, batch
+
+
+@st.composite
+def truncated_cases(draw):
+    """A bosonic phi, a two-mode network that often holds a window, and a
+    two-mode state of cutoff n_max <= 12.
+
+    Each total-occupation shell is zero, of norm on either side of the
+    PRUNE_EPS / 2 below which it is left unevolved, a little above
+    PRUNE_EPS, or of order one; shells above n_max may lose probability
+    past the cutoff.
+    """
+    spec = AnyonSpec.bosonic(draw(phis))
+    around = draw(networks(2)).elements
+    if draw(st.booleans()):
+        first = draw(st.integers(1, 2))
+        around = around[:1] + (Window(first, draw(networks(3 - first))),) + around[1:]
+    n_max = draw(st.integers(1, 12))
+    norms = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3 * PRUNE_EPS, 0.49 * PRUNE_EPS,
+                                           0.51 * PRUNE_EPS, 2 * PRUNE_EPS, 1.0]),
+                          min_size=2 * n_max + 1, max_size=2 * n_max + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    for n, norm in enumerate(norms):
+        ls = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+        z = rng.normal(size=len(ls)) + 1j * rng.normal(size=len(ls))
+        amps[ls, n - ls] = z * (norm / np.linalg.norm(z))
+    return spec, Network(2, around), TruncatedState(amps)
 
 
 def creation_monomial(spec, m, monomial):
@@ -231,3 +262,19 @@ def test_sparse_inputs_match_the_dense_oracle(case):
     for col in range(batch.shape[1]):
         vec = evolve_amplitudes(network, sector, batch[:, col])
         assert np.max(np.abs(vec - out[:, col])) <= 1e-15
+
+
+@PROPERTY
+@given(truncated_cases())
+def test_truncated_evolution_matches_the_shellwise_oracle(case):
+    spec, network, state = case
+    want, lost = shellwise_oracle(state, network, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = evolve_truncated(state, network, spec)
+    assert np.max(np.abs(got.amps - want)) <= 1e-13
+    warned = any(w.category is TruncationRiskWarning for w in caught)
+    # both sides sum the lost probability to roundoff, so only a loss
+    # clear of the 1e-12 bound must meet the same decision
+    if abs(lost - 1e-12) > 1e-15:
+        assert warned == (lost > 1e-12)
