@@ -62,7 +62,9 @@ MAX_KERNEL_DIM = 10 ** 6
 #: Largest ``cat`` cutoff.  The band stacks of shell unitaries the cat
 #: path keeps stay within the kernel cache's 256 MiB at any cutoff; what
 #: this bounds is the (n_max + 1)^2 output and the widest band a call may
-#: build, 16 shells of dim up to 2 n_max + 1 (64 MiB at 255).
+#: build, 16 shells of dim up to 2 n_max + 1 (64 MiB at 255), and the
+#: temporaries of that build: the kernel runs one shell's identity batch
+#: at a time, a few (2 n_max + 1)^2 arrays (about 24 MiB at 255).
 MAX_CAT_NMAX = 255
 
 

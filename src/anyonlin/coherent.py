@@ -35,8 +35,9 @@ coherent branches, i.e. a cat state.
 ``evolve_truncated`` runs a two-mode state through any two-mode network
 exactly.  Total occupation is conserved and, on two modes, each shell N
 is one block of the network kernel, so the network acts on it as one
-(N + 1) x (N + 1) unitary; these are built from the kernel's pair-hop
-eigenpairs in bands of 16 shells and kept in the kernel's cache.
+(N + 1) x (N + 1) unitary.  The kernel builds these 16 shells to a band
+the way it builds a window's unitaries, by running each shell's identity
+through the network, and keeps them in its byte-bounded cache.
 
 States here are dense amplitude arrays over a per-mode occupation cutoff
 n_max.  All shipped routines keep |amplitude| <= 1 with n_max = 40 by
@@ -56,8 +57,7 @@ from typing import Union
 import numpy as np
 
 from .fock import PRUNE_EPS, AnyonSpec
-from .network import BeamSplitter, Network, PhaseShifter, Window, _kernel_cached, _pair_hops, \
-    single_particle_matrix
+from .network import BeamSplitter, Network, PhaseShifter, _window_unitaries, single_particle_matrix
 from .network import evolve  # unused here; perfbench instruments and counts it by this name
 
 __all__ = [
@@ -200,9 +200,19 @@ def displacement(g: complex, truncation: Truncation = Truncation()) -> np.ndarra
 
 
 def coherent_amplitudes(g: complex, n_max: int) -> np.ndarray:
-    """Closed-form amplitudes e^{-|g|^2 / 2} g^n / sqrt(n!) up to the cutoff."""
+    """Closed-form amplitudes e^{-|g|^2 / 2} g^n / sqrt(n!) up to the cutoff.
+
+    Raises ValueError when g is not finite or |g|^2 overflows a float.
+    """
+    g = complex(g)
+    try:
+        norm2 = abs(g) ** 2
+    except OverflowError:
+        norm2 = math.inf
+    if not math.isfinite(norm2):
+        raise ValueError(f"coherent amplitude {g} out of range: |g|^2 is not a finite float")
     factors = np.empty(n_max + 1, dtype=np.complex128)
-    factors[0] = math.exp(-0.5 * abs(g) ** 2)
+    factors[0] = math.exp(-0.5 * norm2)
     factors[1:] = g / np.sqrt(np.arange(1.0, n_max + 1))
     return np.cumprod(factors)
 
@@ -378,39 +388,8 @@ def evolve_family(family: CoherentFamily, network: Network, spec: AnyonSpec
 #: Consecutive shell totals built and cached as one stack.  A wider band
 #: means fewer products per call but more zero padding and more shells
 #: built past the top live one; at 16 a ``cat`` at n_max = 40 multiplies
-#: two or three bands, which build cold in about 2, 3 and 7 ms.
+#: two or three bands.
 _BAND = 16
-
-
-@_kernel_cached
-def _band_unitaries(network: Network, spec: AnyonSpec, band: int) -> tuple[np.ndarray]:
-    """The network's unitary on each shell of totals N = 16 band .. 16 band + 15.
-
-    Entry i of the read-only stack holds the unitary on the bosonic
-    (2, N) sector of N = 16 band + i, in n_1 = 0..N order (the kernel's
-    n_lo order), in its top-left (N + 1) x (N + 1) corner; the rest is
-    zero.  Each is built by running the identity through the placed
-    elements: a phase shifter multiplies row n_1 by exp(i tau n) with n
-    the occupation of its mode, and a beam splitter is D W_N D† with the
-    kernel's W_N and D = exp(i phi n_1 (n_1 - 1) / 2), its winding on two
-    modes, where no particle sits between the pair.  Shell by shell, so
-    that a build holds no more than one shell's temporaries.
-    """
-    totals = range(band * _BAND, (band + 1) * _BAND)
-    stack = np.zeros((_BAND, totals[-1] + 1, totals[-1] + 1), dtype=np.complex128)
-    placed = Window(1, network).placed()
-    for shell, total in zip(stack, totals):
-        n_1 = np.arange(total + 1)
-        dress = np.exp(1j * spec.phi * (n_1 * (n_1 - 1) // 2))[:, None]
-        unitary = np.eye(total + 1, dtype=np.complex128)
-        for el in placed:
-            if isinstance(el, PhaseShifter):
-                unitary *= np.exp(1j * el.tau * (n_1 if el.mode == 1 else total - n_1))[:, None]
-            else:
-                unitary = dress * (_pair_hops((total,), el.theta)[0] @ (dress.conj() * unitary))
-        shell[:total + 1, :total + 1] = unitary
-    stack.setflags(write=False)
-    return (stack,)
 
 
 def _shell_view(grid: np.ndarray, n_max: int) -> np.ndarray:
@@ -428,11 +407,15 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     network's unitary on the bosonic (2, N) sector.  The amplitudes are
     laid into a zero-padded (2 n_max + 1)^2 grid, row N = l + k holding
     shell N in column l = n_1, and each band of 16 shells that holds a
-    live one is multiplied by its cached stack of shell unitaries
-    (``_band_unitaries``) in one batched product, cut to the top live
-    shell.  A shell of norm <= PRUNE_EPS / 2 is not live: a unitary keeps
-    its every output below PRUNE_EPS, so leaving it unevolved changes
-    nothing once amplitudes of magnitude <= PRUNE_EPS are dropped.
+    live one is multiplied in one batched product, cut to the top live
+    shell, by its stack of shell unitaries: the kernel's window
+    unitaries of the whole network on the band's totals
+    (``network._window_unitaries``), whose n_1 = 0..N order is the
+    grid's column order and whose zero padding keeps each shell inside
+    its N + 1 columns.  A shell of norm <= PRUNE_EPS / 2 is not live: a
+    unitary keeps its every output below PRUNE_EPS, so leaving it
+    unevolved changes nothing once amplitudes of magnitude <= PRUNE_EPS
+    are dropped.
     Amplitude pushed past the per-mode cutoff (only possible on shells
     above n_max) is dropped with a warning.
     """
@@ -451,7 +434,7 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     top = int(live[-1]) + 1 if live.size else 0
     for band in sorted(set((live // _BAND).tolist())):
         lo, hi = band * _BAND, min((band + 1) * _BAND, top)
-        stack, = _band_unitaries(network, spec, band)
+        stack, = _window_unitaries(network, spec, tuple(range(lo, lo + _BAND)))
         grid[lo:hi, :hi] = np.matmul(stack[:hi - lo, :hi, :hi], grid[lo:hi, :hi, None])[..., 0]
     evolved = grid[:top, :top]
     evolved[~(np.abs(evolved) > PRUNE_EPS)] = 0.0

@@ -253,7 +253,9 @@ def evolve(network: Network, state: StateVector) -> StateVector:
 
 
 #: Bytes that the kernel's cached gather records, eigenpair stacks and
-#: window unitaries may hold together.
+#: window unitary stacks may hold together.  The window stacks hold every
+#: fixed network's per-total unitaries: each CP braid's, and the band
+#: stacks of 16 shell unitaries of the cat path's two-mode networks.
 KERNEL_CACHE_BYTES = 256 * 2 ** 20
 
 
@@ -325,9 +327,9 @@ class _Blocks(NamedTuple):
     the step acts on: the pair (lo, hi) of BS_{lo,hi}, or every mode
     lo..hi of a window.  ``rows`` lists the sector positions of the
     states in blocks, family by family, one family per total T of the
-    step's modes.  ``families`` holds each family's (T, start, stop) in
-    ``rows``, and ``totals`` its T alone, the key of the step's
-    matrices; inside a family the positions run by the step's
+    step's modes.  ``families`` holds each family's (T, block size,
+    start, stop) in ``rows``, and ``totals`` its T alone, the key of the
+    step's matrix stack; inside a family the positions run by the step's
     occupations in increasing lexicographic order, which for a pair is
     n_lo = 0..T, so ``rows[start:stop]`` reshapes to (block size, B)
     with one block per column.  ``block`` holds the
@@ -343,7 +345,7 @@ class _Blocks(NamedTuple):
     winding: np.ndarray
     w_max: int
     block: np.ndarray
-    families: tuple[tuple[int, int, int], ...]
+    families: tuple[tuple[int, int, int, int], ...]
     totals: tuple[int, ...]
 
 
@@ -383,13 +385,13 @@ def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
         if not window:
             kk, between = occ[idx, lo - 1], occ[idx, lo:hi - 1].sum(axis=-1)
             winding.append((kk * (kk - 1) // 2 + between * kk).ravel())
-        families.append((int(total), stop, stop + idx.size))
+        families.append((int(total), len(idx), stop, stop + idx.size))
         stop += idx.size
     arrays = [np.concatenate(parts) for parts in (rows, winding, block)]
     for arr in arrays:
         arr.setflags(write=False)
     return _Blocks(arrays[0], arrays[1], int(arrays[1].max(initial=0)), arrays[2],
-                   tuple(families), tuple(total for total, _, _ in families))
+                   tuple(families), tuple(family[0] for family in families))
 
 
 @_kernel_cached
@@ -428,22 +430,26 @@ def _pair_hops(totals: tuple[int, ...], theta: float) -> np.ndarray:
 
 @_kernel_cached
 def _window_unitaries(network: Network, spec: AnyonSpec,
-                      totals: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The sub-network's unitary U_T on the (network.m, T) sector for each T in ``totals``.
+                      totals: tuple[int, ...]) -> tuple[np.ndarray]:
+    """The network's unitary U_T on the (network.m, T) sector for each T in ``totals``.
 
     Each U_T comes from running the identity of that small sector through
     ``evolve_amplitudes``; its rows and columns are then put in the order
     of a window block, the inside occupations lexicographically
-    increasing.
+    increasing, which on two modes is n_1 = 0..T.  Entry f of the one
+    read-only stack holds U_T of T = totals[f] in its top-left
+    dim_T x dim_T corner and zeros elsewhere, padded like ``_pair_hops``
+    to the largest dim_T.
     """
-    mats = []
-    for total in totals:
-        small = enumerate_sector(network.m, total, spec)
+    smalls = [enumerate_sector(network.m, total, spec) for total in totals]
+    top = max(small.dim for small in smalls)
+    stack = np.zeros((len(smalls), top, top), dtype=np.complex128)
+    for mat, small in zip(stack, smalls):
         order = np.lexsort(small.occ.T[::-1])
-        mat = evolve_amplitudes(network, small, np.eye(small.dim))[np.ix_(order, order)]
-        mat.setflags(write=False)
-        mats.append(mat)
-    return tuple(mats)
+        mat[:small.dim, :small.dim] = \
+            evolve_amplitudes(network, small, np.eye(small.dim))[np.ix_(order, order)]
+    stack.setflags(write=False)
+    return (stack,)
 
 
 def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
@@ -463,9 +469,10 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
     unitary maps to zeros, so the step skips it; every row of a kept
     block is marked live.  Returns the kept entries of ``blocks.rows``,
     the mask ``keep`` that picks them and the kept families as
-    (f, T, start, stop): f is the family's place in ``blocks.families``
-    and start:stop its span in the kept rows.  When every block is kept
-    these are the record's own rows and families.
+    (f, size, start, stop): f is the family's place in
+    ``blocks.families``, size its block size and start:stop its span in
+    the kept rows.  When every block is kept these are the record's own
+    rows and families.
     Inside a family the kept blocks are whole columns of its (block
     size, B) layout, so the kept span reshapes the same way.
     """
@@ -475,26 +482,29 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
     rows = blocks.rows[keep]
     live[rows] = True
     kept, stop = [], 0
-    for f, (total, first, last) in enumerate(blocks.families):
+    for f, (_total, size, first, last) in enumerate(blocks.families):
         start, stop = stop, stop + np.count_nonzero(keep[first:last])
         if stop > start:
-            kept.append((f, total, start, stop))
+            kept.append((f, size, start, stop))
     return rows, keep, kept
 
 
-def _block_products(part: np.ndarray, mats, families) -> np.ndarray:
+def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray:
     """Each family of the gathered rows ``part`` times its matrix, column by column.
 
-    ``families`` holds (f, T, start, stop) as ``_live_blocks`` gives
-    them.  One (size x size) by (size x B) BLAS call per family and batch
-    column, so every column meets the same calls whatever the batch
-    width; B counts the blocks kept for the step, so a vector and a batch
-    column agree bit for bit when the same blocks are live.
+    ``families`` holds (f, size, start, stop) as ``_live_blocks`` gives
+    them, and family f's matrix is the top-left size x size corner of
+    ``stack[f]``, a padded stack as ``_pair_hops`` and
+    ``_window_unitaries`` give it.  One (size x size) by (size x B) BLAS
+    call per family and batch column, so every column meets the same
+    calls whatever the batch width; B counts the blocks kept for the
+    step, so a vector and a batch column agree bit for bit when the same
+    blocks are live.
     """
     out = np.empty_like(part)
-    for mat, (_f, _total, start, stop) in zip(mats, families):
-        fam_shape = (len(part), len(mat), -1)
-        np.matmul(mat, part[:, start:stop].reshape(fam_shape),
+    for f, size, start, stop in families:
+        fam_shape = (len(part), size, -1)
+        np.matmul(stack[f, :size, :size], part[:, start:stop].reshape(fam_shape),
                   out=out[:, start:stop].reshape(fam_shape))
     return out
 
@@ -567,16 +577,13 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
             continue
         where = rows + columns
         if window:
-            unitaries = _window_unitaries(element.network, sector.spec, blocks.totals)
-            flat[where] = _block_products(flat[where], [unitaries[f] for f, *_ in families],
-                                          families)
+            stack, = _window_unitaries(element.network, sector.spec, blocks.totals)
+            flat[where] = _block_products(flat[where], stack, families)
             continue
-        w = _pair_hops(blocks.totals, element.theta)
         dress = _lookup_exp(phi, blocks.winding[keep], blocks.w_max)
         part = flat[where]
         part *= dress.conj()
-        hopped = _block_products(part, [w[f, :n_pair + 1, :n_pair + 1]
-                                        for f, n_pair, _, _ in families], families)
+        hopped = _block_products(part, _pair_hops(blocks.totals, element.theta), families)
         hopped *= dress
         flat[where] = hopped
     return np.ascontiguousarray(state.T).reshape(amps.shape)

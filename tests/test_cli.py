@@ -400,6 +400,16 @@ def test_oversized_cat_cutoff_exits_2():
     assert "exceeds the limit of 255" in proc.stderr
 
 
+@pytest.mark.parametrize("u, named", [("1e200", "(1e+200+0j)"), ("nan", "(nan+0j)")])
+def test_cat_amplitude_out_of_range_exits_2_on_one_line(u, named):
+    # |u|^2 overflows or is nan: no self-check failure, no numpy warning
+    proc = run_capped(["cat", "--u", u, "--nmax", "3"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"anyonlin: coherent amplitude {named} out of range: " \
+                          "|g|^2 is not a finite float\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "anyonlin", "hom", "--phi", "0",
                            "--self-check"], capture_output=True, text=True)

@@ -62,6 +62,15 @@ def test_coherent_amplitudes_match_the_recurrence():
         assert np.max(np.abs(coherent_amplitudes(g, n_max) - np.array(ref))) <= 1e-15
 
 
+@pytest.mark.parametrize("g", [math.nan, complex(0.5, math.nan), math.inf, 1e200,
+                               complex(1e300, 1e300), np.complex128(1e200)])
+def test_coherent_amplitudes_refuse_an_amplitude_out_of_range(g):
+    # |g|^2 nan, infinite or overflowing: a ValueError, no OverflowError or
+    # numpy warning (warnings are errors here)
+    with pytest.raises(ValueError, match="coherent amplitude .* out of range"):
+        coherent_amplitudes(g, 3)
+
+
 def test_displacement_identity_on_interior_block():
     # D(-g) b D(g) = b + g away from the cutoff boundary
     g = 0.8
@@ -404,10 +413,21 @@ def kernel_cache(monkeypatch):
     return cache
 
 
+def band_totals(band):
+    """The 16 shell totals of one band, the key of its stack of shell unitaries."""
+    return tuple(range(band * coherent._BAND, (band + 1) * coherent._BAND))
+
+
 def band_stack_keys(cache):
-    """(network, spec, band) of each band stack the kernel cache holds, least recent first."""
-    build = coherent._band_unitaries.__wrapped__
-    return [args for fn, args in cache.order.values() if fn is build]
+    """(network, spec, band) of each band stack the kernel cache holds, least recent first.
+
+    Band stacks are the kernel's window unitaries over the whole two-mode
+    network, keyed by the band's totals.
+    """
+    build = network_module._window_unitaries.__wrapped__
+    keys = [args for fn, args in cache.order.values() if fn is build]
+    assert all(totals == band_totals(totals[0] // coherent._BAND) for _, _, totals in keys)
+    return [(net, spec, totals[0] // coherent._BAND) for net, spec, totals in keys]
 
 
 def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(kernel_cache):
@@ -436,16 +456,16 @@ def test_evolve_truncated_skips_exactly_the_shells_below_half_the_prune(kernel_c
 
 
 def test_alternating_networks_build_each_shell_unitary_once(monkeypatch, kernel_cache):
-    # a band stack holds the whole network on 16 shells and is built once;
-    # a build asks the kernel for each beam splitter's W_N once per shell
+    # a band stack holds the whole network on 16 shells and is built once:
+    # the kernel runs one identity batch per (network, spec, shell) of it
     builds = Counter()
-    hops = coherent._pair_hops
+    real_evolve = network_module.evolve_amplitudes
 
-    def counting_hops(totals, theta):
-        builds[totals, theta] += 1
-        return hops(totals, theta)
+    def counting_evolve(network, sector, amps):
+        builds[network, sector.spec, sector.n_total] += 1
+        return real_evolve(network, sector, amps)
 
-    monkeypatch.setattr(coherent, "_pair_hops", counting_hops)
+    monkeypatch.setattr(network_module, "evolve_amplitudes", counting_evolve)
     spec = AnyonSpec.bosonic(math.pi)
     networks = (mirror_network(),
                 Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6),
@@ -458,8 +478,8 @@ def test_alternating_networks_build_each_shell_unitary_once(monkeypatch, kernel_
     bands = {n // coherent._BAND for n in live}
     assert bands == {0, 1, 2}
     assert set(builds.values()) == {1}
-    # three beam splitters over both networks
-    assert len(builds) == len(bands) * coherent._BAND * 3
+    assert set(builds) == {(net, spec, total) for net in networks
+                           for band in bands for total in band_totals(band)}
     assert len(band_stack_keys(kernel_cache)) == len(bands) * len(networks)
 
 
@@ -488,7 +508,7 @@ def test_band_stacks_stay_within_the_kernel_cache_budget(monkeypatch, kernel_cac
                     assert outs[0] == outs[1]
     assert len(band_stack_keys(full)) == 2 * len(networks) * 2     # bands 0 and 1
     assert len(band_stack_keys(small)) < len(band_stack_keys(full))
-    stack, = coherent._band_unitaries(net, spec, 1)
+    stack, = network_module._window_unitaries(net, spec, band_totals(1))
     assert stack.shape == (16, 32, 32) and not stack.flags.writeable
 
 

@@ -409,9 +409,9 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
     shapes = []
     real_products = network_module._block_products
 
-    def spy(part, mats, families):
+    def spy(part, stack, families):
         shapes.append(part.shape)
-        return real_products(part, mats, families)
+        return real_products(part, stack, families)
 
     monkeypatch.setattr(network_module, "_block_products", spy)
     layout = LogicalLayout(3)

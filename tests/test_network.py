@@ -395,8 +395,9 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
             occ = enumerate_sector(m, n, spec).occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
                 blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
-                for n_pair, start, stop in blocks.families:
-                    idx = blocks.rows[start:stop].reshape(n_pair + 1, -1)
+                for n_pair, size, start, stop in blocks.families:
+                    assert size == n_pair + 1
+                    idx = blocks.rows[start:stop].reshape(size, -1)
                     assert (occ[idx, lo - 1] == np.arange(n_pair + 1)[:, None]).all()
 
 
@@ -485,9 +486,9 @@ def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch
     shapes = []
     real_products = network_module._block_products
 
-    def spy(part, mats, families):
+    def spy(part, stack, families):
         shapes.append(part.shape)
-        return real_products(part, mats, families)
+        return real_products(part, stack, families)
 
     monkeypatch.setattr(network_module, "_block_products", spy)
     sub = Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8)))
@@ -608,22 +609,50 @@ def test_kernel_cache_bookkeeping_holds_under_threads(monkeypatch):
 
 
 def test_window_unitaries_are_cached_and_evicted_by_bytes(monkeypatch):
+    # U_1, U_2, U_3 of the braid (dims 3, 6, 10) in one stack padded to 10
     cache = network_module._KERNEL_CACHE
     cache.clear()
     braid = build_braiding_network()
     spec = AnyonSpec.bosonic(0.7)
     first = network_module._window_unitaries(braid, spec, (1, 2, 3))
-    assert [mat.shape for mat in first] == [(3, 3), (6, 6), (10, 10)]
-    assert all(not mat.flags.writeable for mat in first)
+    stack, = first
+    assert stack.shape == (3, 10, 10) and not stack.flags.writeable
     assert network_module._window_unitaries(braid, spec, (1, 2, 3)) is first
-    monkeypatch.setattr(cache, "budget", sum(mat.nbytes for mat in first))
+    monkeypatch.setattr(cache, "budget", stack.nbytes)
     for phi in (0.1, 0.2, 0.3):
         network_module._window_unitaries(braid, AnyonSpec.bosonic(phi), (1, 2, 3))
         assert cache.held <= cache.budget
-    again = network_module._window_unitaries(braid, spec, (1, 2, 3))
-    assert again is not first
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
+    again, = network_module._window_unitaries(braid, spec, (1, 2, 3))
+    assert again is not stack and not again.flags.writeable
+    assert again.tobytes() == stack.tobytes()
     cache.clear()
+
+
+@pytest.mark.parametrize("network, spec, totals", [
+    (build_braiding_network(), AnyonSpec.bosonic(0.7), (1, 2, 3)),
+    # fermionic dims 3, 3, 1: the padding follows the largest dim, not total
+    (build_braiding_network(), AnyonSpec.fermionic(0.7), (1, 2, 3)),
+    (Network(4, (BeamSplitter(1, 4, 0.4), Window(2, build_braiding_network()),
+                 PhaseShifter(3, -0.6))), AnyonSpec.bosonic(2.1), (2, 1)),
+    # one band of 16 shells of a two-mode network, as the cat path asks for it
+    (Network(2, (PhaseShifter(1, 0.9), BeamSplitter(1, 2, 0.6), BeamSplitter(2, 1, -0.35))),
+     AnyonSpec.bosonic(1.1), tuple(range(16, 32))),
+    (Network(2, (PhaseShifter(2, math.pi / 2), BeamSplitter(1, 2, math.pi / 2),
+                 PhaseShifter(1, math.pi / 2))), AnyonSpec.bosonic(math.pi), tuple(range(16))),
+])
+def test_window_unitaries_match_the_dense_oracle(network, spec, totals):
+    # entry f holds U_T in its dim_T corner, rows and columns by increasing
+    # inside occupations, and exact zeros elsewhere: the cat path sums the
+    # probability past its cutoff over that padding
+    stack, = network_module._window_unitaries(network, spec, totals)
+    dims = [enumerate_sector(network.m, total, spec).dim for total in totals]
+    assert stack.shape == (len(totals), max(dims), max(dims))
+    for mat, total, dim in zip(stack, totals, dims):
+        small = enumerate_sector(network.m, total, spec)
+        order = np.lexsort(small.occ.T[::-1])
+        want = dense_evolve(network, small, np.eye(dim))[np.ix_(order, order)]
+        assert np.max(np.abs(mat[:dim, :dim] - want)) <= 1e-13
+        assert not mat[dim:].any() and not mat[:, dim:].any()
 
 
 def test_kernel_cache_hit_hashes_its_key_once(monkeypatch):
