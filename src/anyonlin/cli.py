@@ -279,8 +279,7 @@ def _evolve_command(args: argparse.Namespace, build_network: Callable[[], Networ
         "input": input_text,
         "phi": phi,
         "class": args.particle_class,
-        "amplitudes": _entries("occ", ((list(occ), out.amps[occ])
-                                       for occ in out.sector.basis if occ in out.amps)),
+        "amplitudes": _entries("occ", ((list(occ), amp) for occ, amp in out.amps.items())),
     }
     if dump_unitary:
         sector = state.sector

@@ -342,7 +342,10 @@ def two_mode_family_state(family: CoherentFamily, spec: AnyonSpec,
     """Two-mode amplitudes of a coherent family, normalized after truncation.
 
     Built directly from the double-sum expansion: the |l, k> amplitude is
-    the family phase times u^l v^k / sqrt(l! k!).
+    the family phase times u^l v^k / sqrt(l! k!).  Raises ValueError when
+    the mean occupation is so far above the cutoff that the norm of the
+    truncated amplitudes underflows to zero (|u|^2 above about 907 at
+    n_max = 40).
     """
     if spec.is_fermionic:
         raise ValueError("coherent families are defined for bosonic anyons")
@@ -351,12 +354,17 @@ def two_mode_family_state(family: CoherentFamily, spec: AnyonSpec,
         axis = coherent_amplitudes(family.g, n_max)
         vac = np.zeros(n_max + 1, dtype=np.complex128)
         vac[0] = 1.0
-        amps = np.outer(axis, vac) if family.mode == 1 else np.outer(vac, axis)
-        return TruncatedState(amps).normalized()
-    raw_u = coherent_amplitudes(family.u, n_max)
-    raw_v = coherent_amplitudes(family.v, n_max)
-    base = np.outer(raw_u, raw_v)
-    return TruncatedState(base * _family_phase(family, spec.phi, n_max)).normalized()
+        state = TruncatedState(np.outer(axis, vac) if family.mode == 1 else np.outer(vac, axis))
+    else:
+        base = np.outer(coherent_amplitudes(family.u, n_max), coherent_amplitudes(family.v, n_max))
+        state = TruncatedState(base * _family_phase(family, spec.phi, n_max))
+    norm = state.norm()
+    if norm == 0.0:
+        single = isinstance(family, SingleMode)
+        mean = abs(family.g) ** 2 if single else abs(family.u) ** 2 + abs(family.v) ** 2
+        raise ValueError(f"{'|u|^2' if single else '|u|^2 + |v|^2'} = {mean:.6g} is too large "
+                         f"for n_max = {n_max}: the truncated amplitudes' norm underflows to 0")
+    return TruncatedState(state.amps / norm)
 
 
 def evolve_family(family: CoherentFamily, network: Network, spec: AnyonSpec

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fock import AnyonSpec, StateVector, _shape_basis, enumerate_sector, number_expectation
 from .network import BeamSplitter, Element, Network, PhaseShifter, Window, \
-    build_braiding_network, evolve_amplitudes
+    build_braiding_network, evolve, evolve_amplitudes
 
 __all__ = [
     "CompileError",
@@ -152,11 +152,8 @@ def decode(layout: LogicalLayout, state: StateVector) -> tuple[np.ndarray, float
     auxiliary back at occupation one; anything else counts as leakage
     (the state is assumed normalized).
     """
-    n = layout.num_qubits
-    amps = np.zeros(2 ** n, dtype=np.complex128)
-    for idx in range(2 ** n):
-        bits = format(idx, f"0{n}b")
-        amps[idx] = state.amplitude(layout.code_occupation(bits))
+    occupations, _rows = _code_space(layout, state.sector.spec.is_fermionic)
+    amps = np.array([state.amps.get(occ, 0j) for occ in occupations], dtype=np.complex128)
     leakage = 1.0 - float(np.sum(np.abs(amps) ** 2))
     return amps, leakage
 
@@ -258,9 +255,7 @@ def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Netw
 def run_circuit(spec: AnyonSpec, layout: LogicalLayout,
                 gates: Sequence[LogicalGate], bits: str) -> StateVector:
     """Physical state after evolving the encoded input through the circuit."""
-    start = encode(spec, layout, bits)
-    vec = evolve_amplitudes(compile_circuit(layout, gates), start.sector, start.to_vector())
-    return StateVector.from_vector(start.sector, vec)
+    return evolve(compile_circuit(layout, gates), encode(spec, layout, bits))
 
 
 def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
@@ -271,14 +266,16 @@ def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
 
 
 @lru_cache(maxsize=16)
-def _code_rows(layout: LogicalLayout, fermionic: bool) -> np.ndarray:
-    """Sector positions of the code-space states |bits>_L, bits in binary order."""
+def _code_space(layout: LogicalLayout,
+                fermionic: bool) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The code-space states |bits>_L, bits in binary order: their
+    occupations and their read-only sector positions."""
     n = layout.num_qubits
+    occupations = tuple(layout.code_occupation(format(idx, f"0{n}b")) for idx in range(2 ** n))
     index = _shape_basis(layout.m, layout.n_particles, fermionic).index
-    rows = np.array([index[layout.code_occupation(format(idx, f"0{n}b"))]
-                     for idx in range(2 ** n)])
+    rows = np.array([index[occ] for occ in occupations])
     rows.setflags(write=False)
-    return rows
+    return occupations, rows
 
 
 def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
@@ -289,7 +286,7 @@ def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
     (dim, 2^n) batch, and the code-space rows are read off directly.
     """
     sector = enumerate_sector(layout.m, layout.n_particles, spec)
-    rows = _code_rows(layout, spec.is_fermionic)
+    _occupations, rows = _code_space(layout, spec.is_fermionic)
     inputs = np.zeros((sector.dim, len(rows)), dtype=np.complex128)
     inputs[rows, np.arange(len(rows))] = 1.0
     return evolve_amplitudes(compile_circuit(layout, gates), sector, inputs)[rows]

@@ -54,7 +54,6 @@ __all__ = [
     "sector_dim",
     "number_expectation",
     "sign_eps",
-    "state_to_jsonable",
 ]
 
 #: Amplitudes below this magnitude are dropped after each operator application.
@@ -253,9 +252,18 @@ class StateVector:
 
     @classmethod
     def from_vector(cls, sector: FockSector, vec: np.ndarray) -> "StateVector":
-        amps = {occ: complex(vec[pos]) for pos, occ in enumerate(sector.basis)
-                if abs(vec[pos]) > PRUNE_EPS}
-        return cls(sector, amps)
+        """The entries of a (dim,) vector above PRUNE_EPS in magnitude.
+
+        The keys follow the sector's basis order, and each amplitude is
+        the vector's entry unchanged; NaN entries are dropped.  The cost
+        beyond one pass over the vector is the size of the support.
+        """
+        vec = np.asarray(vec)
+        if vec.shape != (sector.dim,):
+            raise ValueError(f"vector of shape {vec.shape} does not fit sector dim {sector.dim}")
+        pos = np.flatnonzero(np.abs(vec) > PRUNE_EPS)
+        basis = sector.basis
+        return cls(sector, {basis[p]: a for p, a in zip(pos.tolist(), vec[pos].tolist())})
 
     def to_vector(self) -> np.ndarray:
         vec = np.zeros(self.sector.dim, dtype=np.complex128)
@@ -371,12 +379,3 @@ def number_expectation(state: StateVector, i: int) -> float:
     _check_mode(state.sector.m, i)
     return sum(abs(a) ** 2 * occ[i - 1] for occ, a in state.amps.items())
 
-
-def state_to_jsonable(state: StateVector) -> list[dict]:
-    """Amplitudes above PRUNE_EPS as [{"occ": [...], "re": x, "im": y}, ...] in basis order."""
-    out = []
-    for occ in state.sector.basis:
-        amp = state.amps.get(occ)
-        if amp is not None and abs(amp) > PRUNE_EPS:
-            out.append({"occ": list(occ), "re": amp.real, "im": amp.imag})
-    return out

@@ -434,20 +434,19 @@ def _window_unitaries(network: Network, spec: AnyonSpec,
     """The network's unitary U_T on the (network.m, T) sector for each T in ``totals``.
 
     Each U_T comes from running the identity of that small sector through
-    ``evolve_amplitudes``; its rows and columns are then put in the order
-    of a window block, the inside occupations lexicographically
-    increasing, which on two modes is n_1 = 0..T.  Entry f of the one
-    read-only stack holds U_T of T = totals[f] in its top-left
-    dim_T x dim_T corner and zeros elsewhere, padded like ``_pair_hops``
-    to the largest dim_T.
+    ``evolve_amplitudes``; its rows and columns are then reversed from the
+    sector's decreasing lexicographic order into the order of a window
+    block, the inside occupations lexicographically increasing, which on
+    two modes is n_1 = 0..T.  Entry f of the one read-only stack holds
+    U_T of T = totals[f] in its top-left dim_T x dim_T corner and zeros
+    elsewhere, padded like ``_pair_hops`` to the largest dim_T.
     """
     smalls = [enumerate_sector(network.m, total, spec) for total in totals]
     top = max(small.dim for small in smalls)
     stack = np.zeros((len(smalls), top, top), dtype=np.complex128)
     for mat, small in zip(stack, smalls):
-        order = np.lexsort(small.occ.T[::-1])
         mat[:small.dim, :small.dim] = \
-            evolve_amplitudes(network, small, np.eye(small.dim))[np.ix_(order, order)]
+            evolve_amplitudes(network, small, np.eye(small.dim))[::-1, ::-1]
     stack.setflags(write=False)
     return (stack,)
 

@@ -410,6 +410,22 @@ def test_cat_amplitude_out_of_range_exits_2_on_one_line(u, named):
                           "|g|^2 is not a finite float\n"
 
 
+@pytest.mark.parametrize("u, nmax, mean", [("34", "40", "1156"), ("38", "255", "1444")])
+def test_cat_amplitude_far_beyond_the_cutoff_exits_2_naming_it(u, nmax, mean):
+    # the truncated coherent amplitudes' norm underflows to 0
+    proc = run_capped(["cat", "--u", u, "--nmax", nmax])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"anyonlin: |u|^2 = {mean} is too large for n_max = {nmax}: " \
+                          "the truncated amplitudes' norm underflows to 0\n"
+
+
+def test_cat_amplitude_just_below_the_underflow_still_runs():
+    code, out = run_cli(["cat", "--u", "30.12", "--nmax", "40"])
+    assert code == 0
+    assert abs(json.loads(out)["fidelity"] - 1.0) < 1e-8
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "anyonlin", "hom", "--phi", "0",
                            "--self-check"], capture_output=True, text=True)

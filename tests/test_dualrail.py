@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
-    decode, encode, evolve
+    decode, encode, enumerate_sector, evolve
 from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp, \
     compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
@@ -94,6 +94,21 @@ def test_decode_round_trip_has_no_leakage():
             amps, leakage = decode(layout, encode(spec, layout, bits))
             assert abs(amps[idx] - 1.0) < 1e-15
             assert abs(leakage) < 1e-15
+
+
+def test_decode_of_a_state_outside_the_code_sector_is_all_leakage():
+    layout = LogicalLayout(2)
+    for spec in both_classes(0.9):
+        # one particle too many: no code occupation is in the state's sector
+        sector = enumerate_sector(layout.m, layout.n_particles + 1, spec)
+        amps, leakage = decode(layout, StateVector.basis_state(sector, sector.basis[0]))
+        assert amps.tolist() == [0j] * 4
+        assert leakage == 1.0
+    # a state of the other class still reads its code occupations
+    state = encode(AnyonSpec.fermionic(0.9), layout, "10")
+    amps, leakage = decode(layout, StateVector(
+        enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(0.9)), state.amps))
+    assert amps.tolist() == [0j, 0j, 1 + 0j, 0j] and leakage == 0.0
 
 
 def test_beam_splitter_inside_a_pair_keeps_code_space():
@@ -427,6 +442,7 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
 def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
     layout = LogicalLayout(2)
     logical_unitary(AnyonSpec.bosonic(0.3), layout, [CP(1, 2)])
+    both_up = layout.code_occupation("11")
 
     def no_occupation(*args):
         raise AssertionError("code-space rows rebuilt")
@@ -435,3 +451,8 @@ def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
     for phi in (0.3, 2.9):
         got = logical_unitary(AnyonSpec.bosonic(phi), layout, [CP(1, 2)])
         assert np.max(np.abs(got - cp_mat(phi))) <= 1e-12
+        # decode reads the same record
+        sector = enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(phi))
+        out = evolve(compile_circuit(layout, [CP(1, 2)]), StateVector.basis_state(sector, both_up))
+        amps, _leak = decode(layout, out)
+        assert abs(amps[3] - cmath.exp(1j * phi)) <= 1e-12

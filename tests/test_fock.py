@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, EmptySectorError, enumerate_sector, number_expectation
-from anyonlin.fock import StateVector, _sector_cached, _shape_basis, apply_annihilate, \
-    apply_create, sector_dim, sign_eps, state_to_jsonable, vacuum_state
+from anyonlin.fock import PRUNE_EPS, StateVector, _sector_cached, _shape_basis, \
+    apply_annihilate, apply_create, sector_dim, sign_eps, vacuum_state
 from anyonlin.operators import annihilation_matrix, creation_matrix
 
 from conftest import PHI_GRID, both_classes, state_deviation
@@ -301,10 +301,35 @@ def test_invalid_mode_index_raises():
         apply_create(vacuum_state(2, spec), 3)
 
 
-def test_state_json_entries_follow_basis_order():
-    spec = AnyonSpec.bosonic(0.0)
-    sector = enumerate_sector(2, 2, spec)
-    st = StateVector(sector, {(0, 2): 0.6, (2, 0): 0.8})
-    doc = state_to_jsonable(st)
-    assert doc == [{"occ": [2, 0], "re": 0.8, "im": 0.0},
-                   {"occ": [0, 2], "re": 0.6, "im": 0.0}]
+def reference_from_vector(sector, vec):
+    """The per-basis-state comprehension ``from_vector`` once was."""
+    return {occ: complex(vec[pos]) for pos, occ in enumerate(sector.basis)
+            if abs(vec[pos]) > PRUNE_EPS}
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (5, 3), (6, 4), (11, 7)])
+def test_from_vector_keeps_basis_order_and_exact_values(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    for spec in both_classes(0.7):
+        sector = enumerate_sector(m, n, spec)
+        vec = np.zeros(sector.dim, dtype=np.complex128)
+        pos = rng.choice(sector.dim, size=min(sector.dim, 16), replace=False)
+        vec[pos] = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+        # dropped: |a| exactly PRUNE_EPS, just below it, NaN; kept: just above it
+        vec[pos[:4]] = [PRUNE_EPS, PRUNE_EPS * (1 - 2 ** -52), complex("nan+nanj"),
+                        PRUNE_EPS * (1 + 2 ** -52) * 1j]
+        got = StateVector.from_vector(sector, vec).amps
+        want = reference_from_vector(sector, vec)
+        assert list(got) == list(want)
+        assert [sector.index[occ] for occ in got] == sorted(sector.index[occ] for occ in got)
+        assert [(a.real.hex(), a.imag.hex()) for a in got.values()] == \
+            [(a.real.hex(), a.imag.hex()) for a in want.values()]
+        assert not {sector.basis[p] for p in pos[:3]} & set(got)
+        assert sector.basis[pos[3]] in got
+
+
+def test_from_vector_refuses_a_vector_of_another_length():
+    sector = enumerate_sector(3, 2, AnyonSpec.bosonic(0.4))
+    for shape in ((sector.dim - 1,), (sector.dim + 1,), (sector.dim, 1), ()):
+        with pytest.raises(ValueError, match="does not fit sector dim 6"):
+            StateVector.from_vector(sector, np.ones(shape, dtype=np.complex128))

@@ -1,0 +1,35 @@
+"""The repository's helper scripts under tools/."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text('''"""Module docstring
+over two lines."""
+
+# a comment
+import math  # a trailing comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def area(self, r):
+        """Function docstring."""
+        text = """a string that is
+        not a docstring"""
+        return math.pi * r * r, text
+''')
+    # import, class, def, the two-line string assignment and the return
+    assert load("code_lines").code_lines(source) == 6
