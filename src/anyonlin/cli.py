@@ -325,9 +325,17 @@ _GATES = {"rz": (Rz, ("q", "beta")), "rx": (Rx, ("q", "gamma")),
           "u1": (U1, ("q", "alpha", "beta", "gamma", "delta")), "cp": (CP, ("a", "b"))}
 
 
+def _integer(value, field: str) -> int:
+    """A whole-number field; a fraction, a bool or a string raises ValueError naming it."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
     try:
-        qubits = int(doc["qubits"])
+        qubits = _integer(doc["qubits"], "qubits")
         spec = AnyonSpec(ParticleClass(doc.get("class", "bosonic")), float(doc["phi"]))
         raw_gates = doc["gates"]
     except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -352,8 +360,8 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
         if missing:
             raise CliError(f"gate {pos}: missing fields {missing}")
         try:
-            gates.append(gate(*(int(entry[key]) if key in ("q", "a", "b") else angle(entry[key])
-                                for key in keys)))
+            gates.append(gate(*(_integer(entry[key], key) if key in ("q", "a", "b")
+                                else angle(entry[key]) for key in keys)))
         except (TypeError, ValueError, OverflowError) as err:
             raise CliError(f"gate {pos}: {err}") from None
     return spec, layout, gates

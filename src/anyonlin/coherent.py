@@ -217,9 +217,36 @@ def coherent_amplitudes(g: complex, n_max: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
+def _normalized(amps: np.ndarray, mean_name: str, mean: float) -> TruncatedState:
+    """``TruncatedState(amps).normalized()``, bit for bit, for the amplitudes
+    of a coherent input of mean occupation ``mean``.
+
+    When that mean is so far above the cutoff that the norm underflows
+    to 0, raises ValueError naming it as ``mean_name`` and the cutoff.
+    """
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        raise ValueError(f"{mean_name} = {mean:.6g} is too large for n_max = "
+                         f"{amps.shape[0] - 1}: the truncated amplitudes' norm underflows to 0")
+    return TruncatedState(amps / norm)
+
+
+def _on_mode(axis: np.ndarray, mode: int) -> np.ndarray:
+    """Two-mode amplitudes with the one-mode ``axis`` on ``mode`` (1, else 2)
+    and the other mode empty."""
+    vac = np.zeros(len(axis), dtype=np.complex128)
+    vac[0] = 1.0
+    return np.outer(axis, vac) if mode == 1 else np.outer(vac, axis)
+
+
 def coherent_state(g: complex, truncation: Truncation = Truncation()) -> TruncatedState:
-    """Single-mode coherent state, normalized after truncation."""
-    return TruncatedState(coherent_amplitudes(g, truncation.n_max)).normalized()
+    """Single-mode coherent state, normalized after truncation.
+
+    Raises ValueError when |g|^2 is so far above the cutoff that the
+    truncated amplitudes' norm underflows to 0 (above about 907 at
+    n_max = 40).
+    """
+    return _normalized(coherent_amplitudes(g, truncation.n_max), "|g|^2", abs(g) ** 2)
 
 
 def generalized_coherent_state(g: complex, rho, truncation: Truncation = Truncation()
@@ -228,13 +255,14 @@ def generalized_coherent_state(g: complex, rho, truncation: Truncation = Truncat
 
     The amplitude on |n> is e^{i rho_n} times the standard coherent one;
     any such state has c(n) = 1 at every order.  Missing trailing phases
-    are taken to be zero, so rho = [] reproduces ``coherent_state``.
+    are taken to be zero, so rho = [] reproduces ``coherent_state``, and
+    its ValueError past the norm's underflow.
     """
     base = coherent_amplitudes(g, truncation.n_max)
     phases = np.zeros(truncation.n_max + 1)
     rho = np.asarray(rho, dtype=np.float64)
     phases[: min(rho.size, phases.size)] = rho[: phases.size]
-    return TruncatedState(base * np.exp(1j * phases)).normalized()
+    return _normalized(base * np.exp(1j * phases), "|g|^2", abs(g) ** 2)
 
 
 def coherence_function(state: TruncatedState, mode: int, n: int) -> float:
@@ -351,20 +379,11 @@ def two_mode_family_state(family: CoherentFamily, spec: AnyonSpec,
         raise ValueError("coherent families are defined for bosonic anyons")
     n_max = truncation.n_max
     if isinstance(family, SingleMode):
-        axis = coherent_amplitudes(family.g, n_max)
-        vac = np.zeros(n_max + 1, dtype=np.complex128)
-        vac[0] = 1.0
-        state = TruncatedState(np.outer(axis, vac) if family.mode == 1 else np.outer(vac, axis))
-    else:
-        base = np.outer(coherent_amplitudes(family.u, n_max), coherent_amplitudes(family.v, n_max))
-        state = TruncatedState(base * _family_phase(family, spec.phi, n_max))
-    norm = state.norm()
-    if norm == 0.0:
-        single = isinstance(family, SingleMode)
-        mean = abs(family.g) ** 2 if single else abs(family.u) ** 2 + abs(family.v) ** 2
-        raise ValueError(f"{'|u|^2' if single else '|u|^2 + |v|^2'} = {mean:.6g} is too large "
-                         f"for n_max = {n_max}: the truncated amplitudes' norm underflows to 0")
-    return TruncatedState(state.amps / norm)
+        return _normalized(_on_mode(coherent_amplitudes(family.g, n_max), family.mode),
+                           "|u|^2", abs(family.g) ** 2)
+    base = np.outer(coherent_amplitudes(family.u, n_max), coherent_amplitudes(family.v, n_max))
+    return _normalized(base * _family_phase(family, spec.phi, n_max),
+                       "|u|^2 + |v|^2", abs(family.u) ** 2 + abs(family.v) ** 2)
 
 
 def evolve_family(family: CoherentFamily, network: Network, spec: AnyonSpec
@@ -501,14 +520,13 @@ def cat_closed_form(w: complex, truncation: Truncation = Truncation(),
 
     This is the two-branch resolution of a type-1 or type-2 profile at
     phi = pi, with the quarter roots of -1 on the principal branch.
+    Raises ValueError when |w|^2 is so far above the cutoff that the
+    norm underflows to 0.
     """
     n_max = truncation.n_max
     branch = (cmath.exp(1j * math.pi / 4.0) * coherent_amplitudes(-1j * w, n_max)
               - cmath.exp(3j * math.pi / 4.0) * coherent_amplitudes(1j * w, n_max))
-    vac = np.zeros(n_max + 1, dtype=np.complex128)
-    vac[0] = 1.0
-    amps = np.outer(branch, vac) if mode == 1 else np.outer(vac, branch)
-    return TruncatedState(amps).normalized()
+    return _normalized(_on_mode(branch, mode), "|w|^2", abs(w) ** 2)
 
 
 def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),

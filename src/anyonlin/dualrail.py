@@ -188,34 +188,13 @@ def _check_qubit(layout: LogicalLayout, qubit: int) -> None:
         raise CompileError(f"qubit {qubit} outside 1..{layout.num_qubits}")
 
 
-def _single_qubit_elements(layout: LogicalLayout, qubit: int, beta: float,
-                           gamma: float, delta: float) -> tuple[Element, ...]:
-    _check_qubit(layout, qubit)
-    lo, hi = layout.qubit_modes[qubit - 1]
-    return (
-        PhaseShifter(hi, delta),
-        BeamSplitter(lo, hi, -gamma / 2.0),
-        PhaseShifter(hi, beta),
-    )
-
-
 def compile_single_qubit(layout: LogicalLayout, qubit: int, alpha: float,
                          beta: float, gamma: float, delta: float) -> Network:
     """PS-BS-PS network realizing the ZXZ gate on one qubit pair.
 
     alpha only contributes a global phase and is dropped.
     """
-    return Network(layout.m, _single_qubit_elements(layout, qubit, beta, gamma, delta))
-
-
-def _cp_elements(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> tuple[Element, ...]:
-    _check_qubit(layout, qubit_a)
-    _check_qubit(layout, qubit_b)
-    if qubit_b != qubit_a + 1:
-        raise CompileError(
-            f"CP needs adjacent qubits sharing an auxiliary, got {qubit_a}, {qubit_b}")
-    # second mode of qubit_a, the auxiliary and first mode of qubit_b: 3a - 1 .. 3a + 1
-    return (Window(layout.qubit_modes[qubit_a - 1][1], build_braiding_network()),)
+    return compile_circuit(layout, [U1(qubit, alpha, beta, gamma, delta)])
 
 
 def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
@@ -228,23 +207,38 @@ def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
     raise CompileError: routing is out of scope, chain CPs or compile
     SWAPs explicitly.
     """
-    return Network(layout.m, _cp_elements(layout, qubit_a, qubit_b))
-
-
-def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, ...]:
-    if isinstance(gate, Rz):
-        return _single_qubit_elements(layout, gate.qubit, gate.beta, 0.0, 0.0)
-    if isinstance(gate, Rx):
-        return _single_qubit_elements(layout, gate.qubit, 0.0, gate.gamma, 0.0)
-    if isinstance(gate, U1):
-        return _single_qubit_elements(layout, gate.qubit, gate.beta, gate.gamma, gate.delta)
-    if isinstance(gate, CP):
-        return _cp_elements(layout, gate.qubit_a, gate.qubit_b)
-    raise CompileError(f"unknown gate {gate!r}")
+    return compile_circuit(layout, [CP(qubit_a, qubit_b)])
 
 
 def compile_gate(layout: LogicalLayout, gate: LogicalGate) -> Network:
-    return Network(layout.m, _gate_elements(layout, gate))
+    return compile_circuit(layout, [gate])
+
+
+def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, ...]:
+    """A CP's braid window, or a single-qubit gate's PS-BS-PS sandwich."""
+    if isinstance(gate, CP):
+        a, b = gate.qubit_a, gate.qubit_b
+        _check_qubit(layout, a)
+        _check_qubit(layout, b)
+        if b != a + 1:
+            raise CompileError(f"CP needs adjacent qubits sharing an auxiliary, got {a}, {b}")
+        # second mode of qubit a, the auxiliary and first mode of qubit b: 3a - 1 .. 3a + 1
+        return (Window(layout.qubit_modes[a - 1][1], build_braiding_network()),)
+    if isinstance(gate, Rz):
+        beta, gamma, delta = gate.beta, 0.0, 0.0
+    elif isinstance(gate, Rx):
+        beta, gamma, delta = 0.0, gate.gamma, 0.0
+    elif isinstance(gate, U1):
+        beta, gamma, delta = gate.beta, gate.gamma, gate.delta
+    else:
+        raise CompileError(f"unknown gate {gate!r}")
+    _check_qubit(layout, gate.qubit)
+    lo, hi = layout.qubit_modes[gate.qubit - 1]
+    return (
+        PhaseShifter(hi, delta),
+        BeamSplitter(lo, hi, -gamma / 2.0),
+        PhaseShifter(hi, beta),
+    )
 
 
 def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Network:

@@ -43,8 +43,7 @@ Two independent evolution paths are provided:
 
 ``_build_element_unitary`` diagonalizes an element's Hermitian generator
 on the whole sector and exponentiates it.  It is the dense oracle the
-tests compare both paths against; at run time only ``GOperator.matrix``
-uses it.
+tests compare both paths against; nothing at run time uses it.
 
 Agreement of the paths with each other and with the dense oracle is
 the core correctness theorem of this module.  The intermediate-mode
@@ -227,17 +226,15 @@ def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
     so its eigendecomposition gives the unitary to machine precision.  A
     window is the product of its placed elements' unitaries.
     """
-    if isinstance(element, Window):
-        mat = np.eye(sector.dim, dtype=np.complex128)
-        for el in element.placed():
-            mat = _build_element_unitary(sector, el) @ mat
-    elif isinstance(element, PhaseShifter):
-        mat = np.diag(np.exp(1j * element.tau * sector.occ[:, element.mode - 1]))
-    else:
-        i, j = element.mode_i, element.mode_j
-        gen = element.theta * (quadratic_matrix(sector, i, j) + quadratic_matrix(sector, j, i))
-        vals, vecs = np.linalg.eigh(gen)
-        mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    mat = np.eye(sector.dim, dtype=np.complex128)
+    for el in element.placed() if isinstance(element, Window) else (element,):
+        if isinstance(el, PhaseShifter):
+            mat = np.exp(1j * el.tau * sector.occ[:, el.mode - 1])[:, None] * mat
+        else:
+            i, j = el.mode_i, el.mode_j
+            gen = el.theta * (quadratic_matrix(sector, i, j) + quadratic_matrix(sector, j, i))
+            vals, vecs = np.linalg.eigh(gen)
+            mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T @ mat
     mat.setflags(write=False)
     return mat
 
@@ -598,11 +595,15 @@ class GOperator:
     theta: float
 
     def matrix(self, sector: FockSector) -> np.ndarray:
-        phi = sector.spec.phi
-        bs = _build_element_unitary(sector, BeamSplitter(self.i, self.j, self.theta))
-        j3 = (sector.occ[:, self.i - 1] - sector.occ[:, self.j - 1]) / 2.0
-        phase = np.exp(1j * self.n * phi * j3)
-        return (phase[:, None] * bs) * phase.conj()[None, :]
+        """The sector's identity run by the block kernel through the network
+        PS_i(-n phi/2), PS_j(n phi/2), BS_ij(theta), PS_i(n phi/2), PS_j(-n phi/2),
+        since J3 = (n_i - n_j) / 2."""
+        half = self.n * sector.spec.phi / 2.0
+        network = Network(sector.m, (
+            PhaseShifter(self.i, -half), PhaseShifter(self.j, half),
+            BeamSplitter(self.i, self.j, self.theta),
+            PhaseShifter(self.i, half), PhaseShifter(self.j, -half)))
+        return evolve_amplitudes(network, sector, np.eye(sector.dim))
 
 
 def propagate_algebraic(spec: AnyonSpec, network: Network,

@@ -66,8 +66,9 @@ def _ladder_map(m: int, n_total: int, fermionic: bool,
                 ladders: tuple[tuple[int, bool], ...]) -> tuple:
     """The phi-independent part of ``_ladder_matrix`` on the shape (m, n_total, class).
 
-    Returns the kept columns, their rows in the target shape (states sent
-    outside it are dropped) and, per ladder, the code s (n_total + 2) + k
+    Returns the kept columns, their rows in the target shape read from its
+    ``index`` (a state it does not hold, with a negative or, for fermions,
+    a doubled occupation, is dropped) and, per ladder, the code s (n_total + 2) + k
     of the (s, k) each entry shows the phase rule, with the distinct codes.
     """
     occ = _shape_basis(m, n_total, fermionic).occ
@@ -79,13 +80,8 @@ def _ladder_map(m: int, n_total: int, fermionic: bool,
         codes.append(new[:, : mode - 1].sum(axis=1) * (n_total + 2) + new[:, mode - 1])
         new[:, mode - 1] += 1 if create else -1
     n_target = n_total + sum(1 if create else -1 for _, create in ladders)
-    target = _shape_basis(m, n_target, fermionic).occ
-    both = np.concatenate((target, new))
-    order = np.lexsort(both.T[::-1])
-    # the sort is stable, so a target row sits just before the new state equal to it
-    hit = np.flatnonzero(np.all(np.diff(both[order], axis=0) == 0, axis=1)) + 1
-    rows = np.full(len(new), -1)
-    rows[order[hit] - len(target)] = order[hit - 1]
+    index = _shape_basis(m, n_target, fermionic).index
+    rows = np.array([index.get(row, -1) for row in map(tuple, new.tolist())], dtype=np.intp)
     keep &= rows >= 0
     codes = [code[keep] for code in codes]
     return np.flatnonzero(keep), rows[keep], tuple(

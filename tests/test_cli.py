@@ -245,6 +245,39 @@ def test_malformed_circuit_documents_exit_2(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"qubits": 2.8, "gates": []}, "bad circuit document: 'qubits' must be an integer, got 2.8"),
+    ({"qubits": True, "gates": []}, "bad circuit document: 'qubits' must be an integer, got True"),
+    ({"qubits": 2, "gates": [{"type": "rz", "q": 1.9, "beta": 0.1}]},
+     "gate 0: 'q' must be an integer, got 1.9"),
+    ({"qubits": 3, "gates": [{"type": "cp", "a": 1.2, "b": 2.7}]},
+     "gate 0: 'a' must be an integer, got 1.2"),
+    ({"qubits": 3, "gates": [{"type": "cp", "a": 1, "b": 2.7}]},
+     "gate 0: 'b' must be an integer, got 2.7"),
+    ({"qubits": 2, "gates": [{"type": "rx", "q": False, "gamma": 0.3}]},
+     "gate 0: 'q' must be an integer, got False"),
+])
+def test_non_integer_circuit_fields_exit_2_naming_the_field(tmp_path, capsys, doc, message):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"phi": 1.0, **doc}))
+    code, out = run_cli(["compile", "--circuit", str(circuit)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"anyonlin: {message}\n"
+
+
+def test_whole_number_circuit_fields_still_run(tmp_path):
+    circuit = tmp_path / "circuit.json"
+    outs = []
+    for qubits, a, b in ((2, 1, 2), (2.0, 1.0, 2.0)):
+        circuit.write_text(json.dumps({"qubits": qubits, "phi": 1.0,
+                                       "gates": [{"type": "cp", "a": a, "b": b}]}))
+        code, out = run_cli(["compile", "--circuit", str(circuit), "--input", "11"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_compile_haar_check_mode():
     code, out = run_cli(["compile", "--haar-check", "10", "--seed", "5"])
     assert code == 0

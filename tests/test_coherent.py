@@ -100,6 +100,37 @@ def test_coherent_states_have_full_coherence():
             assert abs(coherence_function(state, 1, n) - 1.0) < 1e-8
 
 
+def test_coherent_constructors_normalize_bit_for_bit_like_truncated_state():
+    rng = np.random.default_rng(17)
+    for n_max in (5, 40, 255):
+        tr = Truncation(n_max)
+        for g in rng.normal(scale=3.0, size=6) + 1j * rng.normal(scale=3.0, size=6):
+            rho = rng.uniform(0, 2 * math.pi, size=n_max + 1)
+            branch = (cmath.exp(1j * math.pi / 4) * coherent_amplitudes(-1j * g, n_max)
+                      - cmath.exp(3j * math.pi / 4) * coherent_amplitudes(1j * g, n_max))
+            vac = np.eye(n_max + 1, 1, dtype=complex)[:, 0]
+            pairs = [(coherent_state(g, tr), coherent_amplitudes(g, n_max)),
+                     (generalized_coherent_state(g, rho, tr),
+                      coherent_amplitudes(g, n_max) * np.exp(1j * rho)),
+                     (cat_closed_form(g, tr, mode=1), np.outer(branch, vac)),
+                     (cat_closed_form(g, tr, mode=2), np.outer(vac, branch))]
+            for got, amps in pairs:
+                assert got.amps.tobytes() == TruncatedState(amps).normalized().amps.tobytes()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: coherent_state(34, TR), "|g|^2"),
+    (lambda: generalized_coherent_state(34j, [0.5], TR), "|g|^2"),
+    (lambda: cat_closed_form(-34, TR), "|w|^2"),
+    (lambda: cat_closed_form(34, TR, mode=1), "|w|^2"),
+])
+def test_coherent_constructors_name_the_mean_when_the_norm_underflows(build, name):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == f"{name} = 1156 is too large for n_max = 40: " \
+                             "the truncated amplitudes' norm underflows to 0"
+
+
 def test_fock_state_second_order_coherence_vanishes():
     one = TruncatedState(np.eye(41)[1])
     assert coherence_function(one, 1, 2) == 0.0

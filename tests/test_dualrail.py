@@ -317,6 +317,26 @@ def test_compile_circuit_validates_one_network(monkeypatch):
     assert net.elements == per_gate
 
 
+def test_one_gate_compilers_are_compile_circuit_of_that_gate():
+    layout = LogicalLayout(3)
+    for qubit in (1, 2, 3):
+        assert compile_single_qubit(layout, qubit, 0.1, 0.2, -0.3, 0.4) \
+            == compile_circuit(layout, [U1(qubit, 0.1, 0.2, -0.3, 0.4)])
+        for gate in (Rz(qubit, 0.5), Rx(qubit, -0.7), U1(qubit, 0.0, 1.1, 2.2, 3.3)):
+            assert compile_gate(layout, gate) == compile_circuit(layout, [gate])
+    for a in (1, 2):
+        assert compile_cp(layout, a, a + 1) == compile_circuit(layout, [CP(a, a + 1)]) \
+            == compile_gate(layout, CP(a, a + 1))
+    for bad in ((1, 3), (2, 1), (3, 4), (0, 1)):
+        with pytest.raises(CompileError) as direct:
+            compile_cp(layout, *bad)
+        with pytest.raises(CompileError) as batched:
+            compile_circuit(layout, [CP(*bad)])
+        assert str(direct.value) == str(batched.value)
+    with pytest.raises(CompileError, match="qubit 4 outside 1..3"):
+        compile_single_qubit(layout, 4, 0.0, 0.0, 0.0, 0.0)
+
+
 def dense_logical_unitary(spec, layout, gates):
     """Every logical column through the dense oracle at once, then decoded."""
     n = layout.num_qubits

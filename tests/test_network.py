@@ -226,6 +226,21 @@ def test_g_operator_winding_zero_is_plain_beam_splitter():
     assert np.max(np.abs(GOperator(1, 2, 0, 0.5).matrix(sector) - bs)) < 1e-14
 
 
+def test_g_operator_matches_the_dense_dressed_beam_splitter():
+    # the dense formula e^{i n phi J3} BS_ij(theta) e^{-i n phi J3}, with the
+    # beam splitter from the oracle; the pairs (1, 3) and (4, 1) skip modes
+    theta = 0.7
+    for spec in both_classes(1.3):
+        sector = enumerate_sector(4, 2, spec)
+        for i, j in [(1, 2), (1, 3), (4, 1), (2, 4)]:
+            bs = _build_element_unitary(sector, BeamSplitter(i, j, theta))
+            j3 = (sector.occ[:, i - 1] - sector.occ[:, j - 1]) / 2.0
+            for wind in (0, 1, 3):
+                phase = np.exp(1j * wind * spec.phi * j3)
+                dense = (phase[:, None] * bs) * phase.conj()[None, :]
+                assert np.max(np.abs(GOperator(i, j, wind, theta).matrix(sector) - dense)) < 1e-13
+
+
 def test_braiding_network_structure():
     b = build_braiding_network()
     assert b.m == 3
