@@ -231,6 +231,11 @@ def _normalized(amps: np.ndarray, mean_name: str, mean: float) -> TruncatedState
     return TruncatedState(amps / norm)
 
 
+def _check_mode(mode: int) -> None:
+    if mode not in (1, 2):
+        raise ValueError("mode must be 1 or 2")
+
+
 def _on_mode(axis: np.ndarray, mode: int) -> np.ndarray:
     """Two-mode amplitudes with the one-mode ``axis`` on ``mode`` (1, else 2)
     and the other mode empty."""
@@ -344,8 +349,7 @@ class SingleMode:
     mode: int
 
     def __post_init__(self) -> None:
-        if self.mode not in (1, 2):
-            raise ValueError("mode must be 1 or 2")
+        _check_mode(self.mode)
 
 
 CoherentFamily = Union[ExactLess, ExactGreater, Type1, Type2, SingleMode]
@@ -520,9 +524,10 @@ def cat_closed_form(w: complex, truncation: Truncation = Truncation(),
 
     This is the two-branch resolution of a type-1 or type-2 profile at
     phi = pi, with the quarter roots of -1 on the principal branch.
-    Raises ValueError when |w|^2 is so far above the cutoff that the
-    norm underflows to 0.
+    Raises ValueError for a mode other than 1 or 2, and when |w|^2 is so
+    far above the cutoff that the norm underflows to 0.
     """
+    _check_mode(mode)
     n_max = truncation.n_max
     branch = (cmath.exp(1j * math.pi / 4.0) * coherent_amplitudes(-1j * w, n_max)
               - cmath.exp(3j * math.pi / 4.0) * coherent_amplitudes(1j * w, n_max))
@@ -536,7 +541,9 @@ def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),
     The mirror reflects the input onto the other mode (i u onto mode 2
     for a mode-1 input, -i u onto mode 1 for a mode-2 input), where
     phi = pi resolves it into the two branches of ``cat_closed_form``.
+    A mode other than 1 or 2 raises ValueError.
     """
+    _check_mode(mode)
     to_two, to_one = _mirror_reflections()
     w = to_two * u if mode == 1 else to_one * u
     return cat_closed_form(w, truncation, mode=2 if mode == 1 else 1)
@@ -557,7 +564,8 @@ def mirror_cat(u: complex, spec: AnyonSpec,
         raise ValueError("the two-branch cat form holds at phi = pi only")
     state = two_mode_family_state(SingleMode(u, mode), spec, truncation)
     evolved = evolve_truncated(state, mirror_network(), spec).normalized()
-    fidelity = evolved.fidelity(mirror_cat_reference(u, truncation, mode))
+    # both states are normalized, so the overlap alone gives the fidelity
+    fidelity = abs(evolved.overlap(mirror_cat_reference(u, truncation, mode))) ** 2
     if fidelity < 1.0 - 1e-8:
         raise ArithmeticError(
             f"mirror output missed the cat closed form: fidelity {fidelity!r}")

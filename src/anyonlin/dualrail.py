@@ -34,7 +34,7 @@ import numpy as np
 
 from .fock import AnyonSpec, StateVector, _shape_basis, enumerate_sector, number_expectation
 from .network import BeamSplitter, Element, Network, PhaseShifter, Window, \
-    build_braiding_network, evolve, evolve_amplitudes
+    _evolve_support, build_braiding_network, evolve
 
 __all__ = [
     "CompileError",
@@ -276,14 +276,16 @@ def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
                     gates: Sequence[LogicalGate]) -> np.ndarray:
     """2^n x 2^n matrix of the compiled circuit on the code space.
 
-    All 2^n encoded inputs go through the block kernel as one
-    (dim, 2^n) batch, and the code-space rows are read off directly.
+    All 2^n encoded inputs go through the block kernel as one batch on
+    the code rows, whose amplitudes are the identity; the kernel's state
+    holds only the rows the circuit reaches, led by the code rows in
+    binary order (which is sector order), and those are read off directly.
     """
     sector = enumerate_sector(layout.m, layout.n_particles, spec)
     _occupations, rows = _code_space(layout, spec.is_fermionic)
-    inputs = np.zeros((sector.dim, len(rows)), dtype=np.complex128)
-    inputs[rows, np.arange(len(rows))] = 1.0
-    return evolve_amplitudes(compile_circuit(layout, gates), sector, inputs)[rows]
+    _reached, state = _evolve_support(compile_circuit(layout, gates), sector, rows,
+                                      np.eye(len(rows)))
+    return state[:, :len(rows)].T.copy()
 
 
 def auxiliary_occupations(layout: LogicalLayout, state: StateVector) -> list[float]:

@@ -23,14 +23,18 @@ Two independent evolution paths are provided:
   such step too: its blocks are the states of equal occupations outside
   the window, and on the blocks of window total T it is the sub-network's
   unitary U_T on the small (width, T) sector, built once by running that
-  sector's identity through this same kernel and cached.  The kernel
-  keeps one mask of live sector rows, those nonzero in some batch column
-  of the input; a step multiplies only the blocks that hold a live row
-  and marks every row of them live.  Any other block holds exact zeros,
-  which a unitary maps to zeros, so skipping it is exact, not a
-  tolerance cut; phase shifters multiply the whole state.  ``evolve``
-  runs a ``StateVector`` through it, and so do the dual-rail circuits,
-  whose CP gates are each one window holding the braiding network.
+  sector's identity through this same kernel and cached.  The input's
+  support, the sector rows nonzero in some batch column, decides which
+  blocks are live: a step multiplies only the blocks that hold a live
+  row and marks every row of them live.  Any other block holds exact
+  zeros, which a unitary maps to zeros, so skipping it is exact, not a
+  tolerance cut.  That selection depends on the network's skeleton (its
+  modes, not its angles) and the support alone, so it is planned once
+  and cached; the state is then a (k, L) array over the L rows that ever
+  become live, and a phase shifter multiplies only the rows live before
+  it.  ``evolve`` runs a ``StateVector`` through it, and so do the
+  dual-rail circuits, whose CP gates are each one window holding the
+  braiding network.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -249,25 +253,28 @@ def evolve(network: Network, state: StateVector) -> StateVector:
     return StateVector.from_vector(state.sector, vec)
 
 
-#: Bytes that the kernel's cached gather records, eigenpair stacks and
-#: window unitary stacks may hold together.  The window stacks hold every
-#: fixed network's per-total unitaries: each CP braid's, and the band
-#: stacks of 16 shell unitaries of the cat path's two-mode networks.
+#: Bytes that the kernel's cached gather records, plans (with their
+#: support keys), eigenpair stacks and window unitary stacks may hold
+#: together.  The window stacks hold every fixed network's per-total
+#: unitaries: each CP braid's, and the band stacks of 16 shell unitaries
+#: of the cat path's two-mode networks.
 KERNEL_CACHE_BYTES = 256 * 2 ** 20
 
 
 class _ByteLRU:
-    """Tuples by key, held within ``budget`` bytes of their array fields.
+    """Tuples by (build, args) key, held within ``budget`` bytes of their arrays.
 
-    A value is sized by the ``nbytes`` of its read-only arrays; its other
-    fields are a few small ints.  When a new value would pass the budget,
-    the least recently used values are dropped first; a value larger than
-    the whole budget is built and returned but not kept.  ``entries`` maps
-    each key to its (value, size) pair and ``order`` lists the keys by the
-    id of that pair, least recent first, so a hit hashes its key once.
-    The lock guards the bookkeeping only: a build may look up other keys
-    (a window unitary is built through the kernel), and two threads that
-    miss one key both build it.
+    An entry is sized by the ``nbytes`` of its value's read-only arrays
+    plus the length of the byte strings among its key's args (a plan's
+    support); its other fields are small ints and tuples of them.  When a
+    new value would pass the budget, the least recently used values are
+    dropped first; a value larger than the whole budget is built and
+    returned but not kept.  ``entries`` maps each key to its (value,
+    size) pair and ``order`` lists the keys by the id of that pair, least
+    recent first, so a hit hashes its key once.  The lock guards the
+    bookkeeping only: a build may look up other keys (a window unitary
+    is built through the kernel), and two threads that miss one key both
+    build it.
     """
 
     def __init__(self, budget: int):
@@ -284,7 +291,8 @@ class _ByteLRU:
                 self.order.move_to_end(id(hit))
                 return hit[0]
         value = build()
-        size = sum(arr.nbytes for arr in value if isinstance(arr, np.ndarray))
+        size = sum(arr.nbytes for arr in value if isinstance(arr, np.ndarray)) \
+            + sum(len(arg) for arg in key[1] if isinstance(arg, bytes))
         with self.lock:
             if size <= self.budget and key not in self.entries:
                 while self.held + size > self.budget:
@@ -488,8 +496,8 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
 def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray:
     """Each family of the gathered rows ``part`` times its matrix, column by column.
 
-    ``families`` holds (f, size, start, stop) as ``_live_blocks`` gives
-    them, and family f's matrix is the top-left size x size corner of
+    ``families`` holds (f, size, start, stop) as a plan step gives them,
+    and family f's matrix is the top-left size x size corner of
     ``stack[f]``, a padded stack as ``_pair_hops`` and
     ``_window_unitaries`` give it.  One (size x size) by (size x B) BLAS
     call per family and batch column, so every column meets the same
@@ -514,6 +522,136 @@ def _steps(elements, m: int):
             yield element
 
 
+def _skeleton(steps) -> tuple:
+    """Each step's mode for a phase shifter, else its ``_blocks`` (lo, hi, window)."""
+    return tuple(
+        step.mode if isinstance(step, PhaseShifter)
+        else (step.first, step.first + step.network.m - 1, True) if isinstance(step, Window)
+        else (*sorted((step.mode_i, step.mode_j)), False)
+        for step in steps)
+
+
+class _Plan(NamedTuple):
+    """What a network skeleton does on one input support, free of every angle.
+
+    ``rows`` lists the sector rows of the support-sized state in the
+    order they first become live: the support, sorted, then the rows of
+    each step's kept blocks that were not live before, so the rows live
+    before any step are a prefix.  ``steps`` holds one entry per step.
+    A phase shifter's is (width, first): its live prefix width and the
+    start of that prefix's occupations of its mode in ``codes``.  A beam
+    splitter's or window's is (start, stop, first, w_max, families,
+    totals): ``gathered[start:stop]`` holds the state positions of its
+    kept blocks' rows in ``_Blocks`` order, a pair's winding codes of
+    those rows run from ``winding[first]`` and w_max is the record's
+    largest, and ``families`` holds its kept families as (f, size,
+    start, stop), with f counted over ``totals``, the kept totals.  The
+    arrays are read-only.
+    """
+
+    rows: np.ndarray
+    gathered: np.ndarray
+    winding: np.ndarray
+    codes: np.ndarray
+    steps: tuple
+
+
+@_kernel_cached
+def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes) -> _Plan:
+    """The plan of a network skeleton (see ``_skeleton``) on a sector shape.
+
+    ``support`` holds the sorted intp sector rows nonzero in some input
+    column.  Each beam splitter or window keeps the blocks that hold a
+    live row and marks every row of them live, as ``_live_blocks`` does.
+    """
+    occ = _shape_basis(m, n_total, fermionic).occ
+    initial = np.frombuffer(support, dtype=np.intp)
+    live = np.zeros(len(occ), dtype=bool)
+    live[initial] = True
+    place = np.full(len(occ), -1)     # each live row's position in ``rows``
+    rows = np.empty(len(occ), dtype=np.intp)
+    width = len(initial)
+    rows[:width] = initial
+    place[initial] = np.arange(width)
+    gathered, winding, codes = ([np.empty(0, np.intp)] for _ in range(3))
+    steps = []
+    n_gathered = n_winding = n_codes = 0
+    for step in skeleton:
+        if isinstance(step, int):
+            codes.append(occ[rows[:width], step - 1])
+            steps.append((width, n_codes))
+            n_codes += width
+            continue
+        blocks = _blocks(m, n_total, fermionic, *step)
+        kept_rows, keep, kept = _live_blocks(blocks, live)
+        fresh = kept_rows[place[kept_rows] < 0]
+        rows[width:width + len(fresh)] = fresh
+        place[fresh] = np.arange(width, width + len(fresh))
+        width += len(fresh)
+        gathered.append(place[kept_rows])
+        if not step[2]:
+            winding.append(blocks.winding[keep])
+        families = tuple((pos, size, start, stop)
+                         for pos, (_f, size, start, stop) in enumerate(kept))
+        totals = tuple(blocks.totals[f] for f, *_span in kept)
+        steps.append((n_gathered, n_gathered + len(kept_rows), n_winding, blocks.w_max,
+                      families, totals))
+        n_gathered += len(kept_rows)
+        n_winding += 0 if step[2] else len(kept_rows)
+    arrays = [rows[:width].copy()] + [np.concatenate(parts) for parts in (gathered, winding, codes)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Plan(*arrays, tuple(steps))
+
+
+def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve the (len(support), k) amplitudes ``values`` of the sorted
+    sector rows ``support`` (every other row zero) through the network.
+
+    Returns the plan's rows and the (k, L) state over them, one row per
+    input column, so every column meets the same BLAS calls whatever the
+    batch width; the support leads the rows in its own order.
+    """
+    steps = tuple(_steps(network.elements, sector.m))
+    plan = _plan(sector.m, sector.n_total, sector.spec.is_fermionic, _skeleton(steps),
+                 np.asarray(support, dtype=np.intp).tobytes())
+    state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)
+    state[:, :len(support)] = values.T
+    # plan row r of input column c sits at flat[c * L + r]
+    flat = state.reshape(-1)
+    columns = len(plan.rows) * np.arange(len(state))[:, None]
+    # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
+    phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
+    for element, step in zip(steps, plan.steps):
+        if isinstance(element, PhaseShifter):
+            width, first = step
+            phases = _lookup_exp(element.tau, plan.codes[first:first + width], sector.n_total)
+            if width == 1:
+                # numpy would run one strided loop down the batch, whose complex
+                # multiply can round apart from a lone vector's loop of one
+                for row in state:
+                    row[:1] *= phases
+            else:
+                state[:, :width] *= phases
+            continue
+        start, stop, first, w_max, families, totals = step
+        if not families:
+            continue
+        where = plan.gathered[start:stop] + columns
+        if isinstance(element, Window):
+            stack, = _window_unitaries(element.network, sector.spec, totals)
+            flat[where] = _block_products(flat[where], stack, families)
+            continue
+        dress = _lookup_exp(phi, plan.winding[first:first + stop - start], w_max)
+        part = flat[where]
+        part *= dress.conj()
+        hopped = _block_products(part, _pair_hops(totals, element.theta), families)
+        hopped *= dress
+        flat[where] = hopped
+    return plan.rows, state
+
+
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
     """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
 
@@ -533,56 +671,31 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     cached per (sub-network, spec, totals).  A window as wide as the
     sector runs its elements in place instead, so no sector-sized U_T is
     built.  Each beam splitter or window is one gather of its live
-    blocks' rows, one matrix product per total over those blocks (one
-    BLAS call per batch column), and one scatter; nothing of size
-    dim x dim is built.  A block is live when one of its rows is nonzero
-    in some batch column, or was in a block an earlier step kept; the
-    other blocks hold exact zeros and stay zero, so skipping them is
-    exact.  Each batch column goes through the same arithmetic as a lone
-    vector, bit for bit, when the same blocks are live, which always
-    holds for inputs with no zero amplitude.
+    blocks' rows, one matrix product per kept total over those blocks
+    (one BLAS call per batch column), and one scatter; nothing of size
+    dim x dim is built.  A block is live when one of its rows is in the
+    support, nonzero in some batch column, or was in a block an earlier
+    step kept; the other blocks hold exact zeros and stay zero, so
+    skipping them is exact.  Which blocks are live, and where their rows
+    sit in the support-sized state, is a cached plan per network
+    skeleton and support, so a network of fresh angles on the same
+    support selects no block again; a phase shifter multiplies only the
+    rows live before it.  Rows that never become live read exactly +0.
+    Each batch column goes through the same arithmetic as a lone vector,
+    bit for bit, when it has the batch's zero rows, which always holds
+    for inputs with no zero amplitude.
     """
     if network.m != sector.m:
         raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
     amps = np.asarray(amps)
     if amps.ndim not in (1, 2) or amps.shape[0] != sector.dim:
         raise ValueError(f"amplitudes of shape {amps.shape} do not fit sector dim {sector.dim}")
-    # one row per input column, so every column meets the same BLAS calls
-    # whatever the batch width: a vector and a batch column agree bit for
-    # bit when the same blocks are live, as they are for dense inputs
-    state = np.array(amps.reshape(sector.dim, -1).T, dtype=np.complex128, order="C")
-    # sector row r of input column c sits at flat[c * dim + r]
-    flat = state.reshape(-1)
-    columns = sector.dim * np.arange(len(state))[:, None]
-    # rows that may be nonzero in some column; a phase shifter keeps zeros
-    live = state.any(axis=0)
-    shape = (sector.m, sector.n_total, sector.spec.is_fermionic)
-    # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
-    phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
-    for element in _steps(network.elements, sector.m):
-        if isinstance(element, PhaseShifter):
-            state *= _lookup_exp(element.tau, sector.occ[:, element.mode - 1], sector.n_total)
-            continue
-        window = isinstance(element, Window)
-        if window:
-            blocks = _blocks(*shape, element.first, element.modes[-1], True)
-        else:
-            blocks = _blocks(*shape, *sorted((element.mode_i, element.mode_j)), False)
-        rows, keep, families = _live_blocks(blocks, live)
-        if not families:
-            continue
-        where = rows + columns
-        if window:
-            stack, = _window_unitaries(element.network, sector.spec, blocks.totals)
-            flat[where] = _block_products(flat[where], stack, families)
-            continue
-        dress = _lookup_exp(phi, blocks.winding[keep], blocks.w_max)
-        part = flat[where]
-        part *= dress.conj()
-        hopped = _block_products(part, _pair_hops(blocks.totals, element.theta), families)
-        hopped *= dress
-        flat[where] = hopped
-    return np.ascontiguousarray(state.T).reshape(amps.shape)
+    batch = amps.reshape(sector.dim, -1)
+    support = np.flatnonzero(batch.any(axis=1))
+    rows, state = _evolve_support(network, sector, support, batch[support])
+    out = np.zeros((sector.dim, len(state)), dtype=np.complex128)
+    out[rows] = state.T
+    return out.reshape(amps.shape)
 
 
 @dataclass(frozen=True)

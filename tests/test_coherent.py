@@ -630,6 +630,19 @@ def test_mirror_cat_requires_phi_pi():
         mirror_cat(0.5, AnyonSpec.fermionic(math.pi), TR)
 
 
+@pytest.mark.parametrize("build", [
+    lambda mode: cat_closed_form(1.0, Truncation(5), mode=mode),
+    lambda mode: coherent.mirror_cat_reference(1.0, Truncation(5), mode=mode),
+    lambda mode: mirror_cat(1.0, AnyonSpec.bosonic(math.pi), Truncation(5), mode=mode),
+    lambda mode: SingleMode(1.0, mode),
+])
+@pytest.mark.parametrize("mode", [0, 3, 5, -1])
+def test_cat_constructors_refuse_a_mode_other_than_one_or_two(build, mode):
+    # every value but 1 once read as 2: mode 5 gave the mode-2 cat
+    with pytest.raises(ValueError, match="^mode must be 1 or 2$"):
+        build(mode)
+
+
 def test_cat_is_a_genuine_two_branch_superposition():
     # every shell keeps weight (the branch pair is +-u, not +-i u, so no
     # parity class cancels) yet no single coherent branch fits the state

@@ -8,8 +8,8 @@ import pytest
 
 from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
     decode, encode, enumerate_sector, evolve
-from anyonlin.dualrail import auxiliary_occupations, compile_circuit, compile_cp, \
-    compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
+from anyonlin.dualrail import _code_space, auxiliary_occupations, compile_circuit, \
+    compile_cp, compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
 from anyonlin import network as network_module
 from anyonlin.fock import StateVector
@@ -427,7 +427,7 @@ def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
         return real_evolve(network, sector, amps)
 
     # the kernel builds window unitaries through this module name; the
-    # circuit itself goes through dualrail's own binding
+    # circuit itself goes straight to ``_evolve_support``
     monkeypatch.setattr(network_module, "evolve_amplitudes", spy)
     network_module._KERNEL_CACHE.clear()
     for spec in both_classes(1.7):
@@ -457,6 +457,63 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
         shapes.clear()
         logical_unitary(spec, layout, gates)
         assert shapes[0] == (8, 8)
+
+
+def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
+    # the plan depends on the layout's skeleton and code rows, not on any
+    # angle: fresh U1 angles select no block again.  Qubit 1's pair holds
+    # one particle on every code row, so its beam splitter needs W_1 only
+    rng = np.random.default_rng(4)
+    layout = LogicalLayout(3)
+    selections, hop_totals = [], []
+    real_live, real_hops = network_module._live_blocks, network_module._pair_hops
+
+    def live_spy(blocks, live):
+        selections.append(len(blocks.rows))
+        return real_live(blocks, live)
+
+    def hops_spy(totals, theta):
+        hop_totals.append(totals)
+        return real_hops(totals, theta)
+
+    def gates():
+        return [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
+
+    monkeypatch.setattr(network_module, "_live_blocks", live_spy)
+    monkeypatch.setattr(network_module, "_pair_hops", hops_spy)
+    network_module._KERNEL_CACHE.clear()
+    for spec in both_classes(1.3):
+        logical_unitary(spec, layout, gates())
+        assert selections and hop_totals[0] == (1,)
+        selections.clear()
+        hop_totals.clear()
+        circuit = gates()
+        got = logical_unitary(spec, layout, circuit)
+        assert selections == [] and hop_totals[0] == (1,)
+        network_module._KERNEL_CACHE.clear()
+        assert logical_unitary(spec, layout, circuit).tobytes() == got.tobytes()
+        selections.clear()
+        hop_totals.clear()
+
+
+@pytest.mark.parametrize("qubits, reached, dim", [(3, 288, 792), (4, 3306, 19448)])
+def test_one_layer_circuit_runs_on_the_rows_it_reaches(qubits, reached, dim):
+    # a U1 on every qubit, then CP on every adjacent pair: the bosonic
+    # kernel state holds the code rows and the rows their kept blocks
+    # reach, not the whole sector
+    layout = LogicalLayout(qubits)
+    sector = enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(0.8))
+    assert sector.dim == dim
+    gates = [U1(q, 0.1, 0.2, 0.3, 0.4) for q in range(1, qubits + 1)]
+    gates += [CP(q, q + 1) for q in range(1, qubits)]
+    _occupations, code = _code_space(layout, False)
+    # binary order is sector order, so the code rows are a sorted support
+    assert (np.diff(code) > 0).all()
+    rows, state = network_module._evolve_support(compile_circuit(layout, gates), sector, code,
+                                                 np.eye(len(code)))
+    assert len(rows) == reached and state.shape == (len(code), reached)
+    assert (rows[:len(code)] == code).all()
+    assert state[:, :len(code)].T.tobytes() == logical_unitary(sector.spec, layout, gates).tobytes()
 
 
 def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):

@@ -554,6 +554,44 @@ def test_gather_records_are_held_by_bytes(monkeypatch):
     cache.clear()
 
 
+def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
+    # an entry counts its plan's arrays and its support key; a sweep of
+    # supports under a small budget evicts the first plan, whose rebuild
+    # is byte-identical and read-only like the first
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
+                      PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
+    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)))
+    assert skeleton == ((1, 4, False), (2, 4, True), 3, (2, 5, False), 1)
+
+    def plan(rows):
+        support = np.array(rows, dtype=np.intp).tobytes()
+        return network_module._plan(5, 3, False, skeleton, support), \
+            (network_module._plan.__wrapped__, (5, 3, False, skeleton, support))
+
+    first, key = plan([0, 7, 20])
+    arrays = first[:4]
+    assert all(not arr.flags.writeable for arr in arrays)
+    assert cache.entries[key][1] == sum(arr.nbytes for arr in arrays) + 3 * np.intp(0).nbytes
+    saved = [arr.copy() for arr in arrays]
+    monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
+    dim = enumerate_sector(5, 3, AnyonSpec.bosonic(0.0)).dim
+    for row in range(dim):
+        for other in range(row, dim, 5):
+            plan(sorted({row, other}))
+            assert cache.held == sum(size for _value, size in cache.entries.values())
+            assert cache.held <= cache.budget
+    assert key not in cache.entries
+    again, _key = plan([0, 7, 20])
+    assert again is not first and again.steps == first.steps
+    for arr, want in zip(again[:4], saved):
+        assert arr.dtype == want.dtype and arr.shape == want.shape
+        assert arr.tobytes() == want.tobytes()
+        assert not arr.flags.writeable
+    cache.clear()
+
+
 def test_block_kernel_rejects_mismatched_inputs():
     sector = enumerate_sector(3, 2, AnyonSpec.bosonic(0.5))
     with pytest.raises(ModeMismatchError):

@@ -94,13 +94,10 @@ def window_cases(draw, full_width):
 
 
 @st.composite
-def sparse_cases(draw):
-    """A class, phi, a network of m <= 6 modes holding a window, and a
-    one-hot or few-hot (dim, k) batch, k <= 4, that may hold a zero column.
-
-    For fermions the hot rows are often states that fill every mode of
-    the window, whose single-state block still takes a phase.
-    """
+def windowed_cases(draw):
+    """A class, phi, a network of m <= 6 modes holding a window of a random
+    sub-network, its sector of n >= 1 particles, and the window's first
+    mode and width."""
     spec = draw(specs())
     m = draw(st.integers(2, 6))
     width = draw(st.integers(1, m))
@@ -109,16 +106,40 @@ def sparse_cases(draw):
     around = draw(networks(m)).elements
     network = Network(m, around[:1] + (window,) + around[1:])
     n = draw(st.integers(1, m if spec.is_fermionic else 4))
-    sector = enumerate_sector(m, n, spec)
+    return network, enumerate_sector(m, n, spec), first, width
+
+
+@st.composite
+def sparse_cases(draw):
+    """A windowed network and sector (``windowed_cases``) and a one-hot or
+    few-hot (dim, k) batch, k <= 4, that may hold a zero column.
+
+    For fermions the hot rows are often states that fill every mode of
+    the window, whose single-state block still takes a phase.
+    """
+    network, sector, first, width = draw(windowed_cases())
     rows = np.arange(sector.dim)
     filled = np.all(sector.occ[:, first - 1:first - 1 + width] == 1, axis=1)
-    if spec.is_fermionic and filled.any() and draw(st.booleans()):
+    if sector.spec.is_fermionic and filled.any() and draw(st.booleans()):
         rows = rows[filled]
     batch = np.zeros((sector.dim, draw(st.integers(1, 4))), dtype=np.complex128)
     for col in range(batch.shape[1] - draw(st.sampled_from([0, 0, 0, 1]))):
         hot = draw(st.lists(st.sampled_from(rows.tolist()), min_size=1, max_size=3, unique=True))
         for row in hot:
             batch[row, col] = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0))
+    return network, sector, batch
+
+
+@st.composite
+def support_cases(draw):
+    """A windowed network and sector (``windowed_cases``) and a (dim, k)
+    batch, k <= 4, of Gaussian amplitudes on a random set of rows and
+    zeros on every other row of every column."""
+    network, sector, _first, _width = draw(windowed_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (sector.dim, draw(st.integers(1, 4)))
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    batch[rng.random(sector.dim) < draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))] = 0
     return network, sector, batch
 
 
@@ -254,7 +275,8 @@ def test_window_as_wide_as_the_sector_runs_in_place(case):
 @given(sparse_cases())
 def test_sparse_inputs_match_the_dense_oracle(case):
     # the kernel skips blocks that hold no amplitude; a lone vector may
-    # keep fewer blocks than the batch, so it meets BLAS calls of other
+    # have a smaller support than the batch, so its plan keeps fewer
+    # blocks and places its rows elsewhere: it meets BLAS calls of other
     # widths and agrees with its column to roundoff, not bit for bit
     network, sector, batch = case
     out = evolve_amplitudes(network, sector, batch)
@@ -262,6 +284,24 @@ def test_sparse_inputs_match_the_dense_oracle(case):
     for col in range(batch.shape[1]):
         vec = evolve_amplitudes(network, sector, batch[:, col])
         assert np.max(np.abs(vec - out[:, col])) <= 1e-15
+
+
+@PROPERTY
+@given(support_cases())
+def test_inputs_sharing_their_zero_rows_evolve_on_their_support(case):
+    # the columns share one support and so one plan: each meets the same
+    # arithmetic as a lone vector, and a row the plan never reaches is +0
+    network, sector, batch = case
+    out = evolve_amplitudes(network, sector, batch)
+    assert np.max(np.abs(out - dense_evolve(network, sector, batch))) <= 1e-12
+    for col in range(batch.shape[1]):
+        assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
+    support = np.flatnonzero(batch.any(axis=1))
+    rows, _state = network_module._evolve_support(network, sector, support, batch[support])
+    assert set(support) <= set(rows)
+    outside = np.ones(sector.dim, dtype=bool)
+    outside[rows] = False
+    assert not out[outside].view(np.uint8).any()
 
 
 @PROPERTY
