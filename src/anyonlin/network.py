@@ -28,13 +28,20 @@ Two independent evolution paths are provided:
   blocks are live: a step multiplies only the blocks that hold a live
   row and marks every row of them live.  Any other block holds exact
   zeros, which a unitary maps to zeros, so skipping it is exact, not a
-  tolerance cut.  That selection depends on the network's skeleton (its
-  modes, not its angles) and the support alone, so it is planned once
-  and cached; the state is then a (k, L) array over the L rows that ever
-  become live, and a phase shifter multiplies only the rows live before
-  it.  ``evolve`` runs a ``StateVector`` through it, and so do the
-  dual-rail circuits, whose CP gates are each one window holding the
-  braiding network.
+  tolerance cut.  A window whose U_T are diagonal on the totals its live
+  blocks hold, as the CP braid's are (every particle returns to its own
+  mode and picks up a phase), is a diagonal step instead: like a phase
+  shifter it multiplies each live row by a phase, read off U_T's
+  diagonal, and marks no row live.  Dropping U_T's off-diagonal roundoff,
+  at most 1e-14, is the only change that makes to the numbers.  That
+  selection depends on the network's skeleton (its modes, and each
+  window's sub-network and spec, not the angles around them) and the
+  support alone, so it is planned once and cached; the state is then a
+  (k, L) array over the L rows that ever become live, and a phase
+  shifter or diagonal window multiplies only the rows live before it.  ``evolve`` runs a
+  ``StateVector`` through it, and so do the dual-rail circuits, whose CP
+  gates are each one window holding the braiding network, so a
+  circuit's plan stays on its 2^n code rows at any depth.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -264,10 +272,12 @@ KERNEL_CACHE_BYTES = 256 * 2 ** 20
 class _ByteLRU:
     """Tuples by (build, args) key, held within ``budget`` bytes of their arrays.
 
-    An entry is sized by the ``nbytes`` of its value's read-only arrays
-    plus the length of the byte strings among its key's args (a plan's
-    support); its other fields are small ints and tuples of them.  When a
-    new value would pass the budget, the least recently used values are
+    An entry is sized by the ``_footprint`` of its key and value, their
+    arrays' buffers and headers and their tuples, numbers and byte
+    strings (a plan's support), plus ``_ENTRY_BYTES`` of bookkeeping, so
+    a plan of a tiny support, mostly Python objects, counts what it
+    holds; the networks and specs a key names are shared and not
+    counted.  When a new value would pass the budget, the least recently used values are
     dropped first; a value larger than the whole budget is built and
     returned but not kept.  ``entries`` maps each key to its (value,
     size) pair and ``order`` lists the keys by the id of that pair, least
@@ -291,8 +301,7 @@ class _ByteLRU:
                 self.order.move_to_end(id(hit))
                 return hit[0]
         value = build()
-        size = sum(arr.nbytes for arr in value if isinstance(arr, np.ndarray)) \
-            + sum(len(arg) for arg in key[1] if isinstance(arg, bytes))
+        size = _ENTRY_BYTES + _footprint(key) + _footprint(value)
         with self.lock:
             if size <= self.budget and key not in self.entries:
                 while self.held + size > self.budget:
@@ -308,6 +317,32 @@ class _ByteLRU:
             self.entries.clear()
             self.order.clear()
             self.held = 0
+
+
+#: The bookkeeping of one held entry: its slots in ``entries`` and
+#: ``order``, its (value, size) pair and the id that keys it in ``order``.
+_ENTRY_BYTES = 200
+
+
+def _footprint(obj) -> int:
+    """The bytes ``obj`` holds of its own, as ``_ByteLRU`` sizes an entry.
+
+    A tuple counts itself and what it holds, an array its header and
+    buffer, and an int or byte string itself, except the ints -5..256,
+    which CPython shares.  Anything else (a bool, a network, a spec, the
+    build function of a key) is shared with its callers and counts
+    nothing.
+    """
+    if isinstance(obj, tuple):
+        return sys.getsizeof(obj) + sum(map(_footprint, obj))
+    kind = type(obj)
+    if kind is int:
+        return 0 if -5 <= obj <= 256 else sys.getsizeof(obj)
+    if kind is bytes:
+        return sys.getsizeof(obj)
+    if kind is np.ndarray:
+        return sys.getsizeof(obj) + (0 if obj.base is None else obj.nbytes)
+    return 0
 
 
 _KERNEL_CACHE = _ByteLRU(KERNEL_CACHE_BYTES)
@@ -444,7 +479,11 @@ def _window_unitaries(network: Network, spec: AnyonSpec,
     block, the inside occupations lexicographically increasing, which on
     two modes is n_1 = 0..T.  Entry f of the one read-only stack holds
     U_T of T = totals[f] in its top-left dim_T x dim_T corner and zeros
-    elsewhere, padded like ``_pair_hops`` to the largest dim_T.
+    elsewhere, padded like ``_pair_hops`` to the largest dim_T.  A plan
+    reads the stack of the totals a window's live blocks hold; when no
+    off-diagonal entry passes ``_DIAGONAL_TOL`` the window runs as a
+    diagonal step on the stack's diagonal, dropping that roundoff, and
+    otherwise as one product per total.
     """
     smalls = [enumerate_sector(network.m, total, spec) for total in totals]
     top = max(small.dim for small in smalls)
@@ -470,8 +509,8 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
 
     ``live`` flags the sector rows that may be nonzero in some batch
     column.  A block with no live row holds exact zeros, which its
-    unitary maps to zeros, so the step skips it; every row of a kept
-    block is marked live.  Returns the kept entries of ``blocks.rows``,
+    unitary maps to zeros, so the step skips it; a dense step then marks
+    every row of a kept block live.  Returns the kept entries of ``blocks.rows``,
     the mask ``keep`` that picks them and the kept families as
     (f, size, start, stop): f is the family's place in
     ``blocks.families``, size its block size and start:stop its span in
@@ -484,7 +523,6 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
     hit[blocks.block[live[blocks.rows]]] = True
     keep = hit[blocks.block]
     rows = blocks.rows[keep]
-    live[rows] = True
     kept, stop = [], 0
     for f, (_total, size, first, last) in enumerate(blocks.families):
         start, stop = stop, stop + np.count_nonzero(keep[first:last])
@@ -522,31 +560,59 @@ def _steps(elements, m: int):
             yield element
 
 
-def _skeleton(steps) -> tuple:
-    """Each step's mode for a phase shifter, else its ``_blocks`` (lo, hi, window)."""
+def _skeleton(steps, spec: AnyonSpec) -> tuple:
+    """Each step's mode for a phase shifter, its ``_blocks`` (lo, hi, False)
+    for a beam splitter, and (lo, hi, True, sub-network, spec) for a window.
+
+    A window's entry holds what the plan's diagonal decision reads (see
+    ``_plan``), so a network without windows has an angle-free skeleton.
+    """
     return tuple(
         step.mode if isinstance(step, PhaseShifter)
-        else (step.first, step.first + step.network.m - 1, True) if isinstance(step, Window)
+        else (step.first, step.first + step.network.m - 1, True, step.network, spec)
+        if isinstance(step, Window)
         else (*sorted((step.mode_i, step.mode_j)), False)
         for step in steps)
 
 
+#: A window whose unitaries have no off-diagonal entry above this on the
+#: totals a plan reaches runs as a diagonal step; the CP braid's stay
+#: below 1.5e-15 on the totals 1..3 a code row reaches, and reach 1-2e-14
+#: only from T = 13 on.
+_DIAGONAL_TOL = 1e-14
+
+
+def _is_diagonal(stack: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the padded stack is at most ``_DIAGONAL_TOL``."""
+    off = np.abs(stack)
+    diag = np.arange(stack.shape[1])
+    off[:, diag, diag] = 0.0
+    return bool(off.max() <= _DIAGONAL_TOL)
+
+
 class _Plan(NamedTuple):
-    """What a network skeleton does on one input support, free of every angle.
+    """What a network skeleton does on one input support.
 
     ``rows`` lists the sector rows of the support-sized state in the
     order they first become live: the support, sorted, then the rows of
-    each step's kept blocks that were not live before, so the rows live
-    before any step are a prefix.  ``steps`` holds one entry per step.
-    A phase shifter's is (width, first): its live prefix width and the
-    start of that prefix's occupations of its mode in ``codes``.  A beam
-    splitter's or window's is (start, stop, first, w_max, families,
-    totals): ``gathered[start:stop]`` holds the state positions of its
-    kept blocks' rows in ``_Blocks`` order, a pair's winding codes of
-    those rows run from ``winding[first]`` and w_max is the record's
-    largest, and ``families`` holds its kept families as (f, size,
-    start, stop), with f counted over ``totals``, the kept totals.  The
-    arrays are read-only.
+    each dense step's kept blocks that were not live before, so the rows
+    live before any step are a prefix.  ``steps`` holds one entry per
+    step.  A diagonal step's is (width, first, totals): it multiplies
+    the live prefix of that width by a phase per row, read at the codes
+    ``codes[first:first + width]``.  For a phase shifter totals is ()
+    and the codes are the prefix's occupations of its mode.  For a
+    window whose unitaries U_T are diagonal on its kept totals
+    ``totals`` (see ``_plan``), a row's code is its family's place in
+    ``totals`` times the stack's padded width plus its rank inside its
+    block, and rows in no block (window total 0) hold the code past
+    every family.  A beam splitter's or other window's dense step is
+    (start, stop, first, w_max, families, totals): ``gathered[start:stop]``
+    holds the state positions of its kept blocks' rows in ``_Blocks``
+    order, a pair's winding codes of those rows run from
+    ``winding[first]`` and w_max is the record's largest, and
+    ``families`` holds its kept families as (f, size, start, stop), with
+    f counted over ``totals``, the kept totals.  The arrays are
+    read-only.
     """
 
     rows: np.ndarray
@@ -562,7 +628,12 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
 
     ``support`` holds the sorted intp sector rows nonzero in some input
     column.  Each beam splitter or window keeps the blocks that hold a
-    live row and marks every row of them live, as ``_live_blocks`` does.
+    live row (``_live_blocks``).  A window whose cached unitaries
+    (``_window_unitaries``) have no off-diagonal entry above
+    ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step and
+    marks no row live; this reads the totals the plan reaches only, so
+    the stack it builds is the one the run asks for.  Any other window,
+    and every beam splitter, marks every row of its kept blocks live.
     """
     occ = _shape_basis(m, n_total, fermionic).occ
     initial = np.frombuffer(support, dtype=np.intp)
@@ -578,26 +649,40 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
     n_gathered = n_winding = n_codes = 0
     for step in skeleton:
         if isinstance(step, int):
-            codes.append(occ[rows[:width], step - 1])
-            steps.append((width, n_codes))
-            n_codes += width
-            continue
-        blocks = _blocks(m, n_total, fermionic, *step)
-        kept_rows, keep, kept = _live_blocks(blocks, live)
-        fresh = kept_rows[place[kept_rows] < 0]
-        rows[width:width + len(fresh)] = fresh
-        place[fresh] = np.arange(width, width + len(fresh))
-        width += len(fresh)
-        gathered.append(place[kept_rows])
-        if not step[2]:
-            winding.append(blocks.winding[keep])
-        families = tuple((pos, size, start, stop)
-                         for pos, (_f, size, start, stop) in enumerate(kept))
-        totals = tuple(blocks.totals[f] for f, *_span in kept)
-        steps.append((n_gathered, n_gathered + len(kept_rows), n_winding, blocks.w_max,
-                      families, totals))
-        n_gathered += len(kept_rows)
-        n_winding += 0 if step[2] else len(kept_rows)
+            step_codes, totals = occ[rows[:width], step - 1], ()
+        else:
+            blocks = _blocks(m, n_total, fermionic, *step[:3])
+            kept_rows, keep, kept = _live_blocks(blocks, live)
+            totals = tuple(blocks.totals[f] for f, *_span in kept)
+            stack = _window_unitaries(*step[3:], totals)[0] if step[2] and kept else None
+            if stack is None or not _is_diagonal(stack):
+                live[kept_rows] = True
+                fresh = kept_rows[place[kept_rows] < 0]
+                rows[width:width + len(fresh)] = fresh
+                place[fresh] = np.arange(width, width + len(fresh))
+                width += len(fresh)
+                gathered.append(place[kept_rows])
+                if not step[2]:
+                    winding.append(blocks.winding[keep])
+                families = tuple((pos, size, start, stop)
+                                 for pos, (_f, size, start, stop) in enumerate(kept))
+                steps.append((n_gathered, n_gathered + len(kept_rows), n_winding,
+                              blocks.w_max, families, totals))
+                n_gathered += len(kept_rows)
+                n_winding += 0 if step[2] else len(kept_rows)
+                continue
+            # a live row's code is family place * padded width + rank in its
+            # block; a row in no block (window total 0) reads the code past all
+            top = stack.shape[1]
+            step_codes = np.full(width, len(kept) * top)
+            for pos, (_f, size, start, stop) in enumerate(kept):
+                span = kept_rows[start:stop]
+                rank = np.arange(stop - start) // ((stop - start) // size)
+                hot = live[span]
+                step_codes[place[span[hot]]] = pos * top + rank[hot]
+        codes.append(step_codes)
+        steps.append((width, n_codes, totals))
+        n_codes += width
     arrays = [rows[:width].copy()] + [np.concatenate(parts) for parts in (gathered, winding, codes)]
     for arr in arrays:
         arr.setflags(write=False)
@@ -614,8 +699,8 @@ def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
     batch width; the support leads the rows in its own order.
     """
     steps = tuple(_steps(network.elements, sector.m))
-    plan = _plan(sector.m, sector.n_total, sector.spec.is_fermionic, _skeleton(steps),
-                 np.asarray(support, dtype=np.intp).tobytes())
+    plan = _plan(sector.m, sector.n_total, sector.spec.is_fermionic,
+                 _skeleton(steps, sector.spec), np.asarray(support, dtype=np.intp).tobytes())
     state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)
     state[:, :len(support)] = values.T
     # plan row r of input column c sits at flat[c * L + r]
@@ -624,9 +709,14 @@ def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     for element, step in zip(steps, plan.steps):
-        if isinstance(element, PhaseShifter):
-            width, first = step
-            phases = _lookup_exp(element.tau, plan.codes[first:first + width], sector.n_total)
+        if len(step) == 3:     # a diagonal step (see ``_Plan``)
+            width, first, totals = step
+            codes = plan.codes[first:first + width]
+            if isinstance(element, PhaseShifter):
+                phases = _lookup_exp(element.tau, codes, sector.n_total)
+            else:
+                stack, = _window_unitaries(element.network, sector.spec, totals)
+                phases = np.append(stack.diagonal(axis1=1, axis2=2), 1.0)[codes]
             if width == 1:
                 # numpy would run one strided loop down the batch, whose complex
                 # multiply can round apart from a lone vector's loop of one
@@ -676,11 +766,16 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     dim x dim is built.  A block is live when one of its rows is in the
     support, nonzero in some batch column, or was in a block an earlier
     step kept; the other blocks hold exact zeros and stay zero, so
-    skipping them is exact.  Which blocks are live, and where their rows
-    sit in the support-sized state, is a cached plan per network
-    skeleton and support, so a network of fresh angles on the same
-    support selects no block again; a phase shifter multiplies only the
-    rows live before it.  Rows that never become live read exactly +0.
+    skipping them is exact.  A window whose U_T have no off-diagonal
+    entry above 1e-14 on the kept totals, such as the CP braid, is
+    instead a diagonal step like a phase shifter: it multiplies each
+    live row by its U_T's diagonal entry and keeps no other row, so it
+    differs from the product only by that dropped roundoff.  Which blocks
+    are live, and where their rows sit in the support-sized state, is a
+    cached plan per network skeleton and support, so a network of fresh
+    angles on the same support selects no block again; a diagonal step
+    multiplies only the rows live before it.  Rows that never become
+    live read exactly +0.
     Each batch column goes through the same arithmetic as a lone vector,
     bit for bit, when it has the batch's zero rows, which always holds
     for inputs with no zero amplitude.

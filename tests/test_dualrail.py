@@ -448,6 +448,10 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
         shapes.append(part.shape)
         return real_products(part, stack, families)
 
+    # the plan reads each CP window's unitaries on the totals 1..3 its code
+    # rows reach; built here, their small products stay out of the spy
+    for spec in both_classes(1.1):
+        network_module._window_unitaries(build_braiding_network(), spec, (1, 2, 3))
     monkeypatch.setattr(network_module, "_block_products", spy)
     layout = LogicalLayout(3)
     gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
@@ -496,11 +500,11 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
         hop_totals.clear()
 
 
-@pytest.mark.parametrize("qubits, reached, dim", [(3, 288, 792), (4, 3306, 19448)])
+@pytest.mark.parametrize("qubits, reached, dim", [(3, 8, 792), (4, 16, 19448)])
 def test_one_layer_circuit_runs_on_the_rows_it_reaches(qubits, reached, dim):
-    # a U1 on every qubit, then CP on every adjacent pair: the bosonic
-    # kernel state holds the code rows and the rows their kept blocks
-    # reach, not the whole sector
+    # a U1 on every qubit, then CP on every adjacent pair: each CP braid is
+    # a diagonal step and each U1's beam splitter meets pair total 1 only,
+    # so the bosonic kernel state holds the code rows, not the whole sector
     layout = LogicalLayout(qubits)
     sector = enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(0.8))
     assert sector.dim == dim
@@ -514,6 +518,31 @@ def test_one_layer_circuit_runs_on_the_rows_it_reaches(qubits, reached, dim):
     assert len(rows) == reached and state.shape == (len(code), reached)
     assert (rows[:len(code)] == code).all()
     assert state[:, :len(code)].T.tobytes() == logical_unitary(sector.spec, layout, gates).tobytes()
+
+
+@pytest.mark.parametrize("fermionic", [False, True])
+@pytest.mark.parametrize("layers", [1, 6])
+@pytest.mark.parametrize("qubits", [3, 4])
+def test_circuit_plan_stays_on_its_code_rows_at_any_depth(qubits, layers, fermionic):
+    # every particle of a CP braid returns to its own mode, so no layer
+    # adds a row to the plan: it holds the 2^n code rows at any depth
+    rng = np.random.default_rng(100 * qubits + layers)
+    phi = 1.3
+    spec = AnyonSpec.fermionic(phi) if fermionic else AnyonSpec.bosonic(phi)
+    layout = LogicalLayout(qubits)
+    gates = []
+    for _layer in range(layers):
+        gates += [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, qubits + 1)]
+        gates += [CP(q, q + 1) for q in range(1, qubits)]
+    sector = enumerate_sector(layout.m, layout.n_particles, spec)
+    _occupations, code = _code_space(layout, fermionic)
+    rows, state = network_module._evolve_support(compile_circuit(layout, gates), sector, code,
+                                                 np.eye(len(code)))
+    assert len(code) == 2 ** qubits and rows.tobytes() == code.tobytes()
+    got = state.T
+    assert got.tobytes() == logical_unitary(spec, layout, gates).tobytes()
+    want = circuit_oracle(gates, phi, qubits)
+    assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
 
 
 def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):

@@ -1,10 +1,12 @@
 """Optical elements, evolution, propagation identities, braiding."""
 
 import cmath
+import gc
 import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -505,10 +507,15 @@ def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch
         shapes.append(part.shape)
         return real_products(part, stack, families)
 
-    monkeypatch.setattr(network_module, "_block_products", spy)
     sub = Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8)))
     net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, sub), PhaseShifter(3, 0.2),
                       BeamSplitter(2, 5, -0.3)))
+    # the plan reads the window's unitaries on the totals 1 and 2 that the
+    # one-hot row's block reaches; built here, their small products stay
+    # out of the spy
+    for spec in both_classes(0.9):
+        network_module._window_unitaries(sub, spec, (1, 2))
+    monkeypatch.setattr(network_module, "_block_products", spy)
     for spec in both_classes(0.9):
         sector = enumerate_sector(5, 3, spec)
         for amps in (np.zeros(sector.dim), np.zeros((sector.dim, 3), dtype=complex)):
@@ -560,10 +567,12 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     # is byte-identical and read-only like the first
     cache = network_module._KERNEL_CACHE
     cache.clear()
-    net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
+    braid, spec = build_braiding_network(), AnyonSpec.bosonic(0.7)
+    net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, braid),
                       PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
-    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)))
-    assert skeleton == ((1, 4, False), (2, 4, True), 3, (2, 5, False), 1)
+    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)), spec)
+    # a window's entry holds what the plan's diagonal decision reads
+    assert skeleton == ((1, 4, False), (2, 4, True, braid, spec), 3, (2, 5, False), 1)
 
     def plan(rows):
         support = np.array(rows, dtype=np.intp).tobytes()
@@ -573,7 +582,13 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     first, key = plan([0, 7, 20])
     arrays = first[:4]
     assert all(not arr.flags.writeable for arr in arrays)
-    assert cache.entries[key][1] == sum(arr.nbytes for arr in arrays) + 3 * np.intp(0).nbytes
+    # the arrays' buffers and the support's bytes, and the Python objects
+    # of the plan and its key too, but not the network or spec it names
+    size = cache.entries[key][1]
+    assert size > sum(arr.nbytes for arr in arrays) + 3 * np.intp(0).nbytes
+    assert size == network_module._ENTRY_BYTES + network_module._footprint(key) \
+        + network_module._footprint(first)
+    assert network_module._footprint(braid) == network_module._footprint(spec) == 0
     saved = [arr.copy() for arr in arrays]
     monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
     dim = enumerate_sector(5, 3, AnyonSpec.bosonic(0.0)).dim
@@ -590,6 +605,110 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
     cache.clear()
+
+
+def test_kernel_cache_counts_the_objects_of_its_plans():
+    # a plan of a tiny support is mostly Python objects: over a sweep of
+    # distinct two-row supports, the traced heap grows by about what the
+    # cache says it holds, the window stacks those plans build included
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    spec = AnyonSpec.bosonic(0.3)
+    net = Network(6, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
+                      PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
+    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 6)), spec)
+    dim = enumerate_sector(6, 3, spec).dim
+    # the whole sector as a support builds the records and small sectors
+    network_module._plan(6, 3, False, skeleton, np.arange(dim).tobytes())
+    supports = [np.array(pair, dtype=np.intp).tobytes()
+                for pair in itertools.combinations(range(dim), 2)]
+    assert len(supports) == 1540
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced, held = tracemalloc.get_traced_memory()[0], cache.held
+        for support in supports:
+            network_module._plan(6, 3, False, skeleton, support)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+    counted = cache.held - held
+    assert counted / 1.5 <= grown <= 1.5 * counted
+    cache.clear()
+
+
+@pytest.mark.parametrize("sub, diagonal", [
+    (build_braiding_network(), True),
+    (Network(3, (PhaseShifter(1, 0.3), PhaseShifter(3, -1.2), PhaseShifter(1, 2.0))), True),
+    (Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8))), False),
+])
+def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, diagonal):
+    # a diagonal window multiplies the rows live before it and adds none;
+    # any other window gathers its kept blocks and marks their rows live
+    rng = np.random.default_rng(3)
+    net = Network(5, (PhaseShifter(2, 0.4), Window(2, sub), BeamSplitter(1, 2, 0.6)))
+    for spec in both_classes(0.9):
+        sector = enumerate_sector(5, 3, spec)
+        support = np.sort(rng.choice(sector.dim, size=3, replace=False))
+        batch = np.zeros((sector.dim, 2), dtype=complex)
+        batch[support] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)), spec)
+        plan = network_module._plan(5, 3, spec.is_fermionic, skeleton, support.tobytes())
+        window_step = plan.steps[1]
+        record = network_module._blocks(5, 3, spec.is_fermionic, 2, 4, True)
+        live = np.zeros(sector.dim, dtype=bool)
+        live[support] = True
+        kept_rows, _keep, kept = network_module._live_blocks(record, live)
+        assert kept
+        if diagonal:
+            assert len(window_step) == 3 and window_step[0] == len(support)
+            assert window_step[2] == tuple(record.totals[f] for f, *_span in kept)
+        else:
+            assert len(window_step) == 6 and window_step[1] - window_step[0] == len(kept_rows)
+            assert set(kept_rows) <= set(plan.rows[:len(kept_rows) + len(support)])
+        reached = set(support) | (set() if diagonal else set(kept_rows))
+        # the beam splitter after the window marks its own blocks
+        assert reached <= set(plan.rows) and len(plan.rows) > len(support)
+        out = evolve_amplitudes(net, sector, batch)
+        assert np.max(np.abs(out - dense_evolve(net, sector, batch))) <= 1e-12
+        for col in range(2):
+            assert evolve_amplitudes(net, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
+    # alone, a diagonal window leaves the plan on its support; |2,1,0,0,0>
+    # shares its block of window total 1 with two other states
+    alone = Network(5, (Window(2, sub),))
+    sector = enumerate_sector(5, 3, AnyonSpec.bosonic(0.9))
+    one = np.array([sector.index[(2, 1, 0, 0, 0)]])
+    rows, _state = network_module._evolve_support(alone, sector, one, np.eye(1, dtype=complex))
+    assert len(rows) == (1 if diagonal else 3)
+
+
+@pytest.mark.parametrize("fermionic, phis, top", [
+    (False, (0.3, 0.7, 2.1, math.pi, 5.9), 12),
+    (True, (0.4, 2.3), 3),
+])
+def test_braid_unitaries_are_its_aharonov_bohm_phases(fermionic, phis, top):
+    # every particle returns to its own mode: U_T is diagonal with phases
+    # exp(i phi q), q = n1 n2 - n1 n3 + [n3(n3 - 1) - n2(n2 - 1)] / 2 and
+    # the bracket 0 for fermions.  On the totals 1..3 a code row reaches
+    # the off-diagonal roundoff (at most 1.45e-15 with numpy 2.4) stays five
+    # times below the kernel's 1e-14 decision, so a numpy or BLAS change
+    # that erodes that margin fails here
+    braid = build_braiding_network()
+    for phi in phis:
+        spec = AnyonSpec.fermionic(phi) if fermionic else AnyonSpec.bosonic(phi)
+        for total in range(1, top + 1):
+            stack, = network_module._window_unitaries(braid, spec, (total,))
+            small = enumerate_sector(3, total, spec)
+            n1, n2, n3 = small.occ[np.lexsort(small.occ.T[::-1])].T
+            bracket = 0 if fermionic else (n3 * (n3 - 1) - n2 * (n2 - 1)) // 2
+            mat = stack[0]
+            assert mat.shape == (small.dim, small.dim)
+            diagonal = np.diagonal(mat)
+            assert np.max(np.abs(diagonal - np.exp(1j * phi * (n1 * n2 - n1 * n3 + bracket)))) \
+                <= 6e-14
+            if total <= 3:
+                assert np.max(np.abs(mat - np.diag(diagonal))) <= 2e-15
 
 
 def test_block_kernel_rejects_mismatched_inputs():
@@ -634,7 +753,7 @@ def test_kernel_cache_bookkeeping_holds_under_threads(monkeypatch):
     # update would leave ``held`` off the sum of what the cache holds
     cache = network_module._KERNEL_CACHE
     cache.clear()
-    monkeypatch.setattr(cache, "budget", 1000)   # two or three tiny stacks
+    monkeypatch.setattr(cache, "budget", 2500)   # one to three tiny stacks of 0.7-1.6 KB each
     errors = []
 
     def work(offset):
@@ -671,7 +790,9 @@ def test_window_unitaries_are_cached_and_evicted_by_bytes(monkeypatch):
     stack, = first
     assert stack.shape == (3, 10, 10) and not stack.flags.writeable
     assert network_module._window_unitaries(braid, spec, (1, 2, 3)) is first
-    monkeypatch.setattr(cache, "budget", stack.nbytes)
+    # room for one stack's entry: its buffer, its objects and its key's
+    key = (network_module._window_unitaries.__wrapped__, (braid, spec, (1, 2, 3)))
+    monkeypatch.setattr(cache, "budget", cache.entries[key][1])
     for phi in (0.1, 0.2, 0.3):
         network_module._window_unitaries(braid, AnyonSpec.bosonic(phi), (1, 2, 3))
         assert cache.held <= cache.budget

@@ -144,6 +144,28 @@ def support_cases(draw):
 
 
 @st.composite
+def braided_cases(draw):
+    """A class, phi, a network of 3 <= m <= 6 modes holding one or two
+    braiding-network windows among random elements, its sector, and a
+    (dim, k) batch, k <= 4, of Gaussian amplitudes on a random set of
+    rows and zeros on every other row of every column."""
+    spec = draw(specs())
+    m = draw(st.integers(3, 6))
+    elements = list(draw(networks(m)).elements)
+    windows = []
+    for _ in range(draw(st.integers(1, 2))):
+        windows.append(Window(draw(st.integers(1, m - 2)), build_braiding_network()))
+        elements.insert(draw(st.integers(0, len(elements))), windows[-1])
+    n = draw(st.integers(1, m if spec.is_fermionic else 4))
+    sector = enumerate_sector(m, n, spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (sector.dim, draw(st.integers(1, 4)))
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    batch[rng.random(sector.dim) < draw(st.sampled_from([0.2, 0.5, 0.9]))] = 0
+    return Network(m, tuple(elements)), Network(m, tuple(windows)), sector, batch
+
+
+@st.composite
 def truncated_cases(draw):
     """A bosonic phi, a two-mode network that often holds a window, and a
     two-mode state of cutoff n_max <= 12.
@@ -302,6 +324,26 @@ def test_inputs_sharing_their_zero_rows_evolve_on_their_support(case):
     outside = np.ones(sector.dim, dtype=bool)
     outside[rows] = False
     assert not out[outside].view(np.uint8).any()
+
+
+@PROPERTY
+@given(braided_cases())
+def test_braid_windows_run_as_diagonal_steps(case):
+    # each braid window narrower than the sector is a diagonal step: it
+    # adds no row to the plan, and dropping its off-diagonal roundoff keeps
+    # the dense oracle's result; the columns share one plan, so each is
+    # its lone vector's bits.  A window as wide as the sector runs its
+    # beam splitters in place
+    network, windows, sector, batch = case
+    out = evolve_amplitudes(network, sector, batch)
+    assert np.max(np.abs(out - dense_evolve(network, sector, batch))) <= 1e-12
+    for col in range(batch.shape[1]):
+        assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
+    support = np.flatnonzero(batch.any(axis=1))
+    rows, state = network_module._evolve_support(windows, sector, support, batch[support])
+    assert rows.tobytes() == support.tobytes() or sector.m == 3
+    want = dense_evolve(windows, sector, batch)
+    assert np.max(np.abs(state.T - want[rows]), initial=0.0) <= 1e-12
 
 
 @PROPERTY
