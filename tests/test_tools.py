@@ -38,6 +38,6 @@ class Thing:
 def test_circuit_ladder_measures_a_plan_on_the_code_rows():
     # two qubits, six layers: the plan holds the 4 code rows of the
     # 35-state bosonic sector
-    case = load("circuit_ladder").measure(2, 6, 2)
+    case = load("circuit_ladder").measure(2, 6)
     assert (case["qubits"], case["layers"], case["dim"], case["plan_rows"]) == (2, 6, 35, 4)
     assert 0 < case["warm_s"] and 0 < case["cold_s"] and case["peak_rss_mb"] > 0

@@ -5,10 +5,10 @@ pair, at one bosonic phi.  For each qubit count and layer count the
 script runs one fresh interpreter, which reports the sector dimension,
 the rows of the kernel's plan for the circuit's 2^n code rows, the time
 of the first (cold, sector enumeration included) and the median of the
-later (warm, fresh angles each) ``logical_unitary`` calls, and its own
+next 20 (warm, fresh angles each) ``logical_unitary`` calls, and its own
 peak RSS.  It prints one JSON document.
 
-    python tools/circuit_ladder.py [--qubits 3 4 5] [--layers 1 6] [--warm-runs 20]
+    python tools/circuit_ladder.py [--qubits 3 4 5] [--layers 1 6]
 
 The package is imported as installed or from PYTHONPATH, so
 ``PYTHONPATH=<checkout>/src`` measures that checkout.  BLAS runs on one
@@ -30,9 +30,10 @@ import time
 import numpy as np
 
 PHI = 1.3
+WARM_RUNS = 20
 
 
-def measure(qubits: int, layers: int, warm_runs: int, seed: int = 0) -> dict:
+def measure(qubits: int, layers: int) -> dict:
     """One case, measured in this process."""
     from anyonlin import AnyonSpec, CP, LogicalLayout, U1
     from anyonlin.cli import haar_unitary
@@ -40,7 +41,7 @@ def measure(qubits: int, layers: int, warm_runs: int, seed: int = 0) -> dict:
     from anyonlin.fock import enumerate_sector
     from anyonlin.network import _evolve_support
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     spec = AnyonSpec.bosonic(PHI)
     layout = LogicalLayout(qubits)
 
@@ -55,7 +56,7 @@ def measure(qubits: int, layers: int, warm_runs: int, seed: int = 0) -> dict:
     logical_unitary(spec, layout, circuit())
     cold = time.perf_counter() - start
     warm = []
-    for _run in range(warm_runs):
+    for _run in range(WARM_RUNS):
         gates = circuit()
         start = time.perf_counter()
         logical_unitary(spec, layout, gates)
@@ -73,22 +74,18 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--layers", type=int, nargs="+", default=[1, 6])
-    parser.add_argument("--warm-runs", type=int, default=20)
     parser.add_argument("--case", type=int, nargs=2, metavar=("QUBITS", "LAYERS"),
                         help=argparse.SUPPRESS)   # one case in this process, as a child
     args = parser.parse_args(argv)
-    if args.warm_runs < 1:
-        parser.error("--warm-runs must be at least 1")
     if args.case:
-        print(json.dumps(measure(*args.case, args.warm_runs)))
+        print(json.dumps(measure(*args.case)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     cases = []
     for qubits in args.qubits:
         for layers in args.layers:
             child = subprocess.run(
-                [sys.executable, __file__, "--case", str(qubits), str(layers),
-                 "--warm-runs", str(args.warm_runs)],
+                [sys.executable, __file__, "--case", str(qubits), str(layers)],
                 env=env, check=True, capture_output=True, text=True)
             cases.append(json.loads(child.stdout))
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
