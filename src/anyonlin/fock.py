@@ -94,6 +94,13 @@ class AnyonSpec:
         phi %= _TWO_PI
         # a tiny negative phi reduces to 2 pi itself, which is phi = 0
         object.__setattr__(self, "phi", 0.0 if phi == _TWO_PI else phi)
+        # hash once, from numbers only, as FockSector does: kernel plan keys
+        # hash a spec per window on every call, and the enum's hash runs in
+        # Python; equal specs have equal (phi, class), so they hash equal
+        object.__setattr__(self, "_hash", hash((self.phi, self.is_fermionic)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def bosonic(cls, phi: float) -> "AnyonSpec":

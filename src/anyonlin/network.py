@@ -33,15 +33,19 @@ Two independent evolution paths are provided:
   mode and picks up a phase), is a diagonal step instead: like a phase
   shifter it multiplies each live row by a phase, read off U_T's
   diagonal, and marks no row live.  Dropping U_T's off-diagonal roundoff,
-  at most 1e-14, is the only change that makes to the numbers.  That
-  selection depends on the network's skeleton (its modes, and each
-  window's sub-network and spec, not the angles around them) and the
-  support alone, so it is planned once and cached; the state is then a
-  (k, L) array over the L rows that ever become live, and a phase
-  shifter or diagonal window multiplies only the rows live before it.  ``evolve`` runs a
-  ``StateVector`` through it, and so do the dual-rail circuits, whose CP
-  gates are each one window holding the braiding network, so a
-  circuit's plan stays on its 2^n code rows at any depth.
+  at most 1e-14, is the only change that makes to the numbers.  All of
+  this depends on the network's skeleton (its modes, and each window's
+  sub-network and spec, not the angles around them) and the support
+  alone, so it is planned once and cached, and the plan holds what each
+  step needs that no angle changes: a diagonal window's phase per row, a
+  beam splitter's hop eigenpairs and whether its kept rows wind at all
+  (a pair of adjacent modes holding at most one particle needs no
+  dress).  The state is then a (k, L) array over the L rows that ever
+  become live, and a phase shifter or diagonal window multiplies only
+  the rows live before it.  ``evolve`` runs a ``StateVector``'s support
+  through it, and so do the dual-rail circuits, whose CP gates are each
+  one window holding the braiding network, so a circuit's plan stays on
+  its 2^n code rows at any depth.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -52,9 +56,8 @@ Two independent evolution paths are provided:
   where G(n) = e^{i n phi J3} BS(t) e^{-i n phi J3} tracks the
   accumulated statistical winding and acts trivially on the vacuum.
 
-``_build_element_unitary`` diagonalizes an element's Hermitian generator
-on the whole sector and exponentiates it.  It is the dense oracle the
-tests compare both paths against; nothing at run time uses it.
+The tests hold a third, dense oracle that diagonalizes each element's
+Hermitian generator on the whole sector; nothing here uses it.
 
 Agreement of the paths with each other and with the dense oracle is
 the core correctness theorem of this module.  The intermediate-mode
@@ -78,6 +81,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .fock import (
+    PRUNE_EPS,
     AnyonSpec,
     FockSector,
     StateVector,
@@ -86,7 +90,6 @@ from .fock import (
     enumerate_sector,
     vacuum_state,
 )
-from .operators import quadratic_matrix
 
 __all__ = [
     "KERNEL_CACHE_BYTES",
@@ -230,35 +233,25 @@ class Network:
         return cls(doc["m"], tuple(elements))
 
 
-def _build_element_unitary(sector: FockSector, element: Element) -> np.ndarray:
-    """The element's dense unitary exp(i G) on the sector, built afresh, read-only.
-
-    Phase shifters are diagonal and exponentiated exactly; a beam
-    splitter's generator theta (chi†_i chi_j + chi†_j chi_i) is Hermitian,
-    so its eigendecomposition gives the unitary to machine precision.  A
-    window is the product of its placed elements' unitaries.
-    """
-    mat = np.eye(sector.dim, dtype=np.complex128)
-    for el in element.placed() if isinstance(element, Window) else (element,):
-        if isinstance(el, PhaseShifter):
-            mat = np.exp(1j * el.tau * sector.occ[:, el.mode - 1])[:, None] * mat
-        else:
-            i, j = el.mode_i, el.mode_j
-            gen = el.theta * (quadratic_matrix(sector, i, j) + quadratic_matrix(sector, j, i))
-            vals, vecs = np.linalg.eigh(gen)
-            mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T @ mat
-    mat.setflags(write=False)
-    return mat
-
-
 def evolve(network: Network, state: StateVector) -> StateVector:
     """Exact evolution of a state through the network on the block kernel.
 
-    Norm is preserved to roundoff since every factor is unitary on the
-    sector.  A network over another mode count raises ModeMismatchError.
+    The kernel runs on the state's nonzero amplitudes in sector order,
+    and the result keeps the entries above PRUNE_EPS in magnitude, keyed
+    in sector order, as ``StateVector.from_vector`` keeps them; no
+    (dim,) vector is built.  Norm is preserved to roundoff since every
+    factor is unitary on the sector.  A network over another mode count
+    raises ModeMismatchError.
     """
-    vec = evolve_amplitudes(network, state.sector, state.to_vector())
-    return StateVector.from_vector(state.sector, vec)
+    sector = state.sector
+    entries = sorted((sector.index[occ], amp) for occ, amp in state.amps.items() if amp != 0)
+    support = np.array([pos for pos, _amp in entries], dtype=np.intp)
+    values = np.array([amp for _pos, amp in entries], dtype=np.complex128)
+    rows, out = _evolve_support(network, sector, support, values[:, None])
+    keep = np.flatnonzero(np.abs(out[0]) > PRUNE_EPS)
+    keep = keep[np.argsort(rows[keep])]
+    return StateVector(sector, dict(zip(map(sector.basis.__getitem__, rows[keep].tolist()),
+                                        out[0, keep].tolist())))
 
 
 #: Bytes that the kernel's cached gather records, plans (with their
@@ -331,10 +324,12 @@ def _footprint(obj) -> int:
     buffer, and an int or byte string itself, except the ints -5..256,
     which CPython shares.  Anything else (a bool, a network, a spec, the
     build function of a key) is shared with its callers and counts
-    nothing.
+    nothing, and so does a ``_Hops`` record held inside a tuple: it is
+    the value of its own ``_pair_hop_eigh`` entry, which counts it, and
+    every plan step of its totals shares it.
     """
     if isinstance(obj, tuple):
-        return sys.getsizeof(obj) + sum(map(_footprint, obj))
+        return sys.getsizeof(obj) + sum(_footprint(x) for x in obj if type(x) is not _Hops)
     kind = type(obj)
     if kind is int:
         return 0 if -5 <= obj <= 256 else sys.getsizeof(obj)
@@ -377,13 +372,12 @@ class _Blocks(NamedTuple):
     order, so a block's entries are the equal values of ``block``.  For a
     pair, ``winding`` holds the integer k(k - 1)/2 + s k of each row,
     where k = n_lo and s counts the particles strictly between lo and
-    hi, and ``w_max`` is its largest value; a window has no winding.
+    hi; a window has no winding.
     The arrays are read-only.
     """
 
     rows: np.ndarray
     winding: np.ndarray
-    w_max: int
     block: np.ndarray
     families: tuple[tuple[int, int, int, int], ...]
     totals: tuple[int, ...]
@@ -430,12 +424,18 @@ def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
     arrays = [np.concatenate(parts) for parts in (rows, winding, block)]
     for arr in arrays:
         arr.setflags(write=False)
-    return _Blocks(arrays[0], arrays[1], int(arrays[1].max(initial=0)), arrays[2],
-                   tuple(families), tuple(family[0] for family in families))
+    return _Blocks(*arrays, tuple(families), tuple(family[0] for family in families))
+
+
+class _Hops(NamedTuple):
+    """Eigenvalue and eigenvector stacks of pair hops (see ``_pair_hop_eigh``)."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
 
 
 @_kernel_cached
-def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _pair_hop_eigh(totals: tuple[int, ...]) -> _Hops:
     """Eigenpairs of the phi = 0 pair hop for each pair total N in ``totals``.
 
     Entry f holds the eigenvalues of the hop of N = totals[f] on
@@ -459,12 +459,13 @@ def _pair_hop_eigh(totals: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
             np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     for arr in (vals, vecs):
         arr.setflags(write=False)
-    return vals, vecs
+    return _Hops(vals, vecs)
 
 
-def _pair_hops(totals: tuple[int, ...], theta: float) -> np.ndarray:
-    """W_N(theta) = exp(i theta hop_N) for each N in ``totals``, padded like ``_pair_hop_eigh``."""
-    vals, vecs = _pair_hop_eigh(totals)
+def _pair_hops(hops: _Hops, theta: float) -> np.ndarray:
+    """W_N(theta) = exp(i theta hop_N) for each N of the eigenpair stacks
+    ``hops``, as ``_pair_hop_eigh`` gives them and padded like them."""
+    vals, vecs = hops
     return (vecs * np.exp(1j * theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
 
@@ -525,7 +526,8 @@ def _live_blocks(blocks: _Blocks, live: np.ndarray):
     rows = blocks.rows[keep]
     kept, stop = [], 0
     for f, (_total, size, first, last) in enumerate(blocks.families):
-        start, stop = stop, stop + np.count_nonzero(keep[first:last])
+        # Python ints: a plan holds these spans, and ``_footprint`` sizes ints only
+        start, stop = stop, stop + int(np.count_nonzero(keep[first:last]))
         if stop > start:
             kept.append((f, size, start, stop))
     return rows, keep, kept
@@ -584,10 +586,7 @@ _DIAGONAL_TOL = 1e-14
 
 def _is_diagonal(stack: np.ndarray) -> bool:
     """Whether every off-diagonal entry of the padded stack is at most ``_DIAGONAL_TOL``."""
-    off = np.abs(stack)
-    diag = np.arange(stack.shape[1])
-    off[:, diag, diag] = 0.0
-    return bool(off.max() <= _DIAGONAL_TOL)
+    return bool(np.abs(stack - stack * np.eye(stack.shape[1])).max() <= _DIAGONAL_TOL)
 
 
 class _Plan(NamedTuple):
@@ -595,24 +594,26 @@ class _Plan(NamedTuple):
 
     ``rows`` lists the sector rows of the support-sized state in the
     order they first become live: the support, sorted, then the rows of
-    each dense step's kept blocks that were not live before, so the rows
+    each block step's kept blocks that were not live before, so the rows
     live before any step are a prefix.  ``steps`` holds one entry per
-    step.  A diagonal step's is (width, first, totals): it multiplies
-    the live prefix of that width by a phase per row, read at the codes
-    ``codes[first:first + width]``.  For a phase shifter totals is ()
-    and the codes are the prefix's occupations of its mode.  For a
-    window whose unitaries U_T are diagonal on its kept totals
-    ``totals`` (see ``_plan``), a row's code is its family's place in
-    ``totals`` times the stack's padded width plus its rank inside its
-    block, and rows in no block (window total 0) hold the code past
-    every family.  A beam splitter's or other window's dense step is
-    (start, stop, first, w_max, families, totals): ``gathered[start:stop]``
-    holds the state positions of its kept blocks' rows in ``_Blocks``
-    order, a pair's winding codes of those rows run from
-    ``winding[first]`` and w_max is the record's largest, and
-    ``families`` holds its kept families as (f, size, start, stop), with
-    f counted over ``totals``, the kept totals.  The arrays are
-    read-only.
+    step, everything about it that no angle changes.  A phase shifter's
+    is (width, first): it multiplies the live prefix of that width by
+    exp(i tau c) at the codes c = ``codes[first:first + width]``, the
+    prefix's occupations of its mode.  A window whose unitaries U_T are
+    diagonal on its kept totals (see ``_plan``) has (width, phases,
+    totals): ``phases`` holds, for each row of the prefix, its entry of
+    U_T's diagonal, or 1 for a row in no block (window total 0), and
+    ``totals`` the kept totals.  Any other window and every beam splitter is a
+    block step.  ``gathered[start:stop]`` holds the state positions of
+    its kept blocks' rows in ``_Blocks`` order, and ``families`` its kept
+    families as (f, size, start, stop), with f counted over its kept
+    totals.  A window's is (start, stop, families, totals).  A beam
+    splitter's is (start, stop, families, first, w_max, hops): the
+    winding codes of its kept rows run from ``winding[first]``, w_max is
+    their largest, 0 when no kept row winds (then the step has no dress
+    and no codes), and ``hops`` holds the ``_pair_hop_eigh`` eigenpairs
+    of its kept totals.  The arrays are read-only and every number is a
+    Python int.
     """
 
     rows: np.ndarray
@@ -630,10 +631,11 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
     column.  Each beam splitter or window keeps the blocks that hold a
     live row (``_live_blocks``).  A window whose cached unitaries
     (``_window_unitaries``) have no off-diagonal entry above
-    ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step and
-    marks no row live; this reads the totals the plan reaches only, so
-    the stack it builds is the one the run asks for.  Any other window,
-    and every beam splitter, marks every row of its kept blocks live.
+    ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step holding
+    their diagonal, and marks no row live; this reads the totals the
+    plan reaches only, so the stack it builds is the one the run would
+    ask for.  Any other window, and every beam splitter, marks every row
+    of its kept blocks live.
     """
     occ = _shape_basis(m, n_total, fermionic).occ
     initial = np.frombuffer(support, dtype=np.intp)
@@ -649,41 +651,45 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
     n_gathered = n_winding = n_codes = 0
     for step in skeleton:
         if isinstance(step, int):
-            step_codes, totals = occ[rows[:width], step - 1], ()
-        else:
-            blocks = _blocks(m, n_total, fermionic, *step[:3])
-            kept_rows, keep, kept = _live_blocks(blocks, live)
-            totals = tuple(blocks.totals[f] for f, *_span in kept)
-            stack = _window_unitaries(*step[3:], totals)[0] if step[2] and kept else None
-            if stack is None or not _is_diagonal(stack):
-                live[kept_rows] = True
-                fresh = kept_rows[place[kept_rows] < 0]
-                rows[width:width + len(fresh)] = fresh
-                place[fresh] = np.arange(width, width + len(fresh))
-                width += len(fresh)
-                gathered.append(place[kept_rows])
-                if not step[2]:
-                    winding.append(blocks.winding[keep])
-                families = tuple((pos, size, start, stop)
-                                 for pos, (_f, size, start, stop) in enumerate(kept))
-                steps.append((n_gathered, n_gathered + len(kept_rows), n_winding,
-                              blocks.w_max, families, totals))
-                n_gathered += len(kept_rows)
-                n_winding += 0 if step[2] else len(kept_rows)
-                continue
-            # a live row's code is family place * padded width + rank in its
-            # block; a row in no block (window total 0) reads the code past all
-            top = stack.shape[1]
-            step_codes = np.full(width, len(kept) * top)
+            codes.append(occ[rows[:width], step - 1])
+            steps.append((width, n_codes))
+            n_codes += width
+            continue
+        blocks = _blocks(m, n_total, fermionic, *step[:3])
+        kept_rows, keep, kept = _live_blocks(blocks, live)
+        totals = tuple(blocks.totals[f] for f, *_span in kept)
+        stack = _window_unitaries(*step[3:], totals)[0] if step[2] and kept else None
+        if stack is not None and _is_diagonal(stack):
+            # a live row's phase is its block's U_T diagonal at its rank in the
+            # block, and 1 in no block (window total 0)
+            phases = np.ones(width, dtype=np.complex128)
             for pos, (_f, size, start, stop) in enumerate(kept):
                 span = kept_rows[start:stop]
                 rank = np.arange(stop - start) // ((stop - start) // size)
                 hot = live[span]
-                step_codes[place[span[hot]]] = pos * top + rank[hot]
-        codes.append(step_codes)
-        steps.append((width, n_codes, totals))
-        n_codes += width
-    arrays = [rows[:width].copy()] + [np.concatenate(parts) for parts in (gathered, winding, codes)]
+                phases[place[span[hot]]] = stack[pos, rank[hot], rank[hot]]
+            phases.setflags(write=False)
+            steps.append((width, phases, totals))
+            continue
+        live[kept_rows] = True
+        fresh = kept_rows[place[kept_rows] < 0]
+        rows[width:width + len(fresh)] = fresh
+        place[fresh] = np.arange(width, width + len(fresh))
+        width += len(fresh)
+        gathered.append(place[kept_rows])
+        families = tuple((pos, *extent) for pos, (_f, *extent) in enumerate(kept))
+        head = (n_gathered, n_gathered + len(kept_rows), families)
+        n_gathered += len(kept_rows)
+        if step[2]:
+            steps.append((*head, totals))
+            continue
+        step_winding = blocks.winding[keep]
+        w_max = int(step_winding.max(initial=0))
+        if w_max:
+            winding.append(step_winding)
+        steps.append((*head, n_winding, w_max, _pair_hop_eigh(totals) if totals else None))
+        n_winding += len(step_winding) if w_max else 0
+    arrays = [rows[:width].copy(), *map(np.concatenate, (gathered, winding, codes))]
     for arr in arrays:
         arr.setflags(write=False)
     return _Plan(*arrays, tuple(steps))
@@ -696,8 +702,11 @@ def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
 
     Returns the plan's rows and the (k, L) state over them, one row per
     input column, so every column meets the same BLAS calls whatever the
-    batch width; the support leads the rows in its own order.
+    batch width; the support leads the rows in its own order.  A network
+    over another mode count raises ModeMismatchError.
     """
+    if network.m != sector.m:
+        raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
     steps = tuple(_steps(network.elements, sector.m))
     plan = _plan(sector.m, sector.n_total, sector.spec.is_fermionic,
                  _skeleton(steps, sector.spec), np.asarray(support, dtype=np.intp).tobytes())
@@ -709,44 +718,45 @@ def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
     # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     for element, step in zip(steps, plan.steps):
-        if len(step) == 3:     # a diagonal step (see ``_Plan``)
-            width, first, totals = step
-            codes = plan.codes[first:first + width]
-            if isinstance(element, PhaseShifter):
-                phases = _lookup_exp(element.tau, codes, sector.n_total)
-            else:
+        if isinstance(element, PhaseShifter):
+            width, first = step
+            phases = _lookup_exp(element.tau, plan.codes[first:first + width], sector.n_total)
+        elif len(step) == 3:     # a diagonal window (see ``_Plan``)
+            width, phases, _totals = step
+        else:
+            if not step[2]:      # no kept block
+                continue
+            where = plan.gathered[step[0]:step[1]] + columns
+            if isinstance(element, Window):
+                _start, _stop, families, totals = step
                 stack, = _window_unitaries(element.network, sector.spec, totals)
-                phases = np.append(stack.diagonal(axis1=1, axis2=2), 1.0)[codes]
-            if width == 1:
-                # numpy would run one strided loop down the batch, whose complex
-                # multiply can round apart from a lone vector's loop of one
-                for row in state:
-                    row[:1] *= phases
-            else:
-                state[:, :width] *= phases
+                flat[where] = _block_products(flat[where], stack, families)
+                continue
+            start, stop, families, first, w_max, hops = step
+            part = flat[where]
+            if w_max:
+                dress = _lookup_exp(phi, plan.winding[first:first + stop - start], w_max)
+                part *= dress.conj()
+            part = _block_products(part, _pair_hops(hops, element.theta), families)
+            if w_max:
+                part *= dress
+            flat[where] = part
             continue
-        start, stop, first, w_max, families, totals = step
-        if not families:
-            continue
-        where = plan.gathered[start:stop] + columns
-        if isinstance(element, Window):
-            stack, = _window_unitaries(element.network, sector.spec, totals)
-            flat[where] = _block_products(flat[where], stack, families)
-            continue
-        dress = _lookup_exp(phi, plan.winding[first:first + stop - start], w_max)
-        part = flat[where]
-        part *= dress.conj()
-        hopped = _block_products(part, _pair_hops(totals, element.theta), families)
-        hopped *= dress
-        flat[where] = hopped
+        if width == 1:
+            # numpy would run one strided loop down the batch, whose complex
+            # multiply can round apart from a lone vector's loop of one
+            for row in state:
+                row[:1] *= phases
+        else:
+            state[:, :width] *= phases
     return plan.rows, state
 
 
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
     """Evolve a (dim,) amplitude vector or a (dim, k) batch through the network.
 
-    Block kernel, an exact path independent of the dense oracle
-    ``_build_element_unitary``: a phase shifter multiplies each basis
+    Block kernel, an exact path independent of the tests' dense oracle:
+    a phase shifter multiplies each basis
     amplitude by exp(i tau n_i), looked up from the n + 1 values of n_i.
     BS_ij conserves n_i + n_j and leaves every other mode alone, so it
     splits into blocks of at most n + 1 states.  On a block of pair
@@ -780,8 +790,6 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     bit for bit, when it has the batch's zero rows, which always holds
     for inputs with no zero amplitude.
     """
-    if network.m != sector.m:
-        raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
     amps = np.asarray(amps)
     if amps.ndim not in (1, 2) or amps.shape[0] != sector.dim:
         raise ValueError(f"amplitudes of shape {amps.shape} do not fit sector dim {sector.dim}")
@@ -904,11 +912,10 @@ def single_particle_matrix(network: Network) -> np.ndarray:
     """
     mat = np.eye(network.m, dtype=np.complex128)
     for el in Window(1, network).placed():  # every window expanded
+        factor = np.eye(network.m, dtype=np.complex128)
         if isinstance(el, PhaseShifter):
-            factor = np.eye(network.m, dtype=np.complex128)
             factor[el.mode - 1, el.mode - 1] = cmath.exp(1j * el.tau)
         else:
-            factor = np.eye(network.m, dtype=np.complex128)
             a, b = el.mode_i - 1, el.mode_j - 1
             factor[a, a] = factor[b, b] = math.cos(el.theta)
             factor[a, b] = factor[b, a] = 1j * math.sin(el.theta)

@@ -14,7 +14,9 @@ import numpy as np
 from anyonlin import AnyonSpec
 from anyonlin.fock import StateVector, enumerate_sector
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
-from anyonlin.network import _build_element_unitary
+from anyonlin import network as network_module
+from anyonlin.network import PhaseShifter, Window
+from anyonlin.operators import quadratic_matrix
 
 # Exchange phases exercised across the suite; 0 is the standard limit.
 PHI_GRID = (0.0, math.pi / 5, math.pi / 2, math.pi, 7 * math.pi / 4)
@@ -27,6 +29,28 @@ def both_classes(phi):
     return AnyonSpec.bosonic(phi), AnyonSpec.fermionic(phi)
 
 
+def dense_unitary(sector, element):
+    """The element's dense unitary exp(i G) on the sector, built afresh, read-only.
+
+    The dense oracle: phase shifters are diagonal and exponentiated
+    exactly; a beam splitter's generator theta (chi†_i chi_j + chi†_j
+    chi_i) is Hermitian, so its eigendecomposition on the whole sector
+    gives the unitary to machine precision.  A window is the product of
+    its placed elements' unitaries.
+    """
+    mat = np.eye(sector.dim, dtype=np.complex128)
+    for el in element.placed() if isinstance(element, Window) else (element,):
+        if isinstance(el, PhaseShifter):
+            mat = np.exp(1j * el.tau * sector.occ[:, el.mode - 1])[:, None] * mat
+        else:
+            i, j = el.mode_i, el.mode_j
+            gen = el.theta * (quadratic_matrix(sector, i, j) + quadratic_matrix(sector, j, i))
+            vals, vecs = np.linalg.eigh(gen)
+            mat = (vecs * np.exp(1j * vals)) @ vecs.conj().T @ mat
+    mat.setflags(write=False)
+    return mat
+
+
 def dense_evolve(network, sector, amps):
     """Reference evolution: a (dim,) vector or (dim, k) batch times each
     element's dense sector unitary in turn.
@@ -36,8 +60,23 @@ def dense_evolve(network, sector, amps):
     independent paths.
     """
     for element in network.elements:
-        amps = _build_element_unitary(sector, element).dot(amps)
+        amps = dense_unitary(sector, element).dot(amps)
     return amps
+
+
+def kernel_plan(network, sector, support):
+    """The block kernel's cached plan of the network on the sorted sector rows ``support``."""
+    steps = tuple(network_module._steps(network.elements, sector.m))
+    return network_module._plan(sector.m, sector.n_total, sector.spec.is_fermionic,
+                                network_module._skeleton(steps, sector.spec),
+                                np.asarray(support, dtype=np.intp).tobytes())
+
+
+def beam_splitter_steps(network, sector, plan):
+    """The plan's steps of the network's beam splitters, in order."""
+    steps = network_module._steps(network.elements, sector.m)
+    return [step for element, step in zip(steps, plan.steps)
+            if isinstance(element, network_module.BeamSplitter)]
 
 
 def shellwise_oracle(state, network, spec):

@@ -12,10 +12,13 @@ from anyonlin.dualrail import _code_space, auxiliary_occupations, compile_circui
     compile_cp, compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
 from anyonlin import network as network_module
+from anyonlin import operators as operators_module
 from anyonlin.fock import StateVector
-from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_braiding_network
+from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_braiding_network, \
+    evolve_amplitudes
 
-from conftest import PHI_GRID, both_classes, dense_evolve, haar_unitary, phase_align
+from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, haar_unitary, \
+    kernel_plan, phase_align
 
 
 # dense 2x2 oracles, independent of the compiler's conventions
@@ -398,7 +401,7 @@ def test_circuit_paths_build_no_sector_matrix(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     real_eigh = np.linalg.eigh
-    monkeypatch.setattr(network_module, "_build_element_unitary", no_dense)
+    monkeypatch.setattr(operators_module, "quadratic_matrix", no_dense)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     network_module._KERNEL_CACHE.clear()
     layout = LogicalLayout(3)
@@ -466,7 +469,9 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
 def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     # the plan depends on the layout's skeleton and code rows, not on any
     # angle: fresh U1 angles select no block again.  Qubit 1's pair holds
-    # one particle on every code row, so its beam splitter needs W_1 only
+    # one particle on every code row, so its beam splitter needs W_1 only;
+    # the plan hands each beam splitter its eigenpairs, whose top eigenvalue
+    # on pair total N is N
     rng = np.random.default_rng(4)
     layout = LogicalLayout(3)
     selections, hop_totals = [], []
@@ -476,9 +481,9 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
         selections.append(len(blocks.rows))
         return real_live(blocks, live)
 
-    def hops_spy(totals, theta):
-        hop_totals.append(totals)
-        return real_hops(totals, theta)
+    def hops_spy(hops, theta):
+        hop_totals.append(tuple(int(round(top)) for top in hops[0].max(axis=1)))
+        return real_hops(hops, theta)
 
     def gates():
         return [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
@@ -543,6 +548,36 @@ def test_circuit_plan_stays_on_its_code_rows_at_any_depth(qubits, layers, fermio
     assert got.tobytes() == logical_unitary(spec, layout, gates).tobytes()
     want = circuit_oracle(gates, phi, qubits)
     assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("qubits", [2, 3, 4])
+def test_dual_rail_beam_splitters_run_without_a_dress(qubits):
+    # a U1's rails are adjacent (s = 0) and hold at most one particle
+    # (k <= 1), so no kept row winds: every beam-splitter step has w_max 0
+    # and the plan holds no winding code
+    rng = np.random.default_rng(30 + qubits)
+    layout = LogicalLayout(qubits)
+    gates = [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, qubits + 1)]
+    gates += [CP(q, q + 1) for q in range(1, qubits)] + [Rx(1, 0.4), Rz(qubits, -0.9)]
+    network = compile_circuit(layout, gates)
+    for spec in both_classes(1.1):
+        sector = enumerate_sector(layout.m, layout.n_particles, spec)
+        _occupations, code = _code_space(layout, spec.is_fermionic)
+        plan = kernel_plan(network, sector, code)
+        steps = beam_splitter_steps(network, sector, plan)
+        assert len(steps) == qubits + 2     # an Rz compiles to PS-BS(0)-PS too
+        assert all(len(step) == 6 and step[4] == 0 for step in steps)
+        assert len(plan.winding) == 0
+        if qubits > 2:
+            continue
+        # every column nonzero on every code row, so all meet the same plan
+        batch = np.zeros((sector.dim, 3), dtype=complex)
+        batch[code] = rng.normal(size=(len(code), 3)) + 1j * rng.normal(size=(len(code), 3))
+        out = evolve_amplitudes(network, sector, batch)
+        assert np.max(np.abs(out - dense_evolve(network, sector, batch))) <= 1e-12
+        for col in range(3):
+            assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == \
+                out[:, col].tobytes()
 
 
 def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):

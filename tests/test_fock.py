@@ -3,12 +3,14 @@
 import cmath
 import itertools
 import math
+import pickle
 from math import comb
 
 import numpy as np
 import pytest
 
-from anyonlin import AnyonSpec, EmptySectorError, enumerate_sector, number_expectation
+from anyonlin import AnyonSpec, EmptySectorError, ParticleClass, enumerate_sector, \
+    number_expectation
 from anyonlin.fock import PRUNE_EPS, StateVector, _sector_cached, _shape_basis, \
     apply_annihilate, apply_create, sector_dim, sign_eps, vacuum_state
 from anyonlin.operators import annihilation_matrix, creation_matrix
@@ -81,6 +83,22 @@ def test_phi_just_below_two_pi_folds_to_zero():
         assert spec == zero and hash(spec) == hash(zero)
     assert AnyonSpec.fermionic(-1e-20) == AnyonSpec.fermionic(0.0)
     assert 0.0 < AnyonSpec.bosonic(-1e-9).phi < 2 * math.pi
+
+
+def test_equal_specs_hash_equal():
+    # the hash is taken once, from numbers only, so a spec built from the
+    # class name, through a constructor or by unpickling keys the same entries
+    for phi in (0.0, 0.7, math.pi, 5.9):
+        for name, make in (("bosonic", AnyonSpec.bosonic), ("fermionic", AnyonSpec.fermionic)):
+            spec = make(phi)
+            twins = (AnyonSpec(name, phi), AnyonSpec(ParticleClass(name), np.float64(phi)),
+                     pickle.loads(pickle.dumps(spec)))
+            for twin in twins:
+                assert twin == spec and hash(twin) == hash(spec)
+            assert hash(spec) == hash((spec.phi, spec.is_fermionic))
+            assert len({spec, *twins}) == 1
+    assert AnyonSpec.bosonic(0.7) != AnyonSpec.fermionic(0.7)
+    assert len({AnyonSpec.bosonic(0.7), AnyonSpec.fermionic(0.7), AnyonSpec.bosonic(0.8)}) == 3
 
 
 def test_sector_cache_stays_bounded_over_a_phi_sweep():

@@ -17,11 +17,11 @@ from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, 
     single_particle_matrix
 from anyonlin import network as network_module
 from anyonlin.fock import EmptySectorError, StateVector, apply_create, vacuum_state
-from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, \
-    _build_element_unitary, evolve_amplitudes
+from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, evolve_amplitudes
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
-from conftest import PHI_GRID, both_classes, dense_evolve, state_deviation, states_close
+from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, dense_unitary, \
+    kernel_plan, state_deviation, states_close
 
 
 def test_element_validation():
@@ -35,7 +35,7 @@ def test_element_validation():
 
 def test_bs_zero_angle_is_identity():
     sector = enumerate_sector(3, 2, AnyonSpec.bosonic(1.9))
-    u = _build_element_unitary(sector, BeamSplitter(1, 3, 0.0))
+    u = dense_unitary(sector, BeamSplitter(1, 3, 0.0))
     assert np.max(np.abs(u - np.eye(sector.dim))) < 1e-14
 
 
@@ -44,7 +44,7 @@ def test_ps_is_diagonal_occupation_phase():
         sector = enumerate_sector(2, 2, spec) if not spec.is_fermionic \
             else enumerate_sector(3, 2, spec)
         tau = 1.234
-        u = _build_element_unitary(sector, PhaseShifter(1, tau))
+        u = dense_unitary(sector, PhaseShifter(1, tau))
         expected = np.diag([cmath.exp(1j * tau * occ[0]) for occ in sector.basis])
         assert np.max(np.abs(u - expected)) < 1e-14
 
@@ -55,7 +55,7 @@ def test_element_unitaries_are_unitary():
             sector = enumerate_sector(4, 2, spec)
             for el in (BeamSplitter(1, 4, 0.37), BeamSplitter(2, 3, -1.2),
                        PhaseShifter(3, 2.2)):
-                u = _build_element_unitary(sector, el)
+                u = dense_unitary(sector, el)
                 assert np.max(np.abs(u.conj().T @ u - np.eye(sector.dim))) <= ATOL_ALGEBRA
 
 
@@ -63,7 +63,7 @@ def test_balanced_bs_on_two_bosonic_anyons():
     # the two-anyon interference column: (i e^{i phi}/sqrt 2, 0, i/sqrt 2)
     for phi in PHI_GRID:
         sector = enumerate_sector(2, 2, AnyonSpec.bosonic(phi))
-        u = _build_element_unitary(sector, BeamSplitter(1, 2, math.pi / 4))
+        u = dense_unitary(sector, BeamSplitter(1, 2, math.pi / 4))
         col = u[:, sector.index[(1, 1)]]
         expected = np.array([1j * cmath.exp(1j * phi) / math.sqrt(2), 0.0,
                              1j / math.sqrt(2)])
@@ -224,7 +224,7 @@ def test_g_operator_propagation_identities_as_matrices():
 def test_g_operator_winding_zero_is_plain_beam_splitter():
     spec = AnyonSpec.bosonic(1.1)
     sector = enumerate_sector(2, 2, spec)
-    bs = _build_element_unitary(sector, BeamSplitter(1, 2, 0.5))
+    bs = dense_unitary(sector, BeamSplitter(1, 2, 0.5))
     assert np.max(np.abs(GOperator(1, 2, 0, 0.5).matrix(sector) - bs)) < 1e-14
 
 
@@ -235,7 +235,7 @@ def test_g_operator_matches_the_dense_dressed_beam_splitter():
     for spec in both_classes(1.3):
         sector = enumerate_sector(4, 2, spec)
         for i, j in [(1, 2), (1, 3), (4, 1), (2, 4)]:
-            bs = _build_element_unitary(sector, BeamSplitter(i, j, theta))
+            bs = dense_unitary(sector, BeamSplitter(i, j, theta))
             j3 = (sector.occ[:, i - 1] - sector.occ[:, j - 1]) / 2.0
             for wind in (0, 1, 3):
                 phase = np.exp(1j * wind * spec.phi * j3)
@@ -338,7 +338,7 @@ def test_window_acts_as_its_placed_elements():
     net = Network(6, (PhaseShifter(1, 0.3), win))
     assert np.max(np.abs(single_particle_matrix(net) - single_particle_matrix(flat))) <= 1e-15
     sector = enumerate_sector(6, 2, AnyonSpec.fermionic(0.9))
-    dense = _build_element_unitary(sector, win)
+    dense = dense_unitary(sector, win)
     assert not dense.flags.writeable
     want = dense_evolve(Network(6, shifted), sector, np.eye(sector.dim))
     assert np.max(np.abs(dense - want)) <= 1e-13
@@ -376,7 +376,7 @@ def test_block_kernel_matches_dense_unitary_on_every_ordered_pair():
                     for i, j in itertools.permutations(range(1, m + 1), 2):
                         el = BeamSplitter(i, j, theta)
                         dev = np.max(np.abs(kernel_unitary(sector, el)
-                                            - _build_element_unitary(sector, el)))
+                                            - dense_unitary(sector, el)))
                         worst = max(worst, float(dev))
     assert worst <= 1e-12
 
@@ -387,7 +387,7 @@ def test_block_kernel_long_range_pair_with_four_bosons():
         sector = enumerate_sector(6, 4, AnyonSpec.bosonic(phi))
         for i, j in ((6, 1), (2, 5)):
             el = BeamSplitter(i, j, -1.1)
-            dev = np.max(np.abs(kernel_unitary(sector, el) - _build_element_unitary(sector, el)))
+            dev = np.max(np.abs(kernel_unitary(sector, el) - dense_unitary(sector, el)))
             assert dev <= 1e-12
 
 
@@ -398,7 +398,7 @@ def test_block_kernel_on_vacuum_and_full_fermionic_sector():
                        enumerate_sector(4, 4, spec_f)):
             for el in (BeamSplitter(1, 3, 0.9), BeamSplitter(3, 2, 0.4), PhaseShifter(2, 0.6)):
                 dev = np.max(np.abs(kernel_unitary(sector, el)
-                                    - _build_element_unitary(sector, el)))
+                                    - dense_unitary(sector, el)))
                 assert dev <= 1e-12
 
 
@@ -462,7 +462,8 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
                 occ = enumerate_sector(m, n, spec).occ
                 for lo, hi in itertools.combinations(range(1, m + 1), 2):
                     blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
-                    got = network_module._lookup_exp(x, blocks.winding, blocks.w_max)
+                    got = network_module._lookup_exp(x, blocks.winding,
+                                                     int(blocks.winding.max(initial=0)))
                     want = np.exp(1j * x * blocks.winding.astype(float))
                     assert got.tobytes() == want.tobytes()
                 for mode in range(1, m + 1):
@@ -495,6 +496,63 @@ def test_block_kernel_batch_and_vector_match_spectral_evolve():
                         vec = evolve_amplitudes(net, sector, batch[:, col])
                         assert vec.shape == (sector.dim,)
                         assert vec.tobytes() == got[:, col].tobytes()
+
+
+def test_beam_splitter_across_an_occupied_mode_keeps_its_dress():
+    # BS(1, 3) across a particle on mode 2 (s = 1) winds its k = 1 rows,
+    # so its step keeps the dress and the plan holds its winding codes
+    rng = np.random.default_rng(12)
+    net = Network(3, (PhaseShifter(2, 0.3), BeamSplitter(1, 3, 0.7), PhaseShifter(1, -1.2)))
+    for phi in KERNEL_PHIS:
+        for spec in both_classes(phi):
+            sector = enumerate_sector(3, 2, spec)
+            support = np.array(sorted(sector.index[occ] for occ in ((1, 1, 0), (0, 1, 1))))
+            plan = kernel_plan(net, sector, support)
+            (step,) = beam_splitter_steps(net, sector, plan)
+            start, stop, _families, first, w_max, _hops = step
+            assert w_max == 1 and first == 0 and len(plan.winding) == stop - start == 2
+            batch = np.zeros((sector.dim, 3), dtype=complex)
+            batch[support] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            out = evolve_amplitudes(net, sector, batch)
+            assert np.max(np.abs(out - dense_evolve(net, sector, batch))) <= 1e-12
+            for col in range(3):
+                assert evolve_amplitudes(net, sector, batch[:, col]).tobytes() == \
+                    out[:, col].tobytes()
+
+
+def test_evolve_runs_on_the_state_support(monkeypatch):
+    # evolve hands the kernel the state's nonzero entries in sector order and
+    # keeps what from_vector would keep of the whole evolved vector, bit for
+    # bit, without building a (dim,) vector either way
+    rng = np.random.default_rng(5)
+    net = Network(4, (BeamSplitter(1, 4, 0.7), PhaseShifter(2, 1.9), BeamSplitter(3, 2, -0.4),
+                      Window(2, build_braiding_network())))
+    cases = []
+    for phi in KERNEL_PHIS:
+        for spec in both_classes(phi):
+            sector = enumerate_sector(4, 2, spec)
+            for size in (0, 1, 2, 4):
+                picks = rng.choice(sector.dim, size=size, replace=False)
+                amps = {sector.basis[p]: complex(*rng.normal(size=2)) for p in picks}
+                if amps:   # an explicit zero is no support row
+                    amps[next(iter(amps))] = 0j
+                cases.append(StateVector(sector, amps))
+    wants = [StateVector.from_vector(state.sector,
+                                     evolve_amplitudes(net, state.sector, state.to_vector()))
+             for state in cases]
+
+    def no_vector(*args):
+        raise AssertionError("(dim,) vector built")
+
+    monkeypatch.setattr(StateVector, "to_vector", no_vector)
+    monkeypatch.setattr(StateVector, "from_vector", no_vector)
+    for state, want in zip(cases, wants):
+        got = evolve(net, state)
+        assert list(got.amps) == list(want.amps)
+        assert np.array(list(got.amps.values())).tobytes() == \
+            np.array(list(want.amps.values())).tobytes()
+    with pytest.raises(ModeMismatchError):
+        evolve(Network(3, ()), cases[1])
 
 
 def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch):
@@ -553,12 +611,29 @@ def test_gather_records_are_held_by_bytes(monkeypatch):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
-    assert (again.w_max, again.families, again.totals) == \
-        (first.w_max, first.families, first.totals)
+    assert (again.families, again.totals) == (first.families, first.totals)
     # every record has one key: a keyword call fails instead of missing it
     with pytest.raises(TypeError):
         network_module._blocks(8, 5, False, 2, 7, window=False)
     cache.clear()
+
+
+def plan_leaves(obj):
+    """Every object a plan's nested tuples hold that is not itself a tuple."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from plan_leaves(item)
+    else:
+        yield obj
+
+
+def by_value(obj):
+    """Nested tuples with each array as its dtype, shape and bytes, so two plans compare."""
+    if isinstance(obj, tuple):
+        return tuple(map(by_value, obj))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    return obj
 
 
 def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
@@ -582,6 +657,19 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     first, key = plan([0, 7, 20])
     arrays = first[:4]
     assert all(not arr.flags.writeable for arr in arrays)
+    # a step's numbers are Python ints, which ``_footprint`` sizes (a numpy
+    # scalar would count 0), and the arrays it holds are read-only too
+    leaves = list(plan_leaves(first.steps))
+    assert not any(isinstance(leaf, np.generic) for leaf in leaves)
+    assert all(not leaf.flags.writeable for leaf in leaves if isinstance(leaf, np.ndarray))
+    # a beam splitter's eigenpairs are the shared value of their own
+    # ``_pair_hop_eigh`` entry, counted there and not again in the plan
+    sector = enumerate_sector(5, 3, spec)
+    for step in beam_splitter_steps(net, sector, first):
+        hops = step[5]
+        assert type(hops) is network_module._Hops
+        assert network_module._footprint((hops,)) == sys.getsizeof((hops,))
+        assert network_module._footprint(hops) > hops.vals.nbytes + hops.vecs.nbytes
     # the arrays' buffers and the support's bytes, and the Python objects
     # of the plan and its key too, but not the network or spec it names
     size = cache.entries[key][1]
@@ -599,7 +687,7 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
             assert cache.held <= cache.budget
     assert key not in cache.entries
     again, _key = plan([0, 7, 20])
-    assert again is not first and again.steps == first.steps
+    assert again is not first and by_value(again.steps) == by_value(first.steps)
     for arr, want in zip(again[:4], saved):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
@@ -638,6 +726,23 @@ def test_kernel_cache_counts_the_objects_of_its_plans():
     cache.clear()
 
 
+def assert_diagonal_phases(sub, sector, plan):
+    """The diagonal window step plan.steps[1] holds, for each live row, U_T's
+    diagonal entry at the row's rank in its block (the window occupations
+    lexicographically increasing, the small sector's order reversed), and 1
+    at window total 0."""
+    width, phases, totals = plan.steps[1]
+    stack, = network_module._window_unitaries(sub, sector.spec, totals)
+    want = np.ones(width, dtype=complex)
+    for pos, row in enumerate(plan.rows[:width]):
+        inside = tuple(sector.occ[row, 1:4].tolist())
+        if sum(inside):
+            small = enumerate_sector(3, sum(inside), sector.spec)
+            rank = small.dim - 1 - small.index[inside]
+            want[pos] = stack[totals.index(sum(inside)), rank, rank]
+    assert phases.tobytes() == want.tobytes() and not phases.flags.writeable
+
+
 @pytest.mark.parametrize("sub, diagonal", [
     (build_braiding_network(), True),
     (Network(3, (PhaseShifter(1, 0.3), PhaseShifter(3, -1.2), PhaseShifter(1, 2.0))), True),
@@ -664,8 +769,12 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
         if diagonal:
             assert len(window_step) == 3 and window_step[0] == len(support)
             assert window_step[2] == tuple(record.totals[f] for f, *_span in kept)
+            # bosonic |1,0,0,0,2> has window total 0, so its phase is 1
+            empty = [sector.index[occ] for occ in [(1, 0, 0, 0, 2)] if occ in sector]
+            for rows in (support, np.union1d(support, empty)):
+                assert_diagonal_phases(sub, sector, kernel_plan(net, sector, rows))
         else:
-            assert len(window_step) == 6 and window_step[1] - window_step[0] == len(kept_rows)
+            assert len(window_step) == 4 and window_step[1] - window_step[0] == len(kept_rows)
             assert set(kept_rows) <= set(plan.rows[:len(kept_rows) + len(support)])
         reached = set(support) | (set() if diagonal else set(kept_rows))
         # the beam splitter after the window marks its own blocks

@@ -18,6 +18,7 @@ from anyonlin import AnyonSpec, BeamSplitter, Network, PhaseShifter, Window, \
     build_braiding_network, evolve, evolve_amplitudes, propagate_algebraic, \
     single_particle_matrix  # noqa: E402
 from anyonlin import network as network_module  # noqa: E402
+from anyonlin import operators as operators_module  # noqa: E402
 from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
     evolve_truncated  # noqa: E402
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
@@ -279,7 +280,7 @@ def test_window_step_matches_the_dense_oracle(case):
 @PROPERTY
 @given(window_cases(full_width=True))
 def test_window_as_wide_as_the_sector_runs_in_place(case):
-    # no sector-sized matrix: neither the dense oracle nor a window unitary
+    # no sector-sized matrix: neither the dense generator nor a window unitary
     network, sector, amps = case
     dense = dense_evolve(network, sector, amps)
 
@@ -287,7 +288,7 @@ def test_window_as_wide_as_the_sector_runs_in_place(case):
         raise AssertionError("sector-sized matrix requested")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network_module, "_build_element_unitary", no_matrix)
+        patch.setattr(operators_module, "quadratic_matrix", no_matrix)
         patch.setattr(network_module, "_window_unitaries", no_matrix)
         kernel = evolve_amplitudes(network, sector, amps)
     assert np.max(np.abs(kernel - dense)) <= 1e-12
