@@ -27,14 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
 from .fock import AnyonSpec, StateVector, _shape_basis, enumerate_sector, number_expectation
-from .network import BeamSplitter, Element, Network, PhaseShifter, Window, \
-    _evolve_support, build_braiding_network, evolve
+from .network import BeamSplitter, Element, Network, PhaseShifter, Window, _Plan, \
+    _kernel_cached, _plan, _run, _split, build_braiding_network, evolve
 
 __all__ = [
     "CompileError",
@@ -214,6 +214,23 @@ def compile_gate(layout: LogicalLayout, gate: LogicalGate) -> Network:
     return compile_circuit(layout, [gate])
 
 
+def _gate_angles(gate: LogicalGate) -> tuple[float, ...]:
+    """The network angles of the gate's elements, in order: none for a CP's
+    braid window, (delta, -gamma / 2, beta) for a single-qubit gate's
+    PS-BS-PS sandwich of its ZXZ angles."""
+    if isinstance(gate, CP):
+        return ()
+    if isinstance(gate, Rz):
+        beta, gamma, delta = gate.beta, 0.0, 0.0
+    elif isinstance(gate, Rx):
+        beta, gamma, delta = 0.0, gate.gamma, 0.0
+    elif isinstance(gate, U1):
+        beta, gamma, delta = gate.beta, gate.gamma, gate.delta
+    else:
+        raise CompileError(f"unknown gate {gate!r}")
+    return delta, -gamma / 2.0, beta
+
+
 def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, ...]:
     """A CP's braid window, or a single-qubit gate's PS-BS-PS sandwich."""
     if isinstance(gate, CP):
@@ -224,21 +241,10 @@ def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, .
             raise CompileError(f"CP needs adjacent qubits sharing an auxiliary, got {a}, {b}")
         # second mode of qubit a, the auxiliary and first mode of qubit b: 3a - 1 .. 3a + 1
         return (Window(layout.qubit_modes[a - 1][1], build_braiding_network()),)
-    if isinstance(gate, Rz):
-        beta, gamma, delta = gate.beta, 0.0, 0.0
-    elif isinstance(gate, Rx):
-        beta, gamma, delta = 0.0, gate.gamma, 0.0
-    elif isinstance(gate, U1):
-        beta, gamma, delta = gate.beta, gate.gamma, gate.delta
-    else:
-        raise CompileError(f"unknown gate {gate!r}")
+    delta, theta, beta = _gate_angles(gate)
     _check_qubit(layout, gate.qubit)
     lo, hi = layout.qubit_modes[gate.qubit - 1]
-    return (
-        PhaseShifter(hi, delta),
-        BeamSplitter(lo, hi, -gamma / 2.0),
-        PhaseShifter(hi, beta),
-    )
+    return PhaseShifter(hi, delta), BeamSplitter(lo, hi, theta), PhaseShifter(hi, beta)
 
 
 def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Network:
@@ -259,7 +265,7 @@ def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
     return amps
 
 
-@lru_cache(maxsize=16)
+@_kernel_cached
 def _code_space(layout: LogicalLayout,
                 fermionic: bool) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """The code-space states |bits>_L, bits in binary order: their
@@ -272,20 +278,64 @@ def _code_space(layout: LogicalLayout,
     return occupations, rows
 
 
+def _split_circuit(gates: Sequence[LogicalGate]) -> tuple[tuple, list[float]]:
+    """The gates' signature and their network angles in element order.
+
+    The signature holds each gate's qubits, one for a single-qubit gate
+    and two for a CP: every single-qubit gate compiles to the same
+    PS-BS-PS skeleton, so the signature fixes the compiled network up to
+    its angles.
+    """
+    signature, angles = [], []
+    for gate in gates:
+        angles += _gate_angles(gate)
+        signature.append((gate.qubit_a, gate.qubit_b) if isinstance(gate, CP) else (gate.qubit,))
+    return tuple(signature), angles
+
+
+@_kernel_cached
+def _circuit_plan(layout: LogicalLayout, signature: tuple, spec: AnyonSpec) -> _Plan:
+    """The kernel plan of every circuit of this signature on the code rows.
+
+    Compiles the signature's circuit once, on zero angles, through
+    ``compile_circuit``, so every qubit and adjacency check runs; a
+    circuit that fails them raises and leaves nothing cached.  The plan
+    is built for this entry alone and counted in it.
+    """
+    gates = [CP(*qubits) if len(qubits) == 2 else U1(*qubits, 0.0, 0.0, 0.0, 0.0)
+             for qubits in signature]
+    skeleton, _angles = _split(compile_circuit(layout, gates), spec)
+    _occupations, rows = _code_space(layout, spec.is_fermionic)
+    return _plan.__wrapped__(layout.m, layout.n_particles, spec.is_fermionic, skeleton,
+                             rows.tobytes())
+
+
 def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,
                     gates: Sequence[LogicalGate]) -> np.ndarray:
     """2^n x 2^n matrix of the compiled circuit on the code space.
 
-    All 2^n encoded inputs go through the block kernel as one batch on
-    the code rows, whose amplitudes are the identity; the kernel's state
-    holds only the rows the circuit reaches, led by the code rows in
-    binary order (which is sector order), and those are read off directly.
+    The circuit splits into its signature, each gate's qubits, and its
+    angles.  The signature keys a cached plan on the code rows
+    (``_circuit_plan``), compiled and checked once, so a call builds no
+    network; the angles, read straight from the gates, then go through
+    that plan in one batched pass.  All 2^n encoded inputs run as one
+    batch on the code rows, whose amplitudes are the identity; the
+    kernel's state holds only the rows the circuit reaches, led by the
+    code rows in binary order (which is sector order), and those are
+    read off directly.  A non-finite angle raises the ValueError of the
+    element it would set, and an unknown gate or a bad qubit the error of
+    ``compile_circuit``.
     """
-    sector = enumerate_sector(layout.m, layout.n_particles, spec)
-    _occupations, rows = _code_space(layout, spec.is_fermionic)
-    _reached, state = _evolve_support(compile_circuit(layout, gates), sector, rows,
-                                      np.eye(len(rows)))
-    return state[:, :len(rows)].T.copy()
+    signature, angles = _split_circuit(gates)
+    if not all(map(math.isfinite, angles)) \
+            or not all(type(qubit) is int for qubits in signature for qubit in qubits):
+        # the network's own checks raise on a non-finite angle as the elements
+        # do, gate by gate; a qubit that is not an int must pass them before
+        # it keys the cache, where 1.0 would find the plan of qubit 1
+        compile_circuit(layout, gates)
+    plan = _circuit_plan(layout, signature, spec)
+    size = 2 ** layout.num_qubits
+    return _run(plan, angles, spec, np.eye(size))[:, :size].T.copy()
 
 
 def auxiliary_occupations(layout: LogicalLayout, state: StateVector) -> list[float]:

@@ -42,10 +42,18 @@ Two independent evolution paths are provided:
   (a pair of adjacent modes holding at most one particle needs no
   dress).  The state is then a (k, L) array over the L rows that ever
   become live, and a phase shifter or diagonal window multiplies only
-  the rows live before it.  ``evolve`` runs a ``StateVector``'s support
-  through it, and so do the dual-rail circuits, whose CP gates are each
-  one window holding the braiding network, so a circuit's plan stays on
-  its 2^n code rows at any depth.
+  the rows live before it.  One walk of a network splits it into its
+  skeleton, the plan's key, and its angles, and one runner passes the
+  angles through the plan in one batched pass: one ``exp`` over an
+  (n_ps, n + 1) table and one gather give every phase shifter's
+  factors, one batched eigen-product per shared eigenpair record every
+  beam splitter's W_N(theta), so the step loop only gathers, multiplies
+  and scatters, and each factor keeps the bits of its own angle's
+  formula.  ``evolve`` runs a ``StateVector``'s support through it, and
+  so do the dual-rail circuits, whose CP gates are each one window
+  holding the braiding network, so a circuit's plan stays on its 2^n
+  code rows at any depth; ``dualrail.logical_unitary`` caches that plan
+  per circuit signature and hands the runner the gates' angles alone.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -462,11 +470,18 @@ def _pair_hop_eigh(totals: tuple[int, ...]) -> _Hops:
     return _Hops(vals, vecs)
 
 
-def _pair_hops(hops: _Hops, theta: float) -> np.ndarray:
-    """W_N(theta) = exp(i theta hop_N) for each N of the eigenpair stacks
-    ``hops``, as ``_pair_hop_eigh`` gives them and padded like them."""
+def _pair_hops(hops: _Hops, thetas: np.ndarray) -> np.ndarray:
+    """W_N(theta) = exp(i theta hop_N) for each theta of the (B, 1, 1) column
+    ``thetas`` and each N of the eigenpair stacks ``hops``, as
+    ``_pair_hop_eigh`` gives them and padded like them: entry [b, f] is
+    W_N(thetas[b]) of N = totals[f].
+
+    One product for every angle: each W_N is the same (N + 1)-square
+    product of the same factors as for its angle alone, so its bits do
+    not depend on the other angles.
+    """
     vals, vecs = hops
-    return (vecs * np.exp(1j * theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return (vecs * np.exp(1j * thetas * vals)[:, :, None, :]) @ vecs.transpose(0, 2, 1)
 
 
 @_kernel_cached
@@ -496,13 +511,15 @@ def _window_unitaries(network: Network, spec: AnyonSpec,
     return (stack,)
 
 
-def _lookup_exp(x: float, codes: np.ndarray, top: int) -> np.ndarray:
+def _lookup_exp(x: float | np.ndarray, codes: np.ndarray, top: int) -> np.ndarray:
     """exp(i x c) for integer codes c in 0..top, from a table of top + 1 values.
 
-    The table entries are the same ``exp`` arguments as ``exp(1j * x *
+    ``x`` is a number, or an (n, 1) column of them whose table rows are
+    laid end to end, so code r (top + 1) + c picks exp(i x_r c).  The
+    table entries are the same ``exp`` arguments as ``exp(1j * x *
     codes)``, so the factors are bit-identical to it.
     """
-    return np.exp(1j * x * np.arange(top + 1))[codes]
+    return np.exp(1j * x * np.arange(top + 1)).ravel()[codes]
 
 
 def _live_blocks(blocks: _Blocks, live: np.ndarray):
@@ -562,19 +579,30 @@ def _steps(elements, m: int):
             yield element
 
 
-def _skeleton(steps, spec: AnyonSpec) -> tuple:
-    """Each step's mode for a phase shifter, its ``_blocks`` (lo, hi, False)
-    for a beam splitter, and (lo, hi, True, sub-network, spec) for a window.
+def _split(network: Network, spec: AnyonSpec) -> tuple[tuple, list]:
+    """The network's skeleton and its angles, from one walk of its steps.
 
-    A window's entry holds what the plan's diagonal decision reads (see
-    ``_plan``), so a network without windows has an angle-free skeleton.
+    The skeleton holds each step's mode for a phase shifter, its
+    ``_blocks`` (lo, hi, False) for a beam splitter, and (lo, hi, True,
+    sub-network, spec) for a window; the angles list each phase
+    shifter's tau and each beam splitter's theta, in step order.  A
+    window's entry holds what the plan's diagonal decision reads (see
+    ``_plan``), so a network without windows has an angle-free skeleton,
+    and the angles are all a plan leaves to each run.
     """
-    return tuple(
-        step.mode if isinstance(step, PhaseShifter)
-        else (step.first, step.first + step.network.m - 1, True, step.network, spec)
-        if isinstance(step, Window)
-        else (*sorted((step.mode_i, step.mode_j)), False)
-        for step in steps)
+    skeleton, angles = [], []
+    for step in _steps(network.elements, network.m):
+        if isinstance(step, PhaseShifter):
+            skeleton.append(step.mode)
+            angles.append(step.tau)
+        elif isinstance(step, BeamSplitter):
+            i, j = step.mode_i, step.mode_j
+            skeleton.append((i, j, False) if i < j else (j, i, False))
+            angles.append(step.theta)
+        else:
+            skeleton.append((step.first, step.first + step.network.m - 1, True,
+                             step.network, spec))
+    return tuple(skeleton), angles
 
 
 #: A window whose unitaries have no off-diagonal entry above this on the
@@ -589,6 +617,10 @@ def _is_diagonal(stack: np.ndarray) -> bool:
     return bool(np.abs(stack - stack * np.eye(stack.shape[1])).max() <= _DIAGONAL_TOL)
 
 
+#: The kinds of plan step (see ``_Plan``), the first entry of each.
+_PHASE, _DIAGONAL, _WINDOW, _HOP = range(4)
+
+
 class _Plan(NamedTuple):
     """What a network skeleton does on one input support.
 
@@ -596,23 +628,33 @@ class _Plan(NamedTuple):
     order they first become live: the support, sorted, then the rows of
     each block step's kept blocks that were not live before, so the rows
     live before any step are a prefix.  ``steps`` holds one entry per
-    step, everything about it that no angle changes.  A phase shifter's
-    is (width, first): it multiplies the live prefix of that width by
-    exp(i tau c) at the codes c = ``codes[first:first + width]``, the
-    prefix's occupations of its mode.  A window whose unitaries U_T are
-    diagonal on its kept totals (see ``_plan``) has (width, phases,
-    totals): ``phases`` holds, for each row of the prefix, its entry of
-    U_T's diagonal, or 1 for a row in no block (window total 0), and
-    ``totals`` the kept totals.  Any other window and every beam splitter is a
-    block step.  ``gathered[start:stop]`` holds the state positions of
-    its kept blocks' rows in ``_Blocks`` order, and ``families`` its kept
-    families as (f, size, start, stop), with f counted over its kept
-    totals.  A window's is (start, stop, families, totals).  A beam
-    splitter's is (start, stop, families, first, w_max, hops): the
-    winding codes of its kept rows run from ``winding[first]``, w_max is
-    their largest, 0 when no kept row winds (then the step has no dress
-    and no codes), and ``hops`` holds the ``_pair_hop_eigh`` eigenpairs
-    of its kept totals.  The arrays are read-only and every number is a
+    step that acts, everything about it that no angle changes, led by
+    its kind.  A phase shifter's is (_PHASE, width, first): it multiplies
+    the live prefix of that width by its factors, entries first:first +
+    width of one gather ``_lookup_exp(angles[taus], codes, top)``; the
+    code of a prefix row is o (top + 1) + c, with c its occupation of
+    the shifter's mode, o the shifter's ordinal among the network's phase
+    shifters and top = n_total.  A window whose unitaries U_T are
+    diagonal on its kept totals (see ``_plan``) has (_DIAGONAL, width,
+    phases, totals): ``phases`` holds, for each row of the prefix, its
+    entry of U_T's diagonal, or 1 for a row in no block (window total 0),
+    and ``totals`` the kept totals.  Any other window and every beam
+    splitter with a kept block is a block step; one with no kept block
+    acts on exact zeros and has no entry.  ``gathered[start:stop]`` holds
+    the state positions of its kept blocks' rows in ``_Blocks`` order,
+    and ``families`` its kept families as (f, size, start, stop), with f
+    counted over its kept totals.  A window's is (_WINDOW, start, stop,
+    families, sub-network, totals).  A beam splitter's is (_HOP, start,
+    stop, families, first, w_max, group, member): the winding codes of
+    its kept rows run from ``winding[first]``, w_max is their largest, 0
+    when no kept row winds (then the step has no dress and no codes), and
+    its W_N(theta) is entry ``member`` of the product of
+    ``hop_groups[group]``.  ``hop_groups`` holds, per ``_pair_hop_eigh``
+    record of the kept totals the beam splitters share, (eigenpairs, the
+    positions of their angles as a (B, 1, 1) column), so one batched
+    product forms every W_N of a record.  ``taus`` holds the angle
+    position of each phase shifter as an (n_ps, 1) column, ``w_top`` the
+    largest winding code.  The arrays are read-only and every number is a
     Python int.
     """
 
@@ -620,12 +662,16 @@ class _Plan(NamedTuple):
     gathered: np.ndarray
     winding: np.ndarray
     codes: np.ndarray
+    taus: np.ndarray
     steps: tuple
+    hop_groups: tuple
+    top: int
+    w_top: int
 
 
 @_kernel_cached
 def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes) -> _Plan:
-    """The plan of a network skeleton (see ``_skeleton``) on a sector shape.
+    """The plan of a network skeleton (see ``_split``) on a sector shape.
 
     ``support`` holds the sorted intp sector rows nonzero in some input
     column.  Each beam splitter or window keeps the blocks that hold a
@@ -647,18 +693,24 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
     rows[:width] = initial
     place[initial] = np.arange(width)
     gathered, winding, codes = ([np.empty(0, np.intp)] for _ in range(3))
-    steps = []
-    n_gathered = n_winding = n_codes = 0
+    steps, taus, groups = [], [], {}
+    n_gathered = n_winding = n_codes = angle = 0
     for step in skeleton:
         if isinstance(step, int):
-            codes.append(occ[rows[:width], step - 1])
-            steps.append((width, n_codes))
+            codes.append(occ[rows[:width], step - 1] + len(taus) * (n_total + 1))
+            taus.append(angle)
+            angle += 1
+            steps.append((_PHASE, width, n_codes))
             n_codes += width
             continue
+        if not step[2]:
+            angle += 1      # a beam splitter's; a window takes no angle
         blocks = _blocks(m, n_total, fermionic, *step[:3])
         kept_rows, keep, kept = _live_blocks(blocks, live)
+        if not kept:
+            continue
         totals = tuple(blocks.totals[f] for f, *_span in kept)
-        stack = _window_unitaries(*step[3:], totals)[0] if step[2] and kept else None
+        stack = _window_unitaries(*step[3:], totals)[0] if step[2] else None
         if stack is not None and _is_diagonal(stack):
             # a live row's phase is its block's U_T diagonal at its rank in the
             # block, and 1 in no block (window total 0)
@@ -669,7 +721,7 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
                 hot = live[span]
                 phases[place[span[hot]]] = stack[pos, rank[hot], rank[hot]]
             phases.setflags(write=False)
-            steps.append((width, phases, totals))
+            steps.append((_DIAGONAL, width, phases, totals))
             continue
         live[kept_rows] = True
         fresh = kept_rows[place[kept_rows] < 0]
@@ -681,67 +733,78 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
         head = (n_gathered, n_gathered + len(kept_rows), families)
         n_gathered += len(kept_rows)
         if step[2]:
-            steps.append((*head, totals))
+            steps.append((_WINDOW, *head, step[3], totals))
             continue
         step_winding = blocks.winding[keep]
         w_max = int(step_winding.max(initial=0))
         if w_max:
             winding.append(step_winding)
-        steps.append((*head, n_winding, w_max, _pair_hop_eigh(totals) if totals else None))
+        # beam splitters of the same kept totals share one eigenpair record
+        group, members = groups.setdefault(totals, (len(groups), []))
+        steps.append((_HOP, *head, n_winding, w_max, group, len(members)))
+        members.append(angle - 1)
         n_winding += len(step_winding) if w_max else 0
-    arrays = [rows[:width].copy(), *map(np.concatenate, (gathered, winding, codes))]
-    for arr in arrays:
+    # angle positions as columns, so a gather of the angles broadcasts
+    # against the phase table's powers and the hop eigenvalue stacks
+    arrays = [rows[:width].copy(), *map(np.concatenate, (gathered, winding, codes)),
+              np.array(taus, dtype=np.intp).reshape(-1, 1)]
+    hop_groups = tuple((_pair_hop_eigh(totals),
+                        np.array(members, dtype=np.intp).reshape(-1, 1, 1))
+                       for totals, (_group, members) in groups.items())
+    for arr in arrays + [members for _hops, members in hop_groups]:
         arr.setflags(write=False)
-    return _Plan(*arrays, tuple(steps))
+    return _Plan(*arrays, tuple(steps), hop_groups, n_total,
+                 int(arrays[2].max(initial=0)))
 
 
-def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
-                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve the (len(support), k) amplitudes ``values`` of the sorted
-    sector rows ``support`` (every other row zero) through the network.
+def _run(plan: _Plan, angles, spec: AnyonSpec, values: np.ndarray) -> np.ndarray:
+    """The (k, L) state over the plan's rows after its steps, from the
+    (len(support), k) amplitudes ``values`` of its support and the
+    network's ``angles`` (see ``_split``).
 
-    Returns the plan's rows and the (k, L) state over them, one row per
-    input column, so every column meets the same BLAS calls whatever the
-    batch width; the support leads the rows in its own order.  A network
-    over another mode count raises ModeMismatchError.
+    The angles go through the plan in one batched pass: one ``exp`` and
+    one gather give every phase shifter's factors, and one product per
+    ``hop_groups`` record every beam splitter's W_N(theta); the steps
+    then only gather, multiply and scatter.
     """
-    if network.m != sector.m:
-        raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
-    steps = tuple(_steps(network.elements, sector.m))
-    plan = _plan(sector.m, sector.n_total, sector.spec.is_fermionic,
-                 _skeleton(steps, sector.spec), np.asarray(support, dtype=np.intp).tobytes())
     state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)
-    state[:, :len(support)] = values.T
+    state[:, :len(values)] = values.T
     # plan row r of input column c sits at flat[c * L + r]
     flat = state.reshape(-1)
     columns = len(plan.rows) * np.arange(len(state))[:, None]
-    # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
-    phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
-    for element, step in zip(steps, plan.steps):
-        if isinstance(element, PhaseShifter):
-            width, first = step
-            phases = _lookup_exp(element.tau, plan.codes[first:first + width], sector.n_total)
-        elif len(step) == 3:     # a diagonal window (see ``_Plan``)
-            width, phases, _totals = step
-        else:
-            if not step[2]:      # no kept block
-                continue
-            where = plan.gathered[step[0]:step[1]] + columns
-            if isinstance(element, Window):
-                _start, _stop, families, totals = step
-                stack, = _window_unitaries(element.network, sector.spec, totals)
-                flat[where] = _block_products(flat[where], stack, families)
-                continue
-            start, stop, families, first, w_max, hops = step
+    angles = np.asarray(angles, dtype=np.float64)
+    if len(plan.taus):
+        factors = _lookup_exp(angles[plan.taus], plan.codes, plan.top)
+    hops = [_pair_hops(record, angles[thetas]) for record, thetas in plan.hop_groups]
+    if plan.w_top:
+        # fermions: (-1)^{s k} exp(i phi s k) = exp(i (phi + pi) s k) since k <= 1
+        phi = spec.phi + (math.pi if spec.is_fermionic else 0.0)
+        dresses = _lookup_exp(phi, plan.winding, plan.w_top)
+    for step in plan.steps:
+        kind = step[0]
+        if kind == _HOP:
+            _kind, start, stop, families, first, w_max, group, member = step
+            where = plan.gathered[start:stop] + columns
             part = flat[where]
             if w_max:
-                dress = _lookup_exp(phi, plan.winding[first:first + stop - start], w_max)
+                dress = dresses[first:first + stop - start]
                 part *= dress.conj()
-            part = _block_products(part, _pair_hops(hops, element.theta), families)
+            part = _block_products(part, hops[group][member], families)
             if w_max:
                 part *= dress
             flat[where] = part
             continue
+        if kind == _WINDOW:
+            _kind, start, stop, families, network, totals = step
+            where = plan.gathered[start:stop] + columns
+            stack, = _window_unitaries(network, spec, totals)
+            flat[where] = _block_products(flat[where], stack, families)
+            continue
+        if kind == _PHASE:
+            _kind, width, first = step
+            phases = factors[first:first + width]
+        else:
+            _kind, width, phases, _totals = step
         if width == 1:
             # numpy would run one strided loop down the batch, whose complex
             # multiply can round apart from a lone vector's loop of one
@@ -749,7 +812,28 @@ def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
                 row[:1] *= phases
         else:
             state[:, :width] *= phases
-    return plan.rows, state
+    return state
+
+
+def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve the (len(support), k) amplitudes ``values`` of the sorted
+    sector rows ``support`` (every other row zero) through the network.
+
+    One walk of the network gives its skeleton, which keys the cached
+    plan, and its angles, which ``_run`` passes through that plan.
+    Returns the plan's rows and the (k, L) state over them, one row per
+    input column, so every column meets the same BLAS calls whatever the
+    batch width; the support leads the rows in its own order.  A network
+    over another mode count raises ModeMismatchError.
+    """
+    if network.m != sector.m:
+        raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
+    spec = sector.spec
+    skeleton, angles = _split(network, spec)
+    plan = _plan(sector.m, sector.n_total, spec.is_fermionic, skeleton,
+                 np.asarray(support, dtype=np.intp).tobytes())
+    return plan.rows, _run(plan, angles, spec, values)
 
 
 def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) -> np.ndarray:
@@ -783,7 +867,8 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     differs from the product only by that dropped roundoff.  Which blocks
     are live, and where their rows sit in the support-sized state, is a
     cached plan per network skeleton and support, so a network of fresh
-    angles on the same support selects no block again; a diagonal step
+    angles on the same support selects no block again, and its angles go
+    through that plan in one batched pass (``_run``); a diagonal step
     multiplies only the rows live before it.  Rows that never become
     live read exactly +0.
     Each batch column goes through the same arithmetic as a lone vector,

@@ -66,17 +66,71 @@ def dense_evolve(network, sector, amps):
 
 def kernel_plan(network, sector, support):
     """The block kernel's cached plan of the network on the sorted sector rows ``support``."""
-    steps = tuple(network_module._steps(network.elements, sector.m))
     return network_module._plan(sector.m, sector.n_total, sector.spec.is_fermionic,
-                                network_module._skeleton(steps, sector.spec),
+                                network_module._split(network, sector.spec)[0],
                                 np.asarray(support, dtype=np.intp).tobytes())
 
 
-def beam_splitter_steps(network, sector, plan):
-    """The plan's steps of the network's beam splitters, in order."""
-    steps = network_module._steps(network.elements, sector.m)
-    return [step for element, step in zip(steps, plan.steps)
-            if isinstance(element, network_module.BeamSplitter)]
+def beam_splitter_steps(plan):
+    """The plan's beam-splitter steps, in order."""
+    return [step for step in plan.steps if step[0] == network_module._HOP]
+
+
+def stepwise_evolve_support(network, sector, support, values):
+    """The kernel's plan of the network run step by step, each angle through
+    its own formula: exp(1j * tau * arange(n + 1))[codes] for a phase
+    shifter, W_N(theta) = V exp(i theta lambda) V^T of its eigenpairs for a
+    beam splitter and exp(1j * phi * arange(w_max + 1))[winding] for its
+    dress.  The reference of the batched angle pass; returns (rows, state)
+    as ``_evolve_support`` does."""
+    _skeleton, angles = network_module._split(network, sector.spec)
+    plan = kernel_plan(network, sector, support)
+    top = sector.n_total
+    phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
+    state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)
+    state[:, :len(values)] = values.T
+    flat = state.reshape(-1)
+    columns = len(plan.rows) * np.arange(len(state))[:, None]
+    ordinal = 0
+    for step in plan.steps:
+        kind = step[0]
+        if kind == network_module._HOP:
+            _kind, start, stop, families, first, w_max, group, member = step
+            record, members = plan.hop_groups[group]
+            theta = angles[members[member, 0, 0]]
+            vals, vecs = record
+            hops = (vecs * np.exp(1j * theta * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+            where = plan.gathered[start:stop] + columns
+            part = flat[where]
+            if w_max:
+                dress = np.exp(1j * phi * np.arange(w_max + 1))[
+                    plan.winding[first:first + stop - start]]
+                part *= dress.conj()
+            part = network_module._block_products(part, hops, families)
+            if w_max:
+                part *= dress
+            flat[where] = part
+            continue
+        if kind == network_module._WINDOW:
+            _kind, start, stop, families, sub, totals = step
+            where = plan.gathered[start:stop] + columns
+            stack, = network_module._window_unitaries(sub, sector.spec, totals)
+            flat[where] = network_module._block_products(flat[where], stack, families)
+            continue
+        if kind == network_module._PHASE:
+            _kind, width, first = step
+            tau = angles[plan.taus[ordinal, 0]]
+            codes = plan.codes[first:first + width] - ordinal * (top + 1)
+            phases = np.exp(1j * tau * np.arange(top + 1))[codes]
+            ordinal += 1
+        else:
+            _kind, width, phases, _totals = step
+        if width == 1:
+            for row in state:
+                row[:1] *= phases
+        else:
+            state[:, :width] *= phases
+    return plan.rows, state
 
 
 def shellwise_oracle(state, network, spec):

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
     decode, encode, enumerate_sector, evolve
-from anyonlin.dualrail import _code_space, auxiliary_occupations, compile_circuit, \
+from anyonlin.dualrail import _circuit_plan, _code_space, auxiliary_occupations, compile_circuit, \
     compile_cp, compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
 from anyonlin import network as network_module
@@ -468,10 +469,10 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
 
 def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     # the plan depends on the layout's skeleton and code rows, not on any
-    # angle: fresh U1 angles select no block again.  Qubit 1's pair holds
-    # one particle on every code row, so its beam splitter needs W_1 only;
-    # the plan hands each beam splitter its eigenpairs, whose top eigenvalue
-    # on pair total N is N
+    # angle: fresh U1 angles select no block again.  Every qubit's pair
+    # holds one particle on every code row, so each beam splitter needs W_1
+    # only; the three share one eigenpair record, whose top eigenvalue on
+    # pair total N is N, and one batched product forms their three W_1
     rng = np.random.default_rng(4)
     layout = LogicalLayout(3)
     selections, hop_totals = [], []
@@ -481,9 +482,9 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
         selections.append(len(blocks.rows))
         return real_live(blocks, live)
 
-    def hops_spy(hops, theta):
-        hop_totals.append(tuple(int(round(top)) for top in hops[0].max(axis=1)))
-        return real_hops(hops, theta)
+    def hops_spy(hops, thetas):
+        hop_totals.append((tuple(int(round(top)) for top in hops[0].max(axis=1)), len(thetas)))
+        return real_hops(hops, thetas)
 
     def gates():
         return [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
@@ -493,12 +494,12 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     network_module._KERNEL_CACHE.clear()
     for spec in both_classes(1.3):
         logical_unitary(spec, layout, gates())
-        assert selections and hop_totals[0] == (1,)
+        assert selections and hop_totals[0][0] == (1,)
         selections.clear()
         hop_totals.clear()
         circuit = gates()
         got = logical_unitary(spec, layout, circuit)
-        assert selections == [] and hop_totals[0] == (1,)
+        assert selections == [] and hop_totals == [((1,), 3)]
         network_module._KERNEL_CACHE.clear()
         assert logical_unitary(spec, layout, circuit).tobytes() == got.tobytes()
         selections.clear()
@@ -564,9 +565,9 @@ def test_dual_rail_beam_splitters_run_without_a_dress(qubits):
         sector = enumerate_sector(layout.m, layout.n_particles, spec)
         _occupations, code = _code_space(layout, spec.is_fermionic)
         plan = kernel_plan(network, sector, code)
-        steps = beam_splitter_steps(network, sector, plan)
+        steps = beam_splitter_steps(plan)
         assert len(steps) == qubits + 2     # an Rz compiles to PS-BS(0)-PS too
-        assert all(len(step) == 6 and step[4] == 0 for step in steps)
+        assert all(step[5] == 0 for step in steps) and plan.w_top == 0
         assert len(plan.winding) == 0
         if qubits > 2:
             continue
@@ -597,3 +598,141 @@ def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
         out = evolve(compile_circuit(layout, [CP(1, 2)]), StateVector.basis_state(sector, both_up))
         amps, _leak = decode(layout, out)
         assert abs(amps[3] - cmath.exp(1j * phi)) <= 1e-12
+
+
+def test_code_space_records_are_held_by_bytes(monkeypatch):
+    # a layout's code-space record is an entry of the kernel's byte-bounded
+    # cache: its counted size is added to what the cache holds, and once a
+    # sweep of layouts under a small budget evicts it, it rebuilds equal
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    layout = LogicalLayout(3)
+    occupations, rows = _code_space(layout, False)
+    key = (_code_space.__wrapped__, (layout, False))
+    size = cache.entries[key][1]
+    assert cache.held == size
+    assert size == network_module._ENTRY_BYTES + network_module._footprint(key) \
+        + network_module._footprint((occupations, rows))
+    assert size > rows.nbytes + 8 * sys.getsizeof(occupations[0])
+    saved = rows.copy()
+    monkeypatch.setattr(cache, "budget", 3 * size)
+    for qubits in (1, 2, 4):
+        for fermionic in (False, True):
+            _code_space(LogicalLayout(qubits), fermionic)
+            assert cache.held == sum(size for _value, size in cache.entries.values())
+            assert cache.held <= cache.budget
+    assert key not in cache.entries
+    again_occupations, again_rows = _code_space(layout, False)
+    assert again_rows is not rows and again_occupations == occupations
+    assert again_rows.dtype == saved.dtype and again_rows.tobytes() == saved.tobytes()
+    assert not again_rows.flags.writeable
+    cache.clear()
+
+
+def circuit_plan_keys():
+    """The signatures the kernel cache holds a circuit plan for."""
+    return [key[1][1] for key in network_module._KERNEL_CACHE.entries
+            if key[0] is _circuit_plan.__wrapped__]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("gate, element", [
+    (lambda bad: U1(2, 0.1, 0.2, 0.3, bad), "phase shifter"),    # delta
+    (lambda bad: U1(2, 0.1, 0.2, bad, 0.3), "beam splitter"),    # gamma
+    (lambda bad: U1(2, 0.1, bad, 0.2, 0.3), "phase shifter"),    # beta
+    (lambda bad: Rz(2, bad), "phase shifter"),
+    (lambda bad: Rx(2, bad), "beam splitter"),
+])
+def test_non_finite_angles_raise_the_elements_error(gate, element, warm):
+    # the cached compile reads the angles straight from the gates; a NaN or
+    # an infinity still raises the ValueError of the element it would set,
+    # whether or not the circuit's signature is cached
+    layout = LogicalLayout(3)
+    spec = AnyonSpec.bosonic(0.7)
+    network_module._KERNEL_CACHE.clear()
+    for bad in (math.nan, math.inf, -math.inf):
+        circuit = [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2), gate(bad), CP(2, 3)]
+        if warm:
+            logical_unitary(spec, layout, [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2), gate(0.5),
+                                           CP(2, 3)])
+        with pytest.raises(ValueError, match=f"^{element} angle must be finite$") as err:
+            logical_unitary(spec, layout, circuit)
+        assert type(err.value) is ValueError
+        with pytest.raises(ValueError, match=f"^{element} angle must be finite$"):
+            compile_circuit(layout, circuit)
+    assert len(circuit_plan_keys()) == (1 if warm else 0)
+    network_module._KERNEL_CACHE.clear()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("bad, message", [
+    (CP(1, 3), "CP needs adjacent qubits"),
+    (CP(3, 4), "qubit 4 outside 1..3"),
+    (U1(4, 0.1, 0.2, 0.3, 0.4), "qubit 4 outside 1..3"),
+    (Rz(0, 0.5), "qubit 0 outside 1..3"),
+])
+def test_bad_qubits_raise_on_every_call(bad, message, warm):
+    # a circuit that fails the compile's checks raises CompileError on
+    # every call, and no failed compile is cached
+    layout = LogicalLayout(3)
+    spec = AnyonSpec.fermionic(2.1)
+    good = [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2), Rx(3, 0.6)]
+    network_module._KERNEL_CACHE.clear()
+    if warm:
+        logical_unitary(spec, layout, good)
+    for _call in range(3):
+        with pytest.raises(CompileError, match=message):
+            logical_unitary(spec, layout, good + [bad])
+    assert circuit_plan_keys() == ([((1,), (1, 2), (3,))] if warm else [])
+    network_module._KERNEL_CACHE.clear()
+
+
+def test_qubits_that_are_not_ints_meet_the_compile_checks_on_every_call():
+    # 1.0 == 1 would find the plan of an int circuit: a float qubit still
+    # raises as compile_circuit does, cold or warm, while an int-like
+    # numpy qubit runs like its int
+    layout = LogicalLayout(2)
+    spec = AnyonSpec.bosonic(0.4)
+    network_module._KERNEL_CACHE.clear()
+    for warm in (False, True):
+        for qubit, error in ((1.0, TypeError), (1.5, TypeError), (7.0, CompileError)):
+            with pytest.raises(error):
+                logical_unitary(spec, layout, [U1(qubit, 0.1, 0.2, 0.3, 0.4), CP(1, 2)])
+            with pytest.raises(error):
+                compile_circuit(layout, [U1(qubit, 0.1, 0.2, 0.3, 0.4), CP(1, 2)])
+        want = logical_unitary(spec, layout, [U1(1, 0.1, 0.2, 0.3, 0.4), CP(1, 2)])
+    got = logical_unitary(spec, layout, [U1(np.int64(1), 0.1, 0.2, 0.3, 0.4),
+                                         CP(np.int64(1), np.int64(2))])
+    assert got.tobytes() == want.tobytes()
+    network_module._KERNEL_CACHE.clear()
+
+
+def test_warm_logical_unitary_builds_no_network(monkeypatch):
+    # once a signature is compiled, a call with fresh angles builds no
+    # network and no element, and gives the bits of a cold call
+    rng = np.random.default_rng(21)
+    layout = LogicalLayout(3)
+    spec = AnyonSpec.bosonic(1.9)
+
+    def gates():
+        return [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, 4)] \
+            + [CP(1, 2), Rz(2, rng.normal()), Rx(3, rng.normal()), CP(2, 3)]
+
+    network_module._KERNEL_CACHE.clear()
+    logical_unitary(spec, layout, gates())
+    circuits = [gates() for _ in range(4)]
+    cold = []
+    for circuit in circuits:
+        network_module._KERNEL_CACHE.clear()
+        cold.append(logical_unitary(spec, layout, circuit))
+    logical_unitary(spec, layout, gates())
+
+    def no_network(self):
+        raise AssertionError("network built")
+
+    monkeypatch.setattr(Network, "__post_init__", no_network)
+    monkeypatch.setattr(PhaseShifter, "__post_init__", no_network)
+    monkeypatch.setattr(BeamSplitter, "__post_init__", no_network)
+    for circuit, want in zip(circuits, cold):
+        assert logical_unitary(spec, layout, circuit).tobytes() == want.tobytes()
+    network_module._KERNEL_CACHE.clear()

@@ -466,10 +466,13 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
                                                      int(blocks.winding.max(initial=0)))
                     want = np.exp(1j * x * blocks.winding.astype(float))
                     assert got.tobytes() == want.tobytes()
+                # a column of angles lays its table rows end to end: row r's
+                # codes are offset by r (n + 1)
+                taus = np.array([[phi - 0.7], [-phi], [3.1 * phi]])
                 for mode in range(1, m + 1):
-                    tau = phi - 0.7
-                    got = network_module._lookup_exp(tau, occ[:, mode - 1], n)
-                    assert got.tobytes() == np.exp(1j * tau * occ[:, mode - 1]).tobytes()
+                    for r, tau in enumerate(taus.ravel().tolist()):
+                        got = network_module._lookup_exp(taus, occ[:, mode - 1] + r * (n + 1), n)
+                        assert got.tobytes() == np.exp(1j * tau * occ[:, mode - 1]).tobytes()
 
 
 def test_block_kernel_batch_and_vector_match_spectral_evolve():
@@ -508,8 +511,8 @@ def test_beam_splitter_across_an_occupied_mode_keeps_its_dress():
             sector = enumerate_sector(3, 2, spec)
             support = np.array(sorted(sector.index[occ] for occ in ((1, 1, 0), (0, 1, 1))))
             plan = kernel_plan(net, sector, support)
-            (step,) = beam_splitter_steps(net, sector, plan)
-            start, stop, _families, first, w_max, _hops = step
+            (step,) = beam_splitter_steps(plan)
+            _kind, start, stop, _families, first, w_max, _group, _member = step
             assert w_max == 1 and first == 0 and len(plan.winding) == stop - start == 2
             batch = np.zeros((sector.dim, 3), dtype=complex)
             batch[support] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
@@ -645,9 +648,11 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     braid, spec = build_braiding_network(), AnyonSpec.bosonic(0.7)
     net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, braid),
                       PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
-    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)), spec)
-    # a window's entry holds what the plan's diagonal decision reads
+    skeleton, angles = network_module._split(net, spec)
+    # a window's entry holds what the plan's diagonal decision reads, and
+    # the angles are the phase shifters' and beam splitters' in step order
     assert skeleton == ((1, 4, False), (2, 4, True, braid, spec), 3, (2, 5, False), 1)
+    assert angles == [0.7, 0.2, -0.3, 0.5]
 
     def plan(rows):
         support = np.array(rows, dtype=np.intp).tobytes()
@@ -655,18 +660,21 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
             (network_module._plan.__wrapped__, (5, 3, False, skeleton, support))
 
     first, key = plan([0, 7, 20])
-    arrays = first[:4]
+    arrays = first[:5]
     assert all(not arr.flags.writeable for arr in arrays)
     # a step's numbers are Python ints, which ``_footprint`` sizes (a numpy
     # scalar would count 0), and the arrays it holds are read-only too
-    leaves = list(plan_leaves(first.steps))
+    leaves = list(plan_leaves(first.steps + first.hop_groups + first[7:]))
     assert not any(isinstance(leaf, np.generic) for leaf in leaves)
     assert all(not leaf.flags.writeable for leaf in leaves if isinstance(leaf, np.ndarray))
+    # the phase shifters' angles sit at positions 1 and 3, the beam
+    # splitters' at 0 and 2; each beam splitter is one member of its group
+    assert first.taus.ravel().tolist() == [1, 3]
+    members = [first.hop_groups[step[6]][1][step[7], 0, 0] for step in beam_splitter_steps(first)]
+    assert members == [0, 2]
     # a beam splitter's eigenpairs are the shared value of their own
     # ``_pair_hop_eigh`` entry, counted there and not again in the plan
-    sector = enumerate_sector(5, 3, spec)
-    for step in beam_splitter_steps(net, sector, first):
-        hops = step[5]
+    for hops, _members in first.hop_groups:
         assert type(hops) is network_module._Hops
         assert network_module._footprint((hops,)) == sys.getsizeof((hops,))
         assert network_module._footprint(hops) > hops.vals.nbytes + hops.vecs.nbytes
@@ -688,7 +696,9 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     assert key not in cache.entries
     again, _key = plan([0, 7, 20])
     assert again is not first and by_value(again.steps) == by_value(first.steps)
-    for arr, want in zip(again[:4], saved):
+    assert by_value(again.hop_groups) == by_value(first.hop_groups)
+    assert again[7:] == first[7:]
+    for arr, want in zip(again[:5], saved):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
@@ -704,7 +714,7 @@ def test_kernel_cache_counts_the_objects_of_its_plans():
     spec = AnyonSpec.bosonic(0.3)
     net = Network(6, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
                       PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
-    skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 6)), spec)
+    skeleton, _angles = network_module._split(net, spec)
     dim = enumerate_sector(6, 3, spec).dim
     # the whole sector as a support builds the records and small sectors
     network_module._plan(6, 3, False, skeleton, np.arange(dim).tobytes())
@@ -731,7 +741,7 @@ def assert_diagonal_phases(sub, sector, plan):
     diagonal entry at the row's rank in its block (the window occupations
     lexicographically increasing, the small sector's order reversed), and 1
     at window total 0."""
-    width, phases, totals = plan.steps[1]
+    _kind, width, phases, totals = plan.steps[1]
     stack, = network_module._window_unitaries(sub, sector.spec, totals)
     want = np.ones(width, dtype=complex)
     for pos, row in enumerate(plan.rows[:width]):
@@ -758,8 +768,7 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
         support = np.sort(rng.choice(sector.dim, size=3, replace=False))
         batch = np.zeros((sector.dim, 2), dtype=complex)
         batch[support] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        skeleton = network_module._skeleton(tuple(network_module._steps(net.elements, 5)), spec)
-        plan = network_module._plan(5, 3, spec.is_fermionic, skeleton, support.tobytes())
+        plan = kernel_plan(net, sector, support)
         window_step = plan.steps[1]
         record = network_module._blocks(5, 3, spec.is_fermionic, 2, 4, True)
         live = np.zeros(sector.dim, dtype=bool)
@@ -767,14 +776,16 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
         kept_rows, _keep, kept = network_module._live_blocks(record, live)
         assert kept
         if diagonal:
-            assert len(window_step) == 3 and window_step[0] == len(support)
-            assert window_step[2] == tuple(record.totals[f] for f, *_span in kept)
+            assert window_step[0] == network_module._DIAGONAL
+            assert window_step[1] == len(support)
+            assert window_step[3] == tuple(record.totals[f] for f, *_span in kept)
             # bosonic |1,0,0,0,2> has window total 0, so its phase is 1
             empty = [sector.index[occ] for occ in [(1, 0, 0, 0, 2)] if occ in sector]
             for rows in (support, np.union1d(support, empty)):
                 assert_diagonal_phases(sub, sector, kernel_plan(net, sector, rows))
         else:
-            assert len(window_step) == 4 and window_step[1] - window_step[0] == len(kept_rows)
+            assert window_step[0] == network_module._WINDOW
+            assert window_step[2] - window_step[1] == len(kept_rows)
             assert set(kept_rows) <= set(plan.rows[:len(kept_rows) + len(support)])
         reached = set(support) | (set() if diagonal else set(kept_rows))
         # the beam splitter after the window marks its own blocks

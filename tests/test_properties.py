@@ -24,7 +24,7 @@ from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve, shellwise_oracle  # noqa: E402
+from conftest import dense_evolve, shellwise_oracle, stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -164,6 +164,37 @@ def braided_cases(draw):
     batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     batch[rng.random(sector.dim) < draw(st.sampled_from([0.2, 0.5, 0.9]))] = 0
     return Network(m, tuple(elements)), Network(m, tuple(windows)), sector, batch
+
+
+@st.composite
+def batched_pass_cases(draw):
+    """A class, phi, a network of 3 <= m <= 6 modes of up to ten phase
+    shifters and beam splitters of angles up to 20 in magnitude, among
+    which sit up to three windows, each a braid (a diagonal step) or a
+    random 3-mode sub-network (most often a dense step), its sector of up
+    to four particles, and a (dim, k) batch, k <= 3, of Gaussian
+    amplitudes on a random set of rows."""
+    spec = draw(specs())
+    m = draw(st.integers(3, 6))
+    wide = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+    elements = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            elements.append(PhaseShifter(draw(st.integers(1, m)), draw(wide)))
+        else:
+            i, j = draw(st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True))
+            elements.append(BeamSplitter(i, j, draw(wide)))
+    for _ in range(draw(st.integers(0, 3))):
+        sub = build_braiding_network() if draw(st.booleans()) else draw(networks(3))
+        elements.insert(draw(st.integers(0, len(elements))),
+                        Window(draw(st.integers(1, m - 2)), sub))
+    n = draw(st.integers(1, m if spec.is_fermionic else 4))
+    sector = enumerate_sector(m, n, spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (sector.dim, draw(st.integers(1, 3)))
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    batch[rng.random(sector.dim) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+    return Network(m, tuple(elements)), sector, batch
 
 
 @st.composite
@@ -345,6 +376,19 @@ def test_braid_windows_run_as_diagonal_steps(case):
     assert rows.tobytes() == support.tobytes() or sector.m == 3
     want = dense_evolve(windows, sector, batch)
     assert np.max(np.abs(state.T - want[rows]), initial=0.0) <= 1e-12
+
+
+@PROPERTY
+@given(batched_pass_cases())
+def test_batched_angle_pass_keeps_each_steps_bits(case):
+    # one exp for every phase shifter and one product per eigenpair record
+    # give each step the bits of its own per-angle formula
+    network, sector, batch = case
+    support = np.flatnonzero(batch.any(axis=1))
+    rows, state = network_module._evolve_support(network, sector, support, batch[support])
+    want_rows, want = stepwise_evolve_support(network, sector, support, batch[support])
+    assert rows.tobytes() == want_rows.tobytes()
+    assert state.tobytes() == want.tobytes()
 
 
 @PROPERTY
