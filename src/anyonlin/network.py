@@ -36,13 +36,16 @@ Two independent evolution paths are provided:
   at most 1e-14, is the only change that makes to the numbers.  All of
   this depends on the network's skeleton (its modes, and each window's
   sub-network and spec, not the angles around them) and the support
-  alone, so it is planned once and cached, and the plan holds what each
-  step needs that no angle changes: a diagonal window's phase per row, a
-  beam splitter's hop eigenpairs and whether its kept rows wind at all
-  (a pair of adjacent modes holding at most one particle needs no
-  dress).  The state is then a (k, L) array over the L rows that ever
-  become live, and a phase shifter or diagonal window multiplies only
-  the rows live before it.  One walk of a network splits it into its
+  alone, so it is planned once and cached.  Planning builds each step's
+  live blocks from the rows the plan already holds, each live row's
+  occupations outside the step's modes completed by every inside
+  occupation of the same total, so it reads no record of the whole
+  sector.  The plan holds what each step needs that no angle changes: a
+  diagonal window's phase per row, a beam splitter's hop eigenpairs and
+  whether its kept rows wind at all (a pair of adjacent modes holding at
+  most one particle needs no dress).  The state is then a (k, L) array
+  over the L rows that ever become live, and a phase shifter or diagonal
+  window multiplies only the rows live before it.  One walk of a network splits it into its
   skeleton, the plan's key, and its angles, and one runner passes the
   angles through the plan in one batched pass: one ``exp`` over an
   (n_ps, n + 1) table and one gather give every phase shifter's
@@ -78,7 +81,9 @@ splitter picks up e^{-i n phi} (bosonic) or e^{-i n (phi + pi)}
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -93,6 +98,7 @@ from .fock import (
     AnyonSpec,
     FockSector,
     StateVector,
+    _ShapeBasis,
     _shape_basis,
     apply_create,
     enumerate_sector,
@@ -125,12 +131,25 @@ class UnsupportedPropagationError(ValueError):
     """The algebraic path has no pushing rule for the requested mode."""
 
 
+def _integer(element, field: str) -> None:
+    """Store ``element.field`` as the int its ``__index__`` gives, so numpy
+    ints plan and run as Python ints; ValueError when it has none (a
+    float or a string), before a kernel indexes by it."""
+    value = getattr(element, field)
+    try:
+        object.__setattr__(element, field, operator.index(value))
+    except TypeError:
+        raise ValueError(f"{type(element).__name__} {field} must be an integer, "
+                         f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PhaseShifter:
     mode: int
     tau: float
 
     def __post_init__(self) -> None:
+        _integer(self, "mode")
         if not math.isfinite(self.tau):
             raise ValueError("phase shifter angle must be finite")
 
@@ -146,6 +165,8 @@ class BeamSplitter:
     theta: float
 
     def __post_init__(self) -> None:
+        _integer(self, "mode_i")
+        _integer(self, "mode_j")
         if self.mode_i == self.mode_j:
             raise ValueError("beam splitter needs two distinct modes")
         if not math.isfinite(self.theta):
@@ -166,6 +187,9 @@ class Window:
 
     first: int
     network: Network
+
+    def __post_init__(self) -> None:
+        _integer(self, "first")
 
     @property
     def modes(self) -> tuple[int, ...]:
@@ -196,6 +220,7 @@ class Network:
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
+        _integer(self, "m")
         object.__setattr__(self, "elements", tuple(self.elements))
         if self.m < 1:
             raise ValueError("mode count must be >= 1")
@@ -228,17 +253,25 @@ class Network:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "Network":
-        elements: list[Element] = []
-        for entry in doc["elements"]:
-            if entry["type"] == "ps":
-                elements.append(PhaseShifter(entry["i"], entry["tau"]))
-            elif entry["type"] == "bs":
-                elements.append(BeamSplitter(entry["i"], entry["j"], entry["theta"]))
-            elif entry["type"] == "window":
-                elements.append(Window(entry["first"], cls.from_jsonable(entry)))
-            else:
-                raise ValueError(f"unknown element type {entry['type']!r}")
-        return cls(doc["m"], tuple(elements))
+        """Inverse of ``to_jsonable``.  A malformed document raises
+        ValueError naming the bad entry: a missing key, a value of the
+        wrong type or an unknown element type."""
+        try:
+            elements: list[Element] = []
+            for entry in doc["elements"]:
+                if entry["type"] == "ps":
+                    elements.append(PhaseShifter(entry["i"], entry["tau"]))
+                elif entry["type"] == "bs":
+                    elements.append(BeamSplitter(entry["i"], entry["j"], entry["theta"]))
+                elif entry["type"] == "window":
+                    elements.append(Window(entry["first"], cls.from_jsonable(entry)))
+                else:
+                    raise ValueError(f"unknown element type {entry['type']!r}")
+            return cls(doc["m"], tuple(elements))
+        except KeyError as err:
+            raise ValueError(f"bad network document: missing key {err}") from None
+        except TypeError as err:
+            raise ValueError(f"bad network document: {err}") from None
 
 
 def evolve(network: Network, state: StateVector) -> StateVector:
@@ -262,11 +295,11 @@ def evolve(network: Network, state: StateVector) -> StateVector:
                                         out[0, keep].tolist())))
 
 
-#: Bytes that the kernel's cached gather records, plans (with their
-#: support keys), eigenpair stacks and window unitary stacks may hold
-#: together.  The window stacks hold every fixed network's per-total
-#: unitaries: each CP braid's, and the band stacks of 16 shell unitaries
-#: of the cat path's two-mode networks.
+#: Bytes that the kernel's cached plans (with their support keys),
+#: eigenpair stacks and window unitary stacks may hold together.  The
+#: window stacks hold every fixed network's per-total unitaries: each CP
+#: braid's, and the band stacks of 16 shell unitaries of the cat path's
+#: two-mode networks.
 KERNEL_CACHE_BYTES = 256 * 2 ** 20
 
 
@@ -363,78 +396,6 @@ def _kernel_cached(build):
     return cached
 
 
-class _Blocks(NamedTuple):
-    """Every block of one kernel step on one sector shape.
-
-    A block is a run of states with equal occupations outside the modes
-    the step acts on: the pair (lo, hi) of BS_{lo,hi}, or every mode
-    lo..hi of a window.  ``rows`` lists the sector positions of the
-    states in blocks, family by family, one family per total T of the
-    step's modes.  ``families`` holds each family's (T, block size,
-    start, stop) in ``rows``, and ``totals`` its T alone, the key of the
-    step's matrix stack; inside a family the positions run by the step's
-    occupations in increasing lexicographic order, which for a pair is
-    n_lo = 0..T, so ``rows[start:stop]`` reshapes to (block size, B)
-    with one block per column.  ``block`` holds the
-    block number of each entry of ``rows``, counted over the families in
-    order, so a block's entries are the equal values of ``block``.  For a
-    pair, ``winding`` holds the integer k(k - 1)/2 + s k of each row,
-    where k = n_lo and s counts the particles strictly between lo and
-    hi; a window has no winding.
-    The arrays are read-only.
-    """
-
-    rows: np.ndarray
-    winding: np.ndarray
-    block: np.ndarray
-    families: tuple[tuple[int, int, int, int], ...]
-    totals: tuple[int, ...]
-
-
-@_kernel_cached
-def _blocks(m: int, n_total: int, fermionic: bool, lo: int, hi: int,
-            window: bool) -> _Blocks:
-    """Gather record of BS_{lo,hi}, or of a window on lo..hi, on a sector shape.
-
-    Independent of phi.  States are sorted by their occupations outside
-    the step's modes, then by the occupations inside; a run of equal
-    outside occupations is one block, and it holds every inside
-    occupation of its total T that the class admits, which for a pair
-    leaves T = 1 for fermions.  Blocks the step leaves alone are left
-    out: a pair's blocks of a single state, on which the hop vanishes,
-    and a window's blocks of T = 0, on which every element is the
-    identity (a window's other single-state blocks, all modes filled
-    with fermions, can still take a phase).
-    """
-    occ = _shape_basis(m, n_total, fermionic).occ
-    inside = list(range(lo - 1, hi)) if window else [lo - 1, hi - 1]
-    rest = np.delete(occ, inside, axis=1)
-    order = np.lexsort(tuple(occ[:, inside].T[::-1]) + tuple(rest.T[::-1]))
-    rest = rest[order]
-    starts = np.flatnonzero(np.r_[True, np.any(rest[1:] != rest[:-1], axis=1)])
-    lengths = np.diff(np.r_[starts, len(order)])
-    totals = n_total - rest[starts].sum(axis=1)
-    keep = totals > 0 if window else lengths > 1
-    rows, winding, block = ([np.empty(0, np.intp)] for _ in range(3))
-    families = []
-    stop = n_blocks = 0
-    for total in sorted(set(totals[keep].tolist())):
-        pick = np.flatnonzero((totals == total) & keep)
-        idx = order[starts[pick] + np.arange(lengths[pick[0]])[:, None]]
-        rows.append(idx.ravel())
-        block.append(np.tile(np.arange(n_blocks, n_blocks + len(pick)), len(idx)))
-        n_blocks += len(pick)
-        if not window:
-            kk, between = occ[idx, lo - 1], occ[idx, lo:hi - 1].sum(axis=-1)
-            winding.append((kk * (kk - 1) // 2 + between * kk).ravel())
-        families.append((int(total), len(idx), stop, stop + idx.size))
-        stop += idx.size
-    arrays = [np.concatenate(parts) for parts in (rows, winding, block)]
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _Blocks(*arrays, tuple(families), tuple(family[0] for family in families))
-
-
 class _Hops(NamedTuple):
     """Eigenvalue and eigenvector stacks of pair hops (see ``_pair_hop_eigh``)."""
 
@@ -492,10 +453,11 @@ def _window_unitaries(network: Network, spec: AnyonSpec,
     Each U_T comes from running the identity of that small sector through
     ``evolve_amplitudes``; its rows and columns are then reversed from the
     sector's decreasing lexicographic order into the order of a window
-    block, the inside occupations lexicographically increasing, which on
-    two modes is n_1 = 0..T.  Entry f of the one read-only stack holds
-    U_T of T = totals[f] in its top-left dim_T x dim_T corner and zeros
-    elsewhere, padded like ``_pair_hops`` to the largest dim_T.  A plan
+    block's members (see ``_live_blocks``), the inside occupations
+    lexicographically increasing, which on two modes is n_1 = 0..T.
+    Entry f of the one read-only stack holds U_T of T = totals[f] in its
+    top-left dim_T x dim_T corner and zeros elsewhere, padded like
+    ``_pair_hops`` to the largest dim_T.  A plan
     reads the stack of the totals a window's live blocks hold; when no
     off-diagonal entry passes ``_DIAGONAL_TOL`` the window runs as a
     diagonal step on the stack's diagonal, dropping that roundoff, and
@@ -522,32 +484,59 @@ def _lookup_exp(x: float | np.ndarray, codes: np.ndarray, top: int) -> np.ndarra
     return np.exp(1j * x * np.arange(top + 1)).ravel()[codes]
 
 
-def _live_blocks(blocks: _Blocks, live: np.ndarray):
-    """The rows and families of one step's blocks that hold a live row.
+def _live_blocks(shape: _ShapeBasis, fermionic: bool, live: np.ndarray, lo: int, hi: int,
+                 window: bool):
+    """The blocks of BS_{lo,hi}, or of a window on lo..hi, that hold a
+    row of ``live``, built from those rows of the sector ``shape`` alone.
 
-    ``live`` flags the sector rows that may be nonzero in some batch
-    column.  A block with no live row holds exact zeros, which its
-    unitary maps to zeros, so the step skips it; a dense step then marks
-    every row of a kept block live.  Returns the kept entries of ``blocks.rows``,
-    the mask ``keep`` that picks them and the kept families as
-    (f, size, start, stop): f is the family's place in
-    ``blocks.families``, size its block size and start:stop its span in
-    the kept rows.  When every block is kept these are the record's own
-    rows and families.
-    Inside a family the kept blocks are whole columns of its (block
-    size, B) layout, so the kept span reshapes the same way.
+    A block is the states with equal occupations outside the step's
+    modes (lo and hi for a pair, every mode lo..hi for a window): a live
+    row's outside occupations with every inside occupation of their
+    total T that the class admits, in increasing lexicographic order,
+    which for a pair is n_lo = 0..T.  A block with no live row holds
+    exact zeros, which its unitary maps to zeros, so no step needs it.
+    Blocks the step leaves alone are left out: a pair's of a single
+    state (T = 0, and T = 2 for fermions), on which the hop vanishes,
+    and a window's of T = 0, on which every element is the identity (a
+    window's other single-state blocks, all modes filled with fermions,
+    can still take a phase).
+
+    Returns the blocks' sector rows, one family per T in increasing T,
+    its blocks by their outside occupations in increasing lexicographic
+    order and laid out member by member, so a family's span reshapes to
+    (block size, B) with one block per column; the families as (T,
+    size, start, stop) spans of those rows in Python ints, which a plan
+    holds and ``_footprint`` sizes; and for a pair the winding k(k -
+    1)/2 + s k of each row, k = n_lo and s the particles strictly
+    between lo and hi (None for a window).
     """
-    hit = np.zeros(len(blocks.rows), dtype=bool)
-    hit[blocks.block[live[blocks.rows]]] = True
-    keep = hit[blocks.block]
-    rows = blocks.rows[keep]
-    kept, stop = [], 0
-    for f, (_total, size, first, last) in enumerate(blocks.families):
-        # Python ints: a plan holds these spans, and ``_footprint`` sizes ints only
-        start, stop = stop, stop + int(np.count_nonzero(keep[first:last]))
-        if stop > start:
-            kept.append((f, size, start, stop))
-    return rows, keep, kept
+    if window:
+        def cut(row):
+            return sum(row[lo - 1:hi]), row[:lo - 1] + row[hi:]
+
+        def join(outer, inner):
+            return outer[:lo - 1] + inner + outer[lo - 1:]
+    else:
+        def cut(row):
+            return row[lo - 1] + row[hi - 1], row[:lo - 1] + row[lo:hi - 1] + row[hi:]
+
+        def join(outer, inner):
+            return outer[:lo - 1] + inner[:1] + outer[lo - 1:hi - 2] + inner[1:] + outer[hi - 2:]
+    blocks = sorted(set(map(cut, map(shape.basis.__getitem__, live.tolist()))))
+    rows, winding, families = [], [], []
+    for total, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
+        members = _shape_basis(hi - lo + 1 if window else 2, total, fermionic).basis[::-1]
+        if total == 0 or len(members) == 1 and not window:
+            continue
+        rest = [outer for _total, outer in group]
+        start = len(rows)
+        rows += [shape.index[join(outer, inner)] for inner in members for outer in rest]
+        if not window:
+            between = [sum(outer[lo - 1:hi - 2]) for outer in rest]
+            winding += [k * (k - 1) // 2 + s * k for (k, _n_hi) in members for s in between]
+        families.append((total, len(members), start, len(rows)))
+    return (np.array(rows, dtype=np.intp), families,
+            None if window else np.array(winding, dtype=np.intp))
 
 
 def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray:
@@ -582,13 +571,14 @@ def _steps(elements, m: int):
 def _split(network: Network, spec: AnyonSpec) -> tuple[tuple, list]:
     """The network's skeleton and its angles, from one walk of its steps.
 
-    The skeleton holds each step's mode for a phase shifter, its
-    ``_blocks`` (lo, hi, False) for a beam splitter, and (lo, hi, True,
-    sub-network, spec) for a window; the angles list each phase
-    shifter's tau and each beam splitter's theta, in step order.  A
-    window's entry holds what the plan's diagonal decision reads (see
-    ``_plan``), so a network without windows has an angle-free skeleton,
-    and the angles are all a plan leaves to each run.
+    The skeleton holds each step's mode for a phase shifter, its modes
+    (lo, hi, False) for a beam splitter, and (lo, hi, True, sub-network,
+    spec) for a window, led by the ``_live_blocks`` arguments; the
+    angles list each phase shifter's tau and each beam splitter's theta,
+    in step order.  A window's entry holds what the plan's diagonal
+    decision reads (see ``_plan``), so a network without windows has an
+    angle-free skeleton, and the angles are all a plan leaves to each
+    run.
     """
     skeleton, angles = [], []
     for step in _steps(network.elements, network.m):
@@ -641,11 +631,11 @@ class _Plan(NamedTuple):
     and ``totals`` the kept totals.  Any other window and every beam
     splitter with a kept block is a block step; one with no kept block
     acts on exact zeros and has no entry.  ``gathered[start:stop]`` holds
-    the state positions of its kept blocks' rows in ``_Blocks`` order,
-    and ``families`` its kept families as (f, size, start, stop), with f
-    counted over its kept totals.  A window's is (_WINDOW, start, stop,
-    families, sub-network, totals).  A beam splitter's is (_HOP, start,
-    stop, families, first, w_max, group, member): the winding codes of
+    the state positions of its kept blocks' rows in ``_live_blocks``
+    order, and ``families`` its kept families as (f, size, start, stop),
+    with f counted over its kept totals.  A window's is (_WINDOW, start,
+    stop, families, sub-network, totals).  A beam splitter's is (_HOP,
+    start, stop, families, first, w_max, group, member): the winding codes of
     its kept rows run from ``winding[first]``, w_max is their largest, 0
     when no kept row winds (then the step has no dress and no codes), and
     its W_N(theta) is entry ``member`` of the product of
@@ -675,19 +665,19 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
 
     ``support`` holds the sorted intp sector rows nonzero in some input
     column.  Each beam splitter or window keeps the blocks that hold a
-    live row (``_live_blocks``).  A window whose cached unitaries
-    (``_window_unitaries``) have no off-diagonal entry above
-    ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step holding
-    their diagonal, and marks no row live; this reads the totals the
-    plan reaches only, so the stack it builds is the one the run would
-    ask for.  Any other window, and every beam splitter, marks every row
+    live row, built by ``_live_blocks`` from the rows the plan holds, so
+    no record of the whole sector's blocks is built.  A window whose
+    cached unitaries (``_window_unitaries``) have no off-diagonal entry
+    above ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step
+    holding their diagonal, and marks no row live; this reads the totals
+    the plan reaches only, so the stack it builds is the one the run
+    would ask for.  Any other window, and every beam splitter, marks every row
     of its kept blocks live.
     """
-    occ = _shape_basis(m, n_total, fermionic).occ
+    shape = _shape_basis(m, n_total, fermionic)
+    occ = shape.occ
     initial = np.frombuffer(support, dtype=np.intp)
-    live = np.zeros(len(occ), dtype=bool)
-    live[initial] = True
-    place = np.full(len(occ), -1)     # each live row's position in ``rows``
+    place = np.full(len(occ), -1)     # each live row's position in ``rows``, -1 if not live
     rows = np.empty(len(occ), dtype=np.intp)
     width = len(initial)
     rows[:width] = initial
@@ -705,37 +695,34 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
             continue
         if not step[2]:
             angle += 1      # a beam splitter's; a window takes no angle
-        blocks = _blocks(m, n_total, fermionic, *step[:3])
-        kept_rows, keep, kept = _live_blocks(blocks, live)
+        kept_rows, kept, step_winding = _live_blocks(shape, fermionic, rows[:width], *step[:3])
         if not kept:
             continue
-        totals = tuple(blocks.totals[f] for f, *_span in kept)
+        totals = tuple(total for total, *_span in kept)
         stack = _window_unitaries(*step[3:], totals)[0] if step[2] else None
         if stack is not None and _is_diagonal(stack):
             # a live row's phase is its block's U_T diagonal at its rank in the
-            # block, and 1 in no block (window total 0)
+            # block, its row in the family's (size, B) layout, and 1 in no
+            # block (window total 0)
             phases = np.ones(width, dtype=np.complex128)
-            for pos, (_f, size, start, stop) in enumerate(kept):
-                span = kept_rows[start:stop]
-                rank = np.arange(stop - start) // ((stop - start) // size)
-                hot = live[span]
-                phases[place[span[hot]]] = stack[pos, rank[hot], rank[hot]]
+            for pos, (_total, size, start, stop) in enumerate(kept):
+                members = place[kept_rows[start:stop].reshape(size, -1)]
+                rank, column = np.nonzero(members >= 0)
+                phases[members[rank, column]] = stack[pos, rank, rank]
             phases.setflags(write=False)
             steps.append((_DIAGONAL, width, phases, totals))
             continue
-        live[kept_rows] = True
         fresh = kept_rows[place[kept_rows] < 0]
         rows[width:width + len(fresh)] = fresh
         place[fresh] = np.arange(width, width + len(fresh))
         width += len(fresh)
         gathered.append(place[kept_rows])
-        families = tuple((pos, *extent) for pos, (_f, *extent) in enumerate(kept))
+        families = tuple((pos, *extent) for pos, (_total, *extent) in enumerate(kept))
         head = (n_gathered, n_gathered + len(kept_rows), families)
         n_gathered += len(kept_rows)
         if step[2]:
             steps.append((_WINDOW, *head, step[3], totals))
             continue
-        step_winding = blocks.winding[keep]
         w_max = int(step_winding.max(initial=0))
         if w_max:
             winding.append(step_winding)
@@ -866,8 +853,9 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     live row by its U_T's diagonal entry and keeps no other row, so it
     differs from the product only by that dropped roundoff.  Which blocks
     are live, and where their rows sit in the support-sized state, is a
-    cached plan per network skeleton and support, so a network of fresh
-    angles on the same support selects no block again, and its angles go
+    cached plan per network skeleton and support, built from the live
+    rows alone (``_live_blocks``), so a network of fresh angles on the
+    same support selects no block again, and its angles go
     through that plan in one batched pass (``_run``); a diagonal step
     multiplies only the rows live before it.  Rows that never become
     live read exactly +0.

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from anyonlin import AnyonSpec
-from anyonlin.fock import StateVector, enumerate_sector
+from anyonlin.fock import StateVector, _shape_basis, enumerate_sector
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
 from anyonlin import network as network_module
 from anyonlin.network import PhaseShifter, Window
@@ -69,6 +69,62 @@ def kernel_plan(network, sector, support):
     return network_module._plan(sector.m, sector.n_total, sector.spec.is_fermionic,
                                 network_module._split(network, sector.spec)[0],
                                 np.asarray(support, dtype=np.intp).tobytes())
+
+
+def live_blocks(sector, live, lo, hi, window):
+    """The kernel's live blocks of BS_{lo,hi}, or of a window on lo..hi, for
+    the sector rows ``live``: (rows, families, winding) of ``_live_blocks``."""
+    shape = _shape_basis(sector.m, sector.n_total, sector.spec.is_fermionic)
+    return network_module._live_blocks(shape, sector.spec.is_fermionic,
+                                       np.asarray(live, dtype=np.intp), lo, hi, window)
+
+
+def reference_blocks(sector, live, lo, hi, window):
+    """Reference of ``live_blocks`` from the definition, in plain Python.
+
+    Groups ``sector.basis`` by the occupations outside the step's modes
+    (lo and hi for a pair, lo..hi for a window), each group a block whose
+    members run by their inside occupations in increasing order.  Keeps
+    the blocks holding a row of ``live`` that the step acts on: a pair's
+    of more than one state, a window's of inside total T > 0.  Orders
+    them by T, then by their outside occupations, and lays each family
+    of one T out member by member, block by block.  Returns the rows as
+    a list, the families as (T, size, start, stop) and, for a pair, each
+    row's winding k(k - 1)/2 + s k, with k = n_lo and s the particles
+    strictly between lo and hi (None for a window).
+    """
+    inside = list(range(lo - 1, hi)) if window else [lo - 1, hi - 1]
+    groups = {}
+    for row, occ in enumerate(sector.basis):
+        outside = tuple(n for mode, n in enumerate(occ) if mode not in inside)
+        groups.setdefault(outside, []).append((tuple(occ[mode] for mode in inside), row))
+    live = set(np.asarray(live).tolist())
+    kept = sorted((sum(members[0][0]), outside, sorted(members))
+                  for outside, members in groups.items()
+                  if any(row in live for _inner, row in members)
+                  and (sum(members[0][0]) > 0 if window else len(members) > 1))
+    rows, winding, families = [], [], []
+    for total in sorted({block[0] for block in kept}):
+        family = [members for block_total, _outside, members in kept if block_total == total]
+        start = len(rows)
+        for rank in range(len(family[0])):
+            for members in family:
+                inner, row = members[rank]
+                rows.append(row)
+                k, between = inner[0], sum(sector.basis[row][lo:hi - 1])
+                winding.append(k * (k - 1) // 2 + between * k)
+        families.append((total, len(family[0]), start, len(rows)))
+    return rows, families, None if window else winding
+
+
+def plan_leaves(obj):
+    """Every object nested tuples hold that is not itself a tuple, as in a
+    plan or a kernel cache entry."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from plan_leaves(item)
+    else:
+        yield obj
 
 
 def beam_splitter_steps(plan):

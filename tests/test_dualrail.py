@@ -19,7 +19,7 @@ from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_
     evolve_amplitudes
 
 from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, haar_unitary, \
-    kernel_plan, phase_align
+    kernel_plan, live_blocks, phase_align, plan_leaves
 
 
 # dense 2x2 oracles, independent of the compiler's conventions
@@ -444,7 +444,8 @@ def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
 
 def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
     # the 8 encoded inputs lie in 4 blocks of qubit 1's pair; the other
-    # 532 rows of that beam splitter's bosonic record hold exact zeros
+    # 532 rows of that beam splitter's blocks on the whole bosonic sector
+    # hold exact zeros
     shapes = []
     real_products = network_module._block_products
 
@@ -459,8 +460,9 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
     monkeypatch.setattr(network_module, "_block_products", spy)
     layout = LogicalLayout(3)
     gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
-    record = network_module._blocks(layout.m, layout.n_particles, False, 1, 2, False)
-    assert len(record.rows) == 540
+    sector = enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(1.1))
+    rows, _families, _winding = live_blocks(sector, np.arange(sector.dim), 1, 2, False)
+    assert len(rows) == 540
     for spec in both_classes(1.1):
         shapes.clear()
         logical_unitary(spec, layout, gates)
@@ -478,9 +480,9 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     selections, hop_totals = [], []
     real_live, real_hops = network_module._live_blocks, network_module._pair_hops
 
-    def live_spy(blocks, live):
-        selections.append(len(blocks.rows))
-        return real_live(blocks, live)
+    def live_spy(shape, fermionic, live, lo, hi, window):
+        selections.append((lo, hi, window))
+        return real_live(shape, fermionic, live, lo, hi, window)
 
     def hops_spy(hops, thetas):
         hop_totals.append((tuple(int(round(top)) for top in hops[0].max(axis=1)), len(thetas)))
@@ -524,6 +526,26 @@ def test_one_layer_circuit_runs_on_the_rows_it_reaches(qubits, reached, dim):
     assert len(rows) == reached and state.shape == (len(code), reached)
     assert (rows[:len(code)] == code).all()
     assert state[:, :len(code)].T.tobytes() == logical_unitary(sector.spec, layout, gates).tobytes()
+
+
+def test_cold_circuit_caches_no_array_as_long_as_its_sector():
+    # each step's blocks come from the rows the plan holds, so a cold
+    # 4-qubit circuit leaves no record of the 19 448-row sector in the
+    # kernel cache: every array there is sized by the 16 code rows or by
+    # a small window or pair total, none by a tenth of the sector (a
+    # record of a beam splitter's blocks over the whole sector held 16 016)
+    layout = LogicalLayout(4)
+    spec = AnyonSpec.bosonic(0.8)
+    assert enumerate_sector(layout.m, layout.n_particles, spec).dim == 19448
+    gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 5)]
+    gates += [CP(q, q + 1) for q in range(1, 4)]
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    logical_unitary(spec, layout, gates)
+    arrays = [leaf for key, (value, _size) in cache.entries.items()
+              for leaf in plan_leaves((key, value)) if isinstance(leaf, np.ndarray)]
+    assert arrays and max(arr.size for arr in arrays) < 19448 // 10
+    cache.clear()
 
 
 @pytest.mark.parametrize("fermionic", [False, True])

@@ -21,7 +21,7 @@ from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, evo
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
 from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, dense_unitary, \
-    kernel_plan, state_deviation, states_close
+    kernel_plan, live_blocks, plan_leaves, state_deviation, states_close
 
 
 def test_element_validation():
@@ -31,6 +31,55 @@ def test_element_validation():
         PhaseShifter(1, math.nan)
     with pytest.raises(ValueError):
         Network(2, (BeamSplitter(1, 3, 0.1),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhaseShifter(1.5, 0.2),
+    lambda: PhaseShifter("2", 0.2),
+    lambda: BeamSplitter(1.0, 3, 0.4),
+    lambda: BeamSplitter(1, "3", 0.4),
+    lambda: Window(2.0, build_braiding_network()),
+    lambda: Network(3.0, ()),
+], ids=["ps-float", "ps-str", "bs-float", "bs-str", "window-float", "network-float"])
+def test_a_mode_that_is_not_an_integer_is_refused_at_construction(build):
+    # a float or string mode used to pass construction and fail inside the
+    # kernel with TypeError or IndexError
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_modes_evolve_like_python_ints():
+    # a mode is stored as the int its __index__ gives, so a numpy int plans
+    # and runs as that int, bit for bit
+    braid = build_braiding_network()
+
+    def net(idx):
+        return Network(idx(5), (PhaseShifter(idx(2), 0.2), BeamSplitter(idx(1), idx(4), 0.7),
+                                Window(idx(2), braid), BeamSplitter(idx(5), idx(3), -0.3)))
+
+    for spec in both_classes(0.9):
+        sector = enumerate_sector(5, 3, spec)
+        rng = np.random.default_rng(8)
+        batch = rng.normal(size=(sector.dim, 2)) + 1j * rng.normal(size=(sector.dim, 2))
+        batch[::2] = 0.0
+        want = evolve_amplitudes(net(int), sector, batch)
+        state = StateVector.from_vector(sector, batch[:, 0])
+        for idx in (np.int64, np.int32, np.uint8):
+            assert net(idx) == net(int)
+            assert all(type(mode) is int for el in net(idx).elements for mode in el.modes)
+            assert evolve_amplitudes(net(idx), sector, batch).tobytes() == want.tobytes()
+            assert evolve(net(idx), state).amps == evolve(net(int), state).amps
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"m": 3, "elements": [{"type": "bs", "i": 1, "theta": 0.4}]}, "missing key 'j'"),
+    ({"m": 3}, "missing key 'elements'"),
+    ({"m": "2", "elements": []}, "m must be an integer, got '2'"),
+])
+def test_malformed_network_documents_raise_value_error_naming_the_entry(doc, named):
+    # these raised KeyError 'j', KeyError 'elements' and TypeError
+    with pytest.raises(ValueError, match=named):
+        Network.from_jsonable(doc)
 
 
 def test_bs_zero_angle_is_identity():
@@ -409,12 +458,14 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
         for m, n in shapes:
             if spec.is_fermionic and n > m:
                 continue
-            occ = enumerate_sector(m, n, spec).occ
+            sector = enumerate_sector(m, n, spec)
+            occ = sector.occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
-                for n_pair, size, start, stop in blocks.families:
+                rows, families, _winding = live_blocks(sector, np.arange(sector.dim), lo, hi,
+                                                       False)
+                for n_pair, size, start, stop in families:
                     assert size == n_pair + 1
-                    idx = blocks.rows[start:stop].reshape(size, -1)
+                    idx = rows[start:stop].reshape(size, -1)
                     assert (occ[idx, lo - 1] == np.arange(n_pair + 1)[:, None]).all()
 
 
@@ -459,12 +510,13 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
         for spec in both_classes(phi):
             x = phi + (math.pi if spec.is_fermionic else 0.0)
             for m, n in ((4, 2), (6, 3), (8, 5)):
-                occ = enumerate_sector(m, n, spec).occ
+                sector = enumerate_sector(m, n, spec)
+                occ = sector.occ
                 for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                    blocks = network_module._blocks(m, n, spec.is_fermionic, lo, hi, False)
-                    got = network_module._lookup_exp(x, blocks.winding,
-                                                     int(blocks.winding.max(initial=0)))
-                    want = np.exp(1j * x * blocks.winding.astype(float))
+                    _rows, _families, winding = live_blocks(sector, np.arange(sector.dim), lo, hi,
+                                                            False)
+                    got = network_module._lookup_exp(x, winding, int(winding.max(initial=0)))
+                    want = np.exp(1j * x * winding.astype(float))
                     assert got.tobytes() == want.tobytes()
                 # a column of angles lays its table rows end to end: row r's
                 # codes are offset by r (n + 1)
@@ -591,43 +643,47 @@ def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch
         shapes.clear()
 
 
-def test_gather_records_are_held_by_bytes(monkeypatch):
-    # a sweep of shapes under a small budget evicts the first record; its
+def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
+    # one-step plans over a sweep of sector shapes, beam splitters and
+    # dense windows, under a small budget evict the first plan; its
     # rebuild is byte-identical and read-only like the first
     cache = network_module._KERNEL_CACHE
     cache.clear()
-    first = network_module._blocks(8, 5, False, 2, 7, False)
-    saved = [arr.copy() for arr in (first.rows, first.winding, first.block)]
-    monkeypatch.setattr(cache, "budget", 4 * sum(arr.nbytes for arr in saved))
+    spec = AnyonSpec.bosonic(0.6)
+
+    def plan(m, n, lo, hi, window):
+        dim = enumerate_sector(m, n, spec).dim
+        sub = Network(hi - lo + 1, (BeamSplitter(1, hi - lo + 1, 0.3),))
+        step = (lo, hi, True, sub, spec) if window else (lo, hi, False)
+        args = (m, n, False, (step,), np.arange(0, dim, 3).tobytes())
+        return network_module._plan(*args), (network_module._plan.__wrapped__, args)
+
+    first, key = plan(8, 5, 2, 7, False)
+    assert first.steps and len(first.rows) > len(np.arange(0, 792, 3))
+    saved = [arr.copy() for arr in first[:5]]
+    monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
     for m in range(3, 9):
         for n in range(1, 6):
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
                 for window in (False, True):
-                    network_module._blocks(m, n, False, lo, hi, window)
+                    if window and hi - lo + 1 == m:
+                        continue    # a window as wide as the sector runs in place
+                    plan(m, n, lo, hi, window)
                     assert cache.held == sum(size for _value, size in cache.entries.values())
                     assert cache.held <= cache.budget
-    key = (network_module._blocks.__wrapped__, (8, 5, False, 2, 7, False))
     assert key not in cache.entries
-    again = network_module._blocks(8, 5, False, 2, 7, False)
+    again, _key = plan(8, 5, 2, 7, False)
     assert again is not first
-    for arr, want in zip((again.rows, again.winding, again.block), saved):
+    for arr, want in zip(again[:5], saved):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
-    assert (again.families, again.totals) == (first.families, first.totals)
-    # every record has one key: a keyword call fails instead of missing it
+    assert by_value(again.steps) == by_value(first.steps)
+    assert by_value(again.hop_groups) == by_value(first.hop_groups) and again[7:] == first[7:]
+    # every plan has one key: a keyword call fails instead of missing it
     with pytest.raises(TypeError):
-        network_module._blocks(8, 5, False, 2, 7, window=False)
+        network_module._plan(*key[1][:4], support=key[1][4])
     cache.clear()
-
-
-def plan_leaves(obj):
-    """Every object a plan's nested tuples hold that is not itself a tuple."""
-    if isinstance(obj, tuple):
-        for item in obj:
-            yield from plan_leaves(item)
-    else:
-        yield obj
 
 
 def by_value(obj):
@@ -770,15 +826,12 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
         batch[support] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         plan = kernel_plan(net, sector, support)
         window_step = plan.steps[1]
-        record = network_module._blocks(5, 3, spec.is_fermionic, 2, 4, True)
-        live = np.zeros(sector.dim, dtype=bool)
-        live[support] = True
-        kept_rows, _keep, kept = network_module._live_blocks(record, live)
+        kept_rows, kept, _winding = live_blocks(sector, support, 2, 4, True)
         assert kept
         if diagonal:
             assert window_step[0] == network_module._DIAGONAL
             assert window_step[1] == len(support)
-            assert window_step[3] == tuple(record.totals[f] for f, *_span in kept)
+            assert window_step[3] == tuple(total for total, *_span in kept)
             # bosonic |1,0,0,0,2> has window total 0, so its phase is 1
             empty = [sector.index[occ] for occ in [(1, 0, 0, 0, 2)] if occ in sector]
             for rows in (support, np.union1d(support, empty)):

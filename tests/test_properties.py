@@ -24,7 +24,8 @@ from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve, shellwise_oracle, stepwise_evolve_support  # noqa: E402
+from conftest import dense_evolve, live_blocks, reference_blocks, shellwise_oracle, \
+    stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -225,6 +226,29 @@ def truncated_cases(draw):
     return spec, Network(2, around), TruncatedState(amps)
 
 
+@st.composite
+def live_block_cases(draw):
+    """A sector of m <= 6 modes and n <= 4 particles, one kernel step on it
+    (an adjacent pair, a long-range pair or a window) as (lo, hi, window),
+    and live rows in a random order: none, one, a random set or the whole
+    sector."""
+    spec = draw(specs())
+    m = draw(st.integers(2, 6))
+    sector = enumerate_sector(m, draw(st.integers(0, min(m, 4) if spec.is_fermionic else 4)), spec)
+    kind = draw(st.sampled_from(["adjacent", "long-range", "window"]))
+    if kind == "window":
+        width = draw(st.integers(1, m))
+        lo = draw(st.integers(1, m - width + 1))
+        hi = lo + width - 1
+    else:
+        lo = draw(st.integers(1, m - 1))
+        hi = lo + 1 if kind == "adjacent" else draw(st.integers(min(lo + 2, m), m))
+    rows = st.integers(0, sector.dim - 1)
+    live = draw(st.one_of(st.just([]), st.lists(rows, min_size=1, max_size=1),
+                          st.lists(rows, unique=True), st.just(list(range(sector.dim)))))
+    return sector, draw(st.permutations(live)), lo, hi, kind == "window"
+
+
 def creation_monomial(spec, m, monomial):
     """chi†_{m1} ... chi†_{mk} |0>, the rightmost operator acting first."""
     state = vacuum_state(m, spec)
@@ -389,6 +413,24 @@ def test_batched_angle_pass_keeps_each_steps_bits(case):
     want_rows, want = stepwise_evolve_support(network, sector, support, batch[support])
     assert rows.tobytes() == want_rows.tobytes()
     assert state.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(live_block_cases())
+def test_live_blocks_match_the_grouped_sector_basis(case):
+    # blocks built from the live rows alone are the sector's blocks that
+    # hold a live row: same rows in the same order, same families, same
+    # windings, whatever order the live rows come in
+    sector, live, lo, hi, window = case
+    rows, families, winding = live_blocks(sector, live, lo, hi, window)
+    want_rows, want_families, want_winding = reference_blocks(sector, live, lo, hi, window)
+    assert rows.dtype == np.intp and rows.tolist() == want_rows
+    assert families == want_families
+    assert all(type(number) is int for family in families for number in family)
+    if window:
+        assert winding is None
+    else:
+        assert winding.dtype == np.intp and winding.tolist() == want_winding
 
 
 @PROPERTY
