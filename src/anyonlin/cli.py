@@ -25,16 +25,18 @@ import math
 import os
 import re
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .coherent import Truncation, mirror_cat, mirror_cat_reference
-from .dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, euler_zxz, logical_unitary, \
-    run_circuit
+# the coherent-state and dual-rail modules are imported by the subcommands
+# that run them, so hom, braid and run load only the Fock space and networks
 from .fock import AnyonSpec, ParticleClass, StateVector, enumerate_sector
 from .network import BeamSplitter, Network, PhaseShifter, build_braiding_network, evolve, \
     evolve_amplitudes
+
+if TYPE_CHECKING:
+    from .dualrail import LogicalLayout
 
 __all__ = [
     "CliError",
@@ -319,10 +321,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                            args.input, not args.no_normalize, dump_unitary=args.dump_unitary)
 
 
-#: Circuit gates by "type": the class and its fields in constructor order.
-#: The qubit fields ``q``, ``a`` and ``b`` are integers, the rest angles.
-_GATES = {"rz": (Rz, ("q", "beta")), "rx": (Rx, ("q", "gamma")),
-          "u1": (U1, ("q", "alpha", "beta", "gamma", "delta")), "cp": (CP, ("a", "b"))}
+#: Circuit gates by "type": the name of the ``dualrail`` class and its
+#: fields in constructor order.  The qubit fields ``q``, ``a`` and ``b``
+#: are integers, the rest angles.
+_GATES = {"rz": ("Rz", ("q", "beta")), "rx": ("Rx", ("q", "gamma")),
+          "u1": ("U1", ("q", "alpha", "beta", "gamma", "delta")), "cp": ("CP", ("a", "b"))}
 
 
 def _integer(value, field: str) -> int:
@@ -334,13 +337,15 @@ def _integer(value, field: str) -> int:
 
 
 def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
+    from . import dualrail
+
     try:
         qubits = _integer(doc["qubits"], "qubits")
         spec = AnyonSpec(ParticleClass(doc.get("class", "bosonic")), float(doc["phi"]))
         raw_gates = doc["gates"]
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CliError(f"bad circuit document: {err}") from None
-    layout = LogicalLayout(qubits)
+    layout = dualrail.LogicalLayout(qubits)
     _check_dim(layout.m, layout.n_particles, spec, MAX_KERNEL_DIM)
 
     def angle(value) -> float:
@@ -355,7 +360,8 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
         kind = entry.get("type")
         if kind not in _GATES:
             raise CliError(f"gate {pos}: unknown type {kind!r}")
-        gate, keys = _GATES[kind]
+        gate_name, keys = _GATES[kind]
+        gate = getattr(dualrail, gate_name)
         missing = [key for key in keys if key not in entry]
         if missing:
             raise CliError(f"gate {pos}: missing fields {missing}")
@@ -375,6 +381,8 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_check(args: argparse.Namespace) -> int:
+    from .dualrail import U1, LogicalLayout, euler_zxz, logical_unitary
+
     rng = np.random.default_rng(args.seed)
     layout = LogicalLayout(1)
     spec = AnyonSpec.bosonic(parse_angle(args.phi)) if args.phi else AnyonSpec.bosonic(1.0)
@@ -393,6 +401,8 @@ def _haar_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from .dualrail import decode, run_circuit
+
     if args.haar_check < 0:
         raise CliError(f"--haar-check needs a count >= 0, got {args.haar_check}")
     if args.haar_check:
@@ -429,6 +439,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_cat(args: argparse.Namespace) -> int:
+    from .coherent import Truncation, mirror_cat, mirror_cat_reference
+
     spec = AnyonSpec.bosonic(parse_angle(args.phi))
     truncation = Truncation(args.nmax)
     u = parse_complex(args.u)

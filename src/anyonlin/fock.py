@@ -229,8 +229,12 @@ def enumerate_sector(m: int, n_total: int, spec: AnyonSpec) -> FockSector:
     return _sector_cached(spec, m, n_total)
 
 
-def _kept(amps: Mapping) -> dict:
-    """The amplitudes above PRUNE_EPS in magnitude, in insertion order."""
+def _sum(first: Mapping, second: Mapping) -> dict:
+    """The entrywise sum of two amplitude dicts above PRUNE_EPS in
+    magnitude, keyed in ``first``'s order and then ``second``'s new keys."""
+    amps = dict(first)
+    for occ, a in second.items():
+        amps[occ] = amps.get(occ, 0.0) + a
     return {occ: a for occ, a in amps.items() if abs(a) > PRUNE_EPS}
 
 
@@ -248,6 +252,16 @@ class StateVector:
                 raise ValueError(f"occupation {occ} not in sector {sector!r}")
         self.sector = sector
         self.amps = {occ: complex(a) for occ, a in amps.items()}
+
+    @classmethod
+    def _of(cls, sector: FockSector, amps: dict[tuple[int, ...], complex]) -> "StateVector":
+        """A state holding ``amps`` itself, unchecked: for dicts the engine
+        built, keyed by occupations of the sector's ``basis`` or ``index``
+        and valued by Python complex numbers."""
+        state = cls.__new__(cls)
+        state.sector = sector
+        state.amps = amps
+        return state
 
     @classmethod
     def basis_state(cls, sector: FockSector, occ: Sequence[int]) -> "StateVector":
@@ -285,7 +299,7 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.sector, {occ: a / n for occ, a in self.amps.items()})
+        return StateVector._of(self.sector, {occ: a / n for occ, a in self.amps.items()})
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other>."""
@@ -300,10 +314,7 @@ class StateVector:
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.sector != other.sector:
             raise ValueError("sum of states from different sectors")
-        amps = dict(self.amps)
-        for occ, a in other.amps.items():
-            amps[occ] = amps.get(occ, 0.0) + a
-        return StateVector(self.sector, _kept(amps))
+        return StateVector._of(self.sector, _sum(self.amps, other.amps))
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-1.0) * other
@@ -343,23 +354,40 @@ def ladder_factor(phi: float, fermionic: bool, s: int, k: int, create: bool) -> 
     return string * math.sqrt(k + 1 if create else k)
 
 
-def _apply_ladder(state: StateVector, i: int, create: bool) -> StateVector:
-    sector = state.sector
+def _ladder(sector: FockSector, amps: Mapping, i: int,
+            create: bool) -> tuple[FockSector, dict]:
+    """chi†_i (create) or chi_i on the amplitudes ``amps`` of ``sector``.
+
+    The one loop over basis states of a ladder: returns the target
+    sector, one particle more or fewer, and its amplitudes above
+    PRUNE_EPS in magnitude, in the order of their sources in ``amps``.
+    Raises EmptySectorError when the class admits no target state.
+    """
     spec = sector.spec
-    _check_mode(sector.m, i)
+    phi, fermionic = spec.phi, spec.is_fermionic
     step = 1 if create else -1
-    if sector.n_total + step < 0:
-        return StateVector.zero(sector)
-    target = enumerate_sector(sector.m, sector.n_total + step, spec)
+    target = _sector_cached(spec, sector.m, sector.n_total + step)
+    index = target.index
     out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amps.items():
+    for occ, amp in amps.items():
         k = occ[i - 1]
         new_occ = occ[: i - 1] + (k + step,) + occ[i:]
-        if new_occ not in target.index:
+        if new_occ not in index:
             continue
-        factor = ladder_factor(spec.phi, spec.is_fermionic, sum(occ[: i - 1]), k, create)
-        out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-    return StateVector(target, _kept(out))
+        # a target has this one source; adding it to 0.0, as a sum over
+        # sources would, turns a -0.0 part into +0.0
+        amp = 0.0 + amp * ladder_factor(phi, fermionic, sum(occ[: i - 1]), k, create)
+        if abs(amp) > PRUNE_EPS:
+            out[new_occ] = amp
+    return target, out
+
+
+def _apply_ladder(state: StateVector, i: int, create: bool) -> StateVector:
+    sector = state.sector
+    _check_mode(sector.m, i)
+    if not create and sector.n_total == 0:
+        return StateVector.zero(sector)
+    return StateVector._of(*_ladder(sector, state.amps, i, create))
 
 
 def apply_create(state: StateVector, i: int) -> StateVector:

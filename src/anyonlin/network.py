@@ -99,8 +99,9 @@ from .fock import (
     FockSector,
     StateVector,
     _ShapeBasis,
+    _ladder,
     _shape_basis,
-    apply_create,
+    _sum,
     enumerate_sector,
     vacuum_state,
 )
@@ -289,10 +290,11 @@ def evolve(network: Network, state: StateVector) -> StateVector:
     support = np.array([pos for pos, _amp in entries], dtype=np.intp)
     values = np.array([amp for _pos, amp in entries], dtype=np.complex128)
     rows, out = _evolve_support(network, sector, support, values[:, None])
-    keep = np.flatnonzero(np.abs(out[0]) > PRUNE_EPS)
-    keep = keep[np.argsort(rows[keep])]
-    return StateVector(sector, dict(zip(map(sector.basis.__getitem__, rows[keep].tolist()),
-                                        out[0, keep].tolist())))
+    kept = sorted((row, amp) for row, amp, keep in
+                  zip(rows.tolist(), out[0].tolist(), (np.abs(out[0]) > PRUNE_EPS).tolist())
+                  if keep)
+    basis = sector.basis
+    return StateVector._of(sector, {basis[row]: amp for row, amp in kept})
 
 
 #: Bytes that the kernel's cached plans (with their support keys),
@@ -610,6 +612,13 @@ def _is_diagonal(stack: np.ndarray) -> bool:
 #: The kinds of plan step (see ``_Plan``), the first entry of each.
 _PHASE, _DIAGONAL, _WINDOW, _HOP = range(4)
 
+#: The read-only empty ``gathered``, ``winding`` or ``codes`` and empty
+#: ``taus`` that every plan without such entries holds.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_TAUS = np.empty((0, 1), dtype=np.intp)
+_NO_ROWS.setflags(write=False)
+_NO_TAUS.setflags(write=False)
+
 
 class _Plan(NamedTuple):
     """What a network skeleton does on one input support.
@@ -682,7 +691,7 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
     width = len(initial)
     rows[:width] = initial
     place[initial] = np.arange(width)
-    gathered, winding, codes = ([np.empty(0, np.intp)] for _ in range(3))
+    gathered, winding, codes = [], [], []
     steps, taus, groups = [], [], {}
     n_gathered = n_winding = n_codes = angle = 0
     for step in skeleton:
@@ -732,9 +741,12 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
         members.append(angle - 1)
         n_winding += len(step_winding) if w_max else 0
     # angle positions as columns, so a gather of the angles broadcasts
-    # against the phase table's powers and the hop eigenvalue stacks
-    arrays = [rows[:width].copy(), *map(np.concatenate, (gathered, winding, codes)),
-              np.array(taus, dtype=np.intp).reshape(-1, 1)]
+    # against the phase table's powers and the hop eigenvalue stacks; a
+    # plan with nothing to hold in one of them shares the empty constant
+    arrays = [rows[:width].copy(),
+              *(np.concatenate(parts) if parts else _NO_ROWS
+                for parts in (gathered, winding, codes)),
+              np.array(taus, dtype=np.intp).reshape(-1, 1) if taus else _NO_TAUS]
     hop_groups = tuple((_pair_hop_eigh(totals),
                         np.array(members, dtype=np.intp).reshape(-1, 1, 1))
                        for totals, (_group, members) in groups.items())
@@ -752,10 +764,13 @@ def _run(plan: _Plan, angles, spec: AnyonSpec, values: np.ndarray) -> np.ndarray
     The angles go through the plan in one batched pass: one ``exp`` and
     one gather give every phase shifter's factors, and one product per
     ``hop_groups`` record every beam splitter's W_N(theta); the steps
-    then only gather, multiply and scatter.
+    then only gather, multiply and scatter.  A plan with no step, whose
+    beam splitters all met exact zeros, converts no angle.
     """
     state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)
     state[:, :len(values)] = values.T
+    if not plan.steps:
+        return state
     # plan row r of input column c sits at flat[c * L + r]
     flat = state.reshape(-1)
     columns = len(plan.rows) * np.arange(len(state))[:, None]
@@ -906,9 +921,10 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
     the winding grows by 1, and chi†_k itself at strictly intermediate
     modes, where it grows by 2), and the final dressed operator drops on
     the vacuum.  The factors are then applied right to left to the
-    vacuum, one or two ``apply_create`` calls and one sum each, so the
-    product is never multiplied out and no second phase bookkeeping
-    exists.
+    vacuum's amplitudes as plain dicts, one or two passes of the ladder
+    loop behind ``apply_create`` and one sum each, and the result is
+    wrapped as one state, so the product is never multiplied out and no
+    second phase bookkeeping exists.
 
     Modes outside [min(i,j), max(i,j)] other than i, j themselves have no
     pushing rule and raise UnsupportedPropagationError (``evolve``
@@ -942,11 +958,16 @@ def propagate_algebraic(spec: AnyonSpec, network: Network,
             factors.append(((mode, 1.0),))
             winding += 2
 
-    state = vacuum_state(network.m, spec)
+    vacuum = vacuum_state(network.m, spec)
+    sector, amps = vacuum.sector, vacuum.amps
     for factor in reversed(factors):
-        pieces = [c * apply_create(state, mode) for mode, c in factor]
-        state = sum(pieces[1:], pieces[0])
-    return state
+        pieces = []
+        for mode, c in factor:
+            target, kept = _ladder(sector, amps, mode, True)
+            pieces.append({occ: c * a for occ, a in kept.items()})
+        sector = target
+        amps = _sum(*pieces) if len(pieces) == 2 else pieces[0]
+    return StateVector._of(sector, amps)
 
 
 @lru_cache(maxsize=1)  # a constant; every compiled CP asks for it

@@ -7,15 +7,17 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import cmath
 import math
 
 import numpy as np
 
 from anyonlin import AnyonSpec
-from anyonlin.fock import StateVector, _shape_basis, enumerate_sector
+from anyonlin.fock import StateVector, _shape_basis, apply_create, enumerate_sector, \
+    vacuum_state
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
 from anyonlin import network as network_module
-from anyonlin.network import PhaseShifter, Window
+from anyonlin.network import BeamSplitter, PhaseShifter, UnsupportedPropagationError, Window
 from anyonlin.operators import quadratic_matrix
 
 # Exchange phases exercised across the suite; 0 is the standard limit.
@@ -62,6 +64,46 @@ def dense_evolve(network, sector, amps):
     for element in network.elements:
         amps = dense_unitary(sector, element).dot(amps)
     return amps
+
+
+def reference_propagate_algebraic(spec, network, monomial):
+    """Reference of ``propagate_algebraic`` in ``StateVector`` arithmetic.
+
+    The same pushed factors, applied right to left to the vacuum state:
+    each term is ``c * apply_create(state, mode)`` and the terms of a
+    factor are summed with ``+``, so every step builds and checks a
+    state.  ``propagate_algebraic`` runs the same operations in the same
+    order on plain amplitude dicts, so the two agree bit for bit, in
+    every value and in key order.
+    """
+    if len(network.elements) != 1 or not isinstance(network.elements[0], BeamSplitter):
+        raise ValueError("algebraic propagation expects a network of exactly one beam splitter")
+    bs = network.elements[0]
+    lo, hi = sorted((bs.mode_i, bs.mode_j))
+    for mode in monomial:
+        if not 1 <= mode <= network.m:
+            raise ValueError(f"monomial mode {mode} outside 1..{network.m}")
+        if not lo <= mode <= hi:
+            raise UnsupportedPropagationError(
+                f"mode {mode} lies outside the beam splitter span [{lo}, {hi}]")
+    cos_t = math.cos(bs.theta)
+    sin_t = math.sin(bs.theta)
+    winding = 0
+    factors = []
+    for mode in monomial:
+        if mode in (lo, hi):
+            other, sign = (hi, -1j) if mode == lo else (lo, 1j)
+            branch = cmath.exp(sign * winding * spec.phi)
+            factors.append(((mode, cos_t), (other, 1j * branch * sin_t)))
+            winding += 1
+        else:
+            factors.append(((mode, 1.0),))
+            winding += 2
+    state = vacuum_state(network.m, spec)
+    for factor in reversed(factors):
+        pieces = [c * apply_create(state, mode) for mode, c in factor]
+        state = sum(pieces[1:], pieces[0])
+    return state
 
 
 def kernel_plan(network, sector, support):

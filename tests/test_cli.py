@@ -231,6 +231,19 @@ def test_compile_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_hom_loads_only_the_fock_space_and_networks():
+    # the operator, coherent-state and dual-rail modules cost a CLI process
+    # their import time and run in none of hom, braid and run
+    script = ("import sys\n"
+              "from anyonlin.cli import main\n"
+              "code = main(['hom', '--phi', '1.0', '--self-check'])\n"
+              "print(code, sorted(name for name in sys.modules if name.startswith('anyonlin')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == \
+        "0 ['anyonlin', 'anyonlin.cli', 'anyonlin.fock', 'anyonlin.network']"
+
+
 def test_malformed_circuit_documents_exit_2(tmp_path, capsys):
     circuit = tmp_path / "circuit.json"
     for gates, where in ((5, "'gates' must be a list"),

@@ -311,6 +311,21 @@ def test_state_vector_arithmetic_and_pruning():
         StateVector(sector, {(2, 0): 1.0})
 
 
+def test_states_hold_python_complex_values_keyed_in_their_sector():
+    spec = AnyonSpec.bosonic(0.7)
+    sector = enumerate_sector(3, 2, spec)
+    with pytest.raises(ValueError, match="not in sector"):
+        StateVector(sector, {(1, 1, 0): 1.0, (3, 0, 0): 1.0})
+    state = StateVector(sector, {(1, 1, 0): np.complex128(0.6), (0, 1, 1): np.float64(0.8)})
+    pair = apply_create(apply_create(vacuum_state(3, spec), 3), 1)
+    results = [state, np.complex128(2) * state, state * np.float64(0.5), state + pair,
+               state - pair, state.normalized(), pair, apply_annihilate(pair, 3),
+               apply_annihilate(vacuum_state(3, spec), 2)]
+    for result in results:
+        assert all(type(a) is complex for a in result.amps.values())
+        assert all(occ in result.sector.index for occ in result.amps)
+
+
 def test_invalid_mode_index_raises():
     spec = AnyonSpec.bosonic(0.1)
     with pytest.raises(ValueError):

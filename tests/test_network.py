@@ -21,7 +21,8 @@ from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, evo
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
 from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, dense_unitary, \
-    kernel_plan, live_blocks, plan_leaves, state_deviation, states_close
+    kernel_plan, live_blocks, plan_leaves, reference_propagate_algebraic, state_deviation, \
+    states_close
 
 
 def test_element_validation():
@@ -198,15 +199,16 @@ def test_propagate_rejects_modes_outside_span():
 
 
 def test_propagate_applies_each_pushed_factor_once(monkeypatch):
-    # each pushed factor costs at most two creation calls; expanding the
-    # product would cost one call per operator of each of 2^c strings
+    # each pushed factor costs at most two creation passes; expanding the
+    # product would cost one pass per operator of each of 2^c strings
     calls = []
+    ladder = network_module._ladder
 
-    def counting_create(state, mode):
+    def counting_ladder(sector, amps, mode, create):
         calls.append(mode)
-        return apply_create(state, mode)
+        return ladder(sector, amps, mode, create)
 
-    monkeypatch.setattr(network_module, "apply_create", counting_create)
+    monkeypatch.setattr(network_module, "_ladder", counting_ladder)
     net = Network(4, (BeamSplitter(1, 4, 0.7),))
     # fermions cannot repeat a mode, so their monomial adds an intermediate one
     for spec, mono in zip(both_classes(1.1), ([1, 4, 1, 4], [1, 2, 4])):
@@ -224,6 +226,20 @@ def test_propagate_fermionic_monomial_longer_than_mode_count_raises():
     net = Network(2, (BeamSplitter(1, 2, 0.5),))
     with pytest.raises(EmptySectorError):
         propagate_algebraic(AnyonSpec.fermionic(0.8), net, [1, 2, 1])
+
+
+@pytest.mark.parametrize("spec, m, modes, monomial, error", [
+    (AnyonSpec.fermionic(0.8), 2, (1, 2), [1, 2, 1], EmptySectorError),
+    # the repeated mode leaves the zero state, whose sector still grows
+    (AnyonSpec.fermionic(0.8), 3, (3, 1), [2, 2, 1, 3], EmptySectorError),
+    (AnyonSpec.bosonic(0.8), 4, (2, 3), [2, 4], UnsupportedPropagationError),
+    (AnyonSpec.fermionic(2.1), 4, (3, 2), [3, 1], UnsupportedPropagationError),
+])
+def test_propagate_and_its_reference_raise_alike(spec, m, modes, monomial, error):
+    net = Network(m, (BeamSplitter(*modes, 0.5),))
+    for path in (propagate_algebraic, reference_propagate_algebraic):
+        with pytest.raises(error):
+            path(spec, net, monomial)
 
 
 def test_propagate_matches_spectral_evolution():
@@ -790,6 +806,22 @@ def test_kernel_cache_counts_the_objects_of_its_plans():
     counted = cache.held - held
     assert counted / 1.5 <= grown <= 1.5 * counted
     cache.clear()
+
+
+def test_plans_with_nothing_to_hold_share_one_empty_array_each():
+    # two plans of no step (the beam splitter meets only a block of
+    # pair total 0) and one whose kept block does not wind, none with a
+    # phase shifter
+    bosons = enumerate_sector(3, 2, AnyonSpec.bosonic(0.4))
+    fermions = enumerate_sector(2, 1, AnyonSpec.fermionic(0.4))
+    idle = [kernel_plan(Network(3, (BeamSplitter(*pair, 0.3),)), bosons, [bosons.index[occ]])
+            for pair, occ in (((1, 2), (0, 0, 2)), ((2, 3), (2, 0, 0)))]
+    plain = kernel_plan(Network(2, (BeamSplitter(1, 2, 0.3),)), fermions, [0])
+    assert [len(plan.steps) for plan in idle + [plain]] == [0, 0, 1]
+    assert idle[0].gathered is idle[1].gathered
+    for field in ("winding", "codes", "taus"):
+        first, second, third = (getattr(plan, field) for plan in idle + [plain])
+        assert first is second is third and not first.flags.writeable
 
 
 def assert_diagonal_phases(sub, sector, plan):

@@ -24,8 +24,8 @@ from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve, live_blocks, reference_blocks, shellwise_oracle, \
-    stepwise_evolve_support  # noqa: E402
+from conftest import dense_evolve, live_blocks, reference_blocks, \
+    reference_propagate_algebraic, shellwise_oracle, stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -269,6 +269,38 @@ def test_dense_kernel_and_algebraic_paths_agree(case):
     assert algebraic.sector == state.sector
     assert np.max(np.abs(dense - kernel)) <= 1e-10 * norm
     assert np.max(np.abs(dense - algebraic.to_vector())) <= 1e-10 * norm
+
+
+@st.composite
+def monomial_cases(draw):
+    """A class, phi, m in 2..6, one beam splitter BS(i, j) and a creation
+    monomial in its span: empty, or with repeated modes for either class,
+    so a fermionic one can hold a zero state, and at most m long.  The
+    angle is random or one where cos or sin is roundoff, whose terms the
+    sum of a pushed factor prunes."""
+    spec = draw(specs())
+    m = draw(st.integers(2, 6))
+    lo = draw(st.integers(1, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    i, j = (lo, hi) if draw(st.booleans()) else (hi, lo)
+    monomial = draw(st.lists(st.sampled_from(range(lo, hi + 1)), max_size=min(m, 5)))
+    theta = draw(st.one_of(angles, st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi])))
+    return spec, Network(m, (BeamSplitter(i, j, theta),)), monomial
+
+
+def exact_entries(state):
+    """A state's entries in key order, each amplitude's type and the bits of its parts."""
+    return [(occ, type(a), a.real.hex(), a.imag.hex()) for occ, a in state.amps.items()]
+
+
+@PROPERTY
+@given(monomial_cases())
+def test_algebraic_path_matches_state_arithmetic_bit_for_bit(case):
+    spec, network, monomial = case
+    got = propagate_algebraic(spec, network, monomial)
+    want = reference_propagate_algebraic(spec, network, monomial)
+    assert got.sector == want.sector
+    assert exact_entries(got) == exact_entries(want)
 
 
 @PROPERTY
