@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .fock import AnyonSpec, StateVector, _shape_basis, enumerate_sector, number_expectation
+from .fock import AnyonSpec, StateVector, enumerate_sector, number_expectation
 from .network import BeamSplitter, Element, Network, PhaseShifter, Window, _Plan, \
     _kernel_cached, _plan, _run, _split, build_braiding_network, evolve
 
@@ -152,8 +152,8 @@ def decode(layout: LogicalLayout, state: StateVector) -> tuple[np.ndarray, float
     auxiliary back at occupation one; anything else counts as leakage
     (the state is assumed normalized).
     """
-    occupations, _rows = _code_space(layout, state.sector.spec.is_fermionic)
-    amps = np.array([state.amps.get(occ, 0j) for occ in occupations], dtype=np.complex128)
+    amps = np.array([state.amps.get(occ, 0j) for occ in _code_space(layout)],
+                    dtype=np.complex128)
     leakage = 1.0 - float(np.sum(np.abs(amps) ** 2))
     return amps, leakage
 
@@ -266,16 +266,12 @@ def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
 
 
 @_kernel_cached
-def _code_space(layout: LogicalLayout,
-                fermionic: bool) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The code-space states |bits>_L, bits in binary order: their
-    occupations and their read-only sector positions."""
+def _code_space(layout: LogicalLayout) -> tuple[tuple[int, ...], ...]:
+    """The occupation tuples of the code-space states |bits>_L, bits in
+    binary order, which is sector order; the kernel names plan rows by
+    these tuples, so no sector is enumerated for them."""
     n = layout.num_qubits
-    occupations = tuple(layout.code_occupation(format(idx, f"0{n}b")) for idx in range(2 ** n))
-    index = _shape_basis(layout.m, layout.n_particles, fermionic).index
-    rows = np.array([index[occ] for occ in occupations])
-    rows.setflags(write=False)
-    return occupations, rows
+    return tuple(layout.code_occupation(format(idx, f"0{n}b")) for idx in range(2 ** n))
 
 
 def _split_circuit(gates: Sequence[LogicalGate]) -> tuple[tuple, list[float]]:
@@ -300,14 +296,14 @@ def _circuit_plan(layout: LogicalLayout, signature: tuple, spec: AnyonSpec) -> _
     Compiles the signature's circuit once, on zero angles, through
     ``compile_circuit``, so every qubit and adjacency check runs; a
     circuit that fails them raises and leaves nothing cached.  The plan
-    is built for this entry alone and counted in it.
+    is keyed by the code space's occupations (``_code_space``), so no
+    sector of the layout is enumerated, and is built for this entry
+    alone and counted in it.
     """
     gates = [CP(*qubits) if len(qubits) == 2 else U1(*qubits, 0.0, 0.0, 0.0, 0.0)
              for qubits in signature]
     skeleton, _angles = _split(compile_circuit(layout, gates), spec)
-    _occupations, rows = _code_space(layout, spec.is_fermionic)
-    return _plan.__wrapped__(layout.m, layout.n_particles, spec.is_fermionic, skeleton,
-                             rows.tobytes())
+    return _plan.__wrapped__(layout.n_particles, spec.is_fermionic, skeleton, _code_space(layout))
 
 
 def logical_unitary(spec: AnyonSpec, layout: LogicalLayout,

@@ -79,7 +79,8 @@ class AnyonSpec:
     """Particle class plus statistical exchange phase phi (radians).
 
     phi is reduced into [0, 2*pi) on construction.  phi = 0 gives standard
-    bosons or fermions.
+    bosons or fermions.  ``is_fermionic`` is set on construction from the
+    class.
     """
 
     particle_class: ParticleClass
@@ -94,6 +95,9 @@ class AnyonSpec:
         phi %= _TWO_PI
         # a tiny negative phi reduces to 2 pi itself, which is phi = 0
         object.__setattr__(self, "phi", 0.0 if phi == _TWO_PI else phi)
+        # read on every ladder, sector lookup and kernel call, so set once
+        object.__setattr__(self, "is_fermionic",
+                           self.particle_class is ParticleClass.FERMIONIC)
         # hash once, from numbers only, as FockSector does: kernel plan keys
         # hash a spec per window on every call, and the enum's hash runs in
         # Python; equal specs have equal (phi, class), so they hash equal
@@ -109,10 +113,6 @@ class AnyonSpec:
     @classmethod
     def fermionic(cls, phi: float) -> "AnyonSpec":
         return cls(ParticleClass.FERMIONIC, phi)
-
-    @property
-    def is_fermionic(self) -> bool:
-        return self.particle_class is ParticleClass.FERMIONIC
 
 
 class EmptySectorError(ValueError):

@@ -24,7 +24,7 @@ Two independent evolution paths are provided:
   the window, and on the blocks of window total T it is the sub-network's
   unitary U_T on the small (width, T) sector, built once by running that
   sector's identity through this same kernel and cached.  The input's
-  support, the sector rows nonzero in some batch column, decides which
+  support, the basis states nonzero in some batch column, decides which
   blocks are live: a step multiplies only the blocks that hold a live
   row and marks every row of them live.  Any other block holds exact
   zeros, which a unitary maps to zeros, so skipping it is exact, not a
@@ -36,27 +36,29 @@ Two independent evolution paths are provided:
   at most 1e-14, is the only change that makes to the numbers.  All of
   this depends on the network's skeleton (its modes, and each window's
   sub-network and spec, not the angles around them) and the support
-  alone, so it is planned once and cached.  Planning builds each step's
-  live blocks from the rows the plan already holds, each live row's
+  alone, so it is planned once and cached.  A plan names each row by
+  its occupation tuple, never by a rank in its sector, and builds each
+  step's live blocks from the rows it already holds, each live row's
   occupations outside the step's modes completed by every inside
-  occupation of the same total, so it reads no record of the whole
-  sector.  The plan holds what each step needs that no angle changes: a
-  diagonal window's phase per row, a beam splitter's hop eigenpairs and
-  whether its kept rows wind at all (a pair of adjacent modes holding at
-  most one particle needs no dress).  The state is then a (k, L) array
-  over the L rows that ever become live, and a phase shifter or diagonal
-  window multiplies only the rows live before it.  One walk of a network splits it into its
-  skeleton, the plan's key, and its angles, and one runner passes the
-  angles through the plan in one batched pass: one ``exp`` over an
-  (n_ps, n + 1) table and one gather give every phase shifter's
-  factors, one batched eigen-product per shared eigenpair record every
-  beam splitter's W_N(theta), so the step loop only gathers, multiplies
-  and scatters, and each factor keeps the bits of its own angle's
-  formula.  ``evolve`` runs a ``StateVector``'s support through it, and
-  so do the dual-rail circuits, whose CP gates are each one window
-  holding the braiding network, so a circuit's plan stays on its 2^n
-  code rows at any depth; ``dualrail.logical_unitary`` caches that plan
-  per circuit signature and hands the runner the gates' angles alone.
+  occupation of the same total, so no plan enumerates its sector.  The
+  plan holds what each step needs that no angle changes: a diagonal
+  window's phase per row, a beam splitter's hop eigenpairs and whether
+  its kept rows wind at all (a pair of adjacent modes holding at most
+  one particle needs no dress).  The state is then a (k, L) array over
+  the L rows that ever become live, and a phase shifter or diagonal
+  window multiplies only the rows live before it.  One walk of a
+  network splits it into its skeleton, the plan's key, and its angles,
+  and one runner passes the angles through the plan in one batched
+  pass: one ``exp`` over an (n_ps, n + 1) table and one gather give
+  every phase shifter's factors, one batched eigen-product per shared
+  eigenpair record every beam splitter's W_N(theta), so the step loop
+  only gathers, multiplies and scatters, and each factor keeps the bits
+  of its own angle's formula.  ``evolve`` runs a ``StateVector``'s
+  support, keyed by occupations as the plan is, through it, and so do
+  the dual-rail circuits, whose CP gates are each one window holding
+  the braiding network, so a circuit's plan stays on its 2^n code rows
+  at any depth; ``dualrail.logical_unitary`` caches that plan per
+  circuit signature and hands the runner the gates' angles alone.
 * ``propagate_algebraic``: pushes a single beam splitter through a
   string of creation operators using the propagation identities
 
@@ -98,7 +100,6 @@ from .fock import (
     AnyonSpec,
     FockSector,
     StateVector,
-    _ShapeBasis,
     _ladder,
     _shape_basis,
     _sum,
@@ -278,23 +279,24 @@ class Network:
 def evolve(network: Network, state: StateVector) -> StateVector:
     """Exact evolution of a state through the network on the block kernel.
 
-    The kernel runs on the state's nonzero amplitudes in sector order,
-    and the result keeps the entries above PRUNE_EPS in magnitude, keyed
-    in sector order, as ``StateVector.from_vector`` keeps them; no
-    (dim,) vector is built.  Norm is preserved to roundoff since every
+    The kernel runs on the state's nonzero amplitudes, named by their
+    occupation tuples and sorted into sector order (lexicographically
+    decreasing), and the result keeps the entries above PRUNE_EPS in
+    magnitude, keyed by the plan's rows sorted the same way, as
+    ``StateVector.from_vector`` keeps them; no (dim,) vector is built
+    and no sector position is looked up.  Norm is preserved to roundoff since every
     factor is unitary on the sector.  A network over another mode count
     raises ModeMismatchError.
     """
-    sector = state.sector
-    entries = sorted((sector.index[occ], amp) for occ, amp in state.amps.items() if amp != 0)
-    support = np.array([pos for pos, _amp in entries], dtype=np.intp)
-    values = np.array([amp for _pos, amp in entries], dtype=np.complex128)
-    rows, out = _evolve_support(network, sector, support, values[:, None])
-    kept = sorted((row, amp) for row, amp, keep in
-                  zip(rows.tolist(), out[0].tolist(), (np.abs(out[0]) > PRUNE_EPS).tolist())
-                  if keep)
-    basis = sector.basis
-    return StateVector._of(sector, {basis[row]: amp for row, amp in kept})
+    # sector order is lexicographically decreasing, and no two keys are equal
+    entries = sorted(((occ, amp) for occ, amp in state.amps.items() if amp != 0), reverse=True)
+    values = np.array([amp for _occ, amp in entries], dtype=np.complex128)
+    rows, out = _evolve_support(network, state.sector, tuple(occ for occ, _amp in entries),
+                                values[:, None])
+    kept = sorted(((row, amp) for row, amp, keep in
+                   zip(rows, out[0].tolist(), (np.abs(out[0]) > PRUNE_EPS).tolist()) if keep),
+                  reverse=True)
+    return StateVector._of(state.sector, dict(kept))
 
 
 #: Bytes that the kernel's cached plans (with their support keys),
@@ -309,10 +311,10 @@ class _ByteLRU:
     """Tuples by (build, args) key, held within ``budget`` bytes of their arrays.
 
     An entry is sized by the ``_footprint`` of its key and value, their
-    arrays' buffers and headers and their tuples, numbers and byte
-    strings (a plan's support), plus ``_ENTRY_BYTES`` of bookkeeping, so
-    a plan of a tiny support, mostly Python objects, counts what it
-    holds; the networks and specs a key names are shared and not
+    arrays' buffers and headers and their tuples and numbers (a plan's
+    support and rows are occupation tuples), plus ``_ENTRY_BYTES`` of
+    bookkeeping, so a plan of a tiny support, mostly Python objects,
+    counts what it holds; the networks and specs a key names are shared and not
     counted.  When a new value would pass the budget, the least recently used values are
     dropped first; a value larger than the whole budget is built and
     returned but not kept.  ``entries`` maps each key to its (value,
@@ -364,8 +366,8 @@ def _footprint(obj) -> int:
     """The bytes ``obj`` holds of its own, as ``_ByteLRU`` sizes an entry.
 
     A tuple counts itself and what it holds, an array its header and
-    buffer, and an int or byte string itself, except the ints -5..256,
-    which CPython shares.  Anything else (a bool, a network, a spec, the
+    buffer, and an int itself, except the ints -5..256, which CPython
+    shares.  Anything else (a bool, a network, a spec, the
     build function of a key) is shared with its callers and counts
     nothing, and so does a ``_Hops`` record held inside a tuple: it is
     the value of its own ``_pair_hop_eigh`` entry, which counts it, and
@@ -376,8 +378,6 @@ def _footprint(obj) -> int:
     kind = type(obj)
     if kind is int:
         return 0 if -5 <= obj <= 256 else sys.getsizeof(obj)
-    if kind is bytes:
-        return sys.getsizeof(obj)
     if kind is np.ndarray:
         return sys.getsizeof(obj) + (0 if obj.base is None else obj.nbytes)
     return 0
@@ -486,10 +486,9 @@ def _lookup_exp(x: float | np.ndarray, codes: np.ndarray, top: int) -> np.ndarra
     return np.exp(1j * x * np.arange(top + 1)).ravel()[codes]
 
 
-def _live_blocks(shape: _ShapeBasis, fermionic: bool, live: np.ndarray, lo: int, hi: int,
-                 window: bool):
-    """The blocks of BS_{lo,hi}, or of a window on lo..hi, that hold a
-    row of ``live``, built from those rows of the sector ``shape`` alone.
+def _live_blocks(fermionic: bool, live, lo: int, hi: int, window: bool):
+    """The blocks of BS_{lo,hi}, or of a window on lo..hi, that hold one
+    of the occupation tuples ``live``, built from those tuples alone.
 
     A block is the states with equal occupations outside the step's
     modes (lo and hi for a pair, every mode lo..hi for a window): a live
@@ -503,14 +502,14 @@ def _live_blocks(shape: _ShapeBasis, fermionic: bool, live: np.ndarray, lo: int,
     window's other single-state blocks, all modes filled with fermions,
     can still take a phase).
 
-    Returns the blocks' sector rows, one family per T in increasing T,
-    its blocks by their outside occupations in increasing lexicographic
-    order and laid out member by member, so a family's span reshapes to
-    (block size, B) with one block per column; the families as (T,
-    size, start, stop) spans of those rows in Python ints, which a plan
-    holds and ``_footprint`` sizes; and for a pair the winding k(k -
-    1)/2 + s k of each row, k = n_lo and s the particles strictly
-    between lo and hi (None for a window).
+    Returns the blocks' rows as occupation tuples, one family per T in
+    increasing T, its blocks by their outside occupations in increasing
+    lexicographic order and laid out member by member, so a family's
+    span reshapes to (block size, B) with one block per column; the
+    families as (T, size, start, stop) spans of those rows in Python
+    ints, which a plan holds and ``_footprint`` sizes; and for a pair the
+    winding k(k - 1)/2 + s k of each row, k = n_lo and s the particles
+    strictly between lo and hi (None for a window).
     """
     if window:
         def cut(row):
@@ -524,7 +523,7 @@ def _live_blocks(shape: _ShapeBasis, fermionic: bool, live: np.ndarray, lo: int,
 
         def join(outer, inner):
             return outer[:lo - 1] + inner[:1] + outer[lo - 1:hi - 2] + inner[1:] + outer[hi - 2:]
-    blocks = sorted(set(map(cut, map(shape.basis.__getitem__, live.tolist()))))
+    blocks = sorted(set(map(cut, live)))
     rows, winding, families = [], [], []
     for total, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
         members = _shape_basis(hi - lo + 1 if window else 2, total, fermionic).basis[::-1]
@@ -532,13 +531,12 @@ def _live_blocks(shape: _ShapeBasis, fermionic: bool, live: np.ndarray, lo: int,
             continue
         rest = [outer for _total, outer in group]
         start = len(rows)
-        rows += [shape.index[join(outer, inner)] for inner in members for outer in rest]
+        rows += [join(outer, inner) for inner in members for outer in rest]
         if not window:
             between = [sum(outer[lo - 1:hi - 2]) for outer in rest]
             winding += [k * (k - 1) // 2 + s * k for (k, _n_hi) in members for s in between]
         families.append((total, len(members), start, len(rows)))
-    return (np.array(rows, dtype=np.intp), families,
-            None if window else np.array(winding, dtype=np.intp))
+    return rows, families, None if window else winding
 
 
 def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray:
@@ -623,21 +621,22 @@ _NO_TAUS.setflags(write=False)
 class _Plan(NamedTuple):
     """What a network skeleton does on one input support.
 
-    ``rows`` lists the sector rows of the support-sized state in the
-    order they first become live: the support, sorted, then the rows of
-    each block step's kept blocks that were not live before, so the rows
-    live before any step are a prefix.  ``steps`` holds one entry per
-    step that acts, everything about it that no angle changes, led by
-    its kind.  A phase shifter's is (_PHASE, width, first): it multiplies
-    the live prefix of that width by its factors, entries first:first +
-    width of one gather ``_lookup_exp(angles[taus], codes, top)``; the
-    code of a prefix row is o (top + 1) + c, with c its occupation of
-    the shifter's mode, o the shifter's ordinal among the network's phase
-    shifters and top = n_total.  A window whose unitaries U_T are
-    diagonal on its kept totals (see ``_plan``) has (_DIAGONAL, width,
-    phases, totals): ``phases`` holds, for each row of the prefix, its
-    entry of U_T's diagonal, or 1 for a row in no block (window total 0),
-    and ``totals`` the kept totals.  Any other window and every beam
+    ``rows`` lists the occupation tuples of the support-sized state in
+    the order they first become live: the support, in sector order, then
+    the rows of each block step's kept blocks that were not live before,
+    so the rows live before any step are a prefix; a row is named by its
+    occupations alone, never by a rank in its sector.  ``steps`` holds
+    one entry per step that acts, everything about it that no angle
+    changes, led by its kind.  A phase shifter's is (_PHASE, width,
+    first): it multiplies the live prefix of that width by its factors,
+    entries first:first + width of one gather ``_lookup_exp(angles[taus],
+    codes, top)``; the code of a prefix row is o (top + 1) + c, with c its
+    occupation of the shifter's mode, o the shifter's ordinal among the
+    network's phase shifters and top = n_total.  A window whose unitaries
+    U_T are diagonal on its kept totals (see ``_plan``) has (_DIAGONAL,
+    width, phases, totals): ``phases`` holds, for each row of the prefix,
+    its entry of U_T's diagonal, or 1 for a row in no block (window total
+    0), and ``totals`` the kept totals.  Any other window and every beam
     splitter with a kept block is a block step; one with no kept block
     acts on exact zeros and has no entry.  ``gathered[start:stop]`` holds
     the state positions of its kept blocks' rows in ``_live_blocks``
@@ -657,7 +656,7 @@ class _Plan(NamedTuple):
     Python int.
     """
 
-    rows: np.ndarray
+    rows: tuple
     gathered: np.ndarray
     winding: np.ndarray
     codes: np.ndarray
@@ -669,42 +668,36 @@ class _Plan(NamedTuple):
 
 
 @_kernel_cached
-def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes) -> _Plan:
-    """The plan of a network skeleton (see ``_split``) on a sector shape.
+def _plan(n_total: int, fermionic: bool, skeleton: tuple, support: tuple) -> _Plan:
+    """The plan of a network skeleton (see ``_split``) on an input support.
 
-    ``support`` holds the sorted intp sector rows nonzero in some input
-    column.  Each beam splitter or window keeps the blocks that hold a
-    live row, built by ``_live_blocks`` from the rows the plan holds, so
-    no record of the whole sector's blocks is built.  A window whose
-    cached unitaries (``_window_unitaries``) have no off-diagonal entry
-    above ``_DIAGONAL_TOL`` on the kept totals becomes a diagonal step
-    holding their diagonal, and marks no row live; this reads the totals
-    the plan reaches only, so the stack it builds is the one the run
-    would ask for.  Any other window, and every beam splitter, marks every row
-    of its kept blocks live.
+    ``support`` holds the occupation tuples of the n_total particles
+    nonzero in some input column, in sector order (lexicographically
+    decreasing), and every row the plan adds is an occupation tuple too,
+    so no sector is enumerated: each row's place in the state is kept in
+    a dict by its tuple.  Each beam splitter or window keeps the blocks
+    that hold a live row, built by ``_live_blocks`` from the rows the
+    plan holds.  A window whose cached unitaries (``_window_unitaries``)
+    have no off-diagonal entry above ``_DIAGONAL_TOL`` on the kept totals
+    becomes a diagonal step holding their diagonal, and marks no row
+    live; this reads the totals the plan reaches only, so the stack it
+    builds is the one the run would ask for.  Any other window, and
+    every beam splitter, marks every row of its kept blocks live.
     """
-    shape = _shape_basis(m, n_total, fermionic)
-    occ = shape.occ
-    initial = np.frombuffer(support, dtype=np.intp)
-    place = np.full(len(occ), -1)     # each live row's position in ``rows``, -1 if not live
-    rows = np.empty(len(occ), dtype=np.intp)
-    width = len(initial)
-    rows[:width] = initial
-    place[initial] = np.arange(width)
+    place = {row: pos for pos, row in enumerate(support)}   # each live row's state position
     gathered, winding, codes = [], [], []
     steps, taus, groups = [], [], {}
-    n_gathered = n_winding = n_codes = angle = 0
+    angle = 0
     for step in skeleton:
         if isinstance(step, int):
-            codes.append(occ[rows[:width], step - 1] + len(taus) * (n_total + 1))
+            codes += [row[step - 1] + len(taus) * (n_total + 1) for row in place]
             taus.append(angle)
             angle += 1
-            steps.append((_PHASE, width, n_codes))
-            n_codes += width
+            steps.append((_PHASE, len(place), len(codes) - len(place)))
             continue
         if not step[2]:
             angle += 1      # a beam splitter's; a window takes no angle
-        kept_rows, kept, step_winding = _live_blocks(shape, fermionic, rows[:width], *step[:3])
+        kept_rows, kept, step_winding = _live_blocks(fermionic, place, *step[:3])
         if not kept:
             continue
         totals = tuple(total for total, *_span in kept)
@@ -713,47 +706,43 @@ def _plan(m: int, n_total: int, fermionic: bool, skeleton: tuple, support: bytes
             # a live row's phase is its block's U_T diagonal at its rank in the
             # block, its row in the family's (size, B) layout, and 1 in no
             # block (window total 0)
-            phases = np.ones(width, dtype=np.complex128)
+            phases = np.ones(len(place), dtype=np.complex128)
             for pos, (_total, size, start, stop) in enumerate(kept):
-                members = place[kept_rows[start:stop].reshape(size, -1)]
-                rank, column = np.nonzero(members >= 0)
-                phases[members[rank, column]] = stack[pos, rank, rank]
+                for offset, row in enumerate(kept_rows[start:stop]):
+                    if row in place:
+                        rank = offset * size // (stop - start)
+                        phases[place[row]] = stack[pos, rank, rank]
             phases.setflags(write=False)
-            steps.append((_DIAGONAL, width, phases, totals))
+            steps.append((_DIAGONAL, len(place), phases, totals))
             continue
-        fresh = kept_rows[place[kept_rows] < 0]
-        rows[width:width + len(fresh)] = fresh
-        place[fresh] = np.arange(width, width + len(fresh))
-        width += len(fresh)
-        gathered.append(place[kept_rows])
+        for row in kept_rows:
+            place.setdefault(row, len(place))
         families = tuple((pos, *extent) for pos, (_total, *extent) in enumerate(kept))
-        head = (n_gathered, n_gathered + len(kept_rows), families)
-        n_gathered += len(kept_rows)
+        head = (len(gathered), len(gathered) + len(kept_rows), families)
+        gathered += [place[row] for row in kept_rows]
         if step[2]:
             steps.append((_WINDOW, *head, step[3], totals))
             continue
-        w_max = int(step_winding.max(initial=0))
-        if w_max:
-            winding.append(step_winding)
+        w_max = max(step_winding, default=0)
         # beam splitters of the same kept totals share one eigenpair record
         group, members = groups.setdefault(totals, (len(groups), []))
-        steps.append((_HOP, *head, n_winding, w_max, group, len(members)))
+        steps.append((_HOP, *head, len(winding), w_max, group, len(members)))
         members.append(angle - 1)
-        n_winding += len(step_winding) if w_max else 0
+        if w_max:
+            winding += step_winding
     # angle positions as columns, so a gather of the angles broadcasts
     # against the phase table's powers and the hop eigenvalue stacks; a
     # plan with nothing to hold in one of them shares the empty constant
-    arrays = [rows[:width].copy(),
-              *(np.concatenate(parts) if parts else _NO_ROWS
-                for parts in (gathered, winding, codes)),
-              np.array(taus, dtype=np.intp).reshape(-1, 1) if taus else _NO_TAUS]
+    arrays = [np.array(parts, dtype=np.intp) if parts else _NO_ROWS
+              for parts in (gathered, winding, codes)]
+    arrays.append(np.array(taus, dtype=np.intp).reshape(-1, 1) if taus else _NO_TAUS)
     hop_groups = tuple((_pair_hop_eigh(totals),
                         np.array(members, dtype=np.intp).reshape(-1, 1, 1))
                        for totals, (_group, members) in groups.items())
     for arr in arrays + [members for _hops, members in hop_groups]:
         arr.setflags(write=False)
-    return _Plan(*arrays, tuple(steps), hop_groups, n_total,
-                 int(arrays[2].max(initial=0)))
+    return _Plan(tuple(place), *arrays, tuple(steps), hop_groups, n_total,
+                 max(winding, default=0))
 
 
 def _run(plan: _Plan, angles, spec: AnyonSpec, values: np.ndarray) -> np.ndarray:
@@ -817,24 +806,25 @@ def _run(plan: _Plan, angles, spec: AnyonSpec, values: np.ndarray) -> np.ndarray
     return state
 
 
-def _evolve_support(network: Network, sector: FockSector, support: np.ndarray,
-                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve the (len(support), k) amplitudes ``values`` of the sorted
-    sector rows ``support`` (every other row zero) through the network.
+def _evolve_support(network: Network, sector: FockSector, support: tuple,
+                    values: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Evolve the (len(support), k) amplitudes ``values`` of the occupation
+    tuples ``support``, in sector order (every other state zero), through
+    the network.
 
     One walk of the network gives its skeleton, which keys the cached
-    plan, and its angles, which ``_run`` passes through that plan.
-    Returns the plan's rows and the (k, L) state over them, one row per
-    input column, so every column meets the same BLAS calls whatever the
-    batch width; the support leads the rows in its own order.  A network
-    over another mode count raises ModeMismatchError.
+    plan with the support, and its angles, which ``_run`` passes through
+    that plan.  Returns the plan's rows, occupation tuples, and the (k,
+    L) state over them, one row per input column, so every column meets
+    the same BLAS calls whatever the batch width; the support leads the
+    rows in its own order.  A network over another mode count raises
+    ModeMismatchError.
     """
     if network.m != sector.m:
         raise ModeMismatchError(f"network has {network.m} modes, sector has {sector.m}")
     spec = sector.spec
     skeleton, angles = _split(network, spec)
-    plan = _plan(sector.m, sector.n_total, spec.is_fermionic, skeleton,
-                 np.asarray(support, dtype=np.intp).tobytes())
+    plan = _plan(sector.n_total, spec.is_fermionic, skeleton, support)
     return plan.rows, _run(plan, angles, spec, values)
 
 
@@ -869,11 +859,14 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     differs from the product only by that dropped roundoff.  Which blocks
     are live, and where their rows sit in the support-sized state, is a
     cached plan per network skeleton and support, built from the live
-    rows alone (``_live_blocks``), so a network of fresh angles on the
-    same support selects no block again, and its angles go
+    rows' occupations alone (``_live_blocks``), so a network of fresh
+    angles on the same support selects no block again, and its angles go
     through that plan in one batched pass (``_run``); a diagonal step
-    multiplies only the rows live before it.  Rows that never become
-    live read exactly +0.
+    multiplies only the rows live before it.  The plan names its rows by
+    their occupation tuples; this function, whose interface is a (dim,)
+    vector, alone turns the support's positions into tuples and the
+    plan's rows back into positions.  Rows that never become live read
+    exactly +0.
     Each batch column goes through the same arithmetic as a lone vector,
     bit for bit, when it has the batch's zero rows, which always holds
     for inputs with no zero amplitude.
@@ -883,9 +876,10 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
         raise ValueError(f"amplitudes of shape {amps.shape} do not fit sector dim {sector.dim}")
     batch = amps.reshape(sector.dim, -1)
     support = np.flatnonzero(batch.any(axis=1))
-    rows, state = _evolve_support(network, sector, support, batch[support])
+    occupations = tuple(map(sector.basis.__getitem__, support.tolist()))
+    rows, state = _evolve_support(network, sector, occupations, batch[support])
     out = np.zeros((sector.dim, len(state)), dtype=np.complex128)
-    out[rows] = state.T
+    out[np.array([sector.index[row] for row in rows], dtype=np.intp)] = state.T
     return out.reshape(amps.shape)
 
 

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from anyonlin import AnyonSpec
-from anyonlin.fock import StateVector, _shape_basis, apply_create, enumerate_sector, \
-    vacuum_state
+from anyonlin.fock import StateVector, apply_create, enumerate_sector, vacuum_state
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
 from anyonlin import network as network_module
 from anyonlin.network import BeamSplitter, PhaseShifter, UnsupportedPropagationError, Window
@@ -106,19 +105,41 @@ def reference_propagate_algebraic(spec, network, monomial):
     return state
 
 
+def occupations(sector, positions):
+    """The occupation tuples of the sector rows ``positions``, in their order."""
+    return tuple(sector.basis[pos] for pos in np.asarray(positions, dtype=np.intp).tolist())
+
+
+def positions(sector, rows):
+    """The sector positions of the occupation tuples ``rows``, as an intp array."""
+    return np.array([sector.index[row] for row in rows], dtype=np.intp)
+
+
 def kernel_plan(network, sector, support):
-    """The block kernel's cached plan of the network on the sorted sector rows ``support``."""
-    return network_module._plan(sector.m, sector.n_total, sector.spec.is_fermionic,
+    """The block kernel's cached plan of the network on the sorted sector
+    rows ``support``, with its ``rows`` read back as sector positions."""
+    plan = network_module._plan(sector.n_total, sector.spec.is_fermionic,
                                 network_module._split(network, sector.spec)[0],
-                                np.asarray(support, dtype=np.intp).tobytes())
+                                occupations(sector, support))
+    return plan._replace(rows=positions(sector, plan.rows))
+
+
+def evolve_support(network, sector, support, values):
+    """``_evolve_support`` on the sorted sector rows ``support``: (rows as
+    sector positions, state)."""
+    rows, state = network_module._evolve_support(network, sector, occupations(sector, support),
+                                                 values)
+    return positions(sector, rows), state
 
 
 def live_blocks(sector, live, lo, hi, window):
     """The kernel's live blocks of BS_{lo,hi}, or of a window on lo..hi, for
-    the sector rows ``live``: (rows, families, winding) of ``_live_blocks``."""
-    shape = _shape_basis(sector.m, sector.n_total, sector.spec.is_fermionic)
-    return network_module._live_blocks(shape, sector.spec.is_fermionic,
-                                       np.asarray(live, dtype=np.intp), lo, hi, window)
+    the sector rows ``live``: (rows, families, winding) of ``_live_blocks``,
+    rows as sector positions and winding as an intp array."""
+    rows, families, winding = network_module._live_blocks(
+        sector.spec.is_fermionic, occupations(sector, live), lo, hi, window)
+    return (positions(sector, rows), families,
+            None if winding is None else np.array(winding, dtype=np.intp))
 
 
 def reference_blocks(sector, live, lo, hi, window):
@@ -182,7 +203,7 @@ def stepwise_evolve_support(network, sector, support, values):
     dress.  The reference of the batched angle pass; returns (rows, state)
     as ``_evolve_support`` does."""
     _skeleton, angles = network_module._split(network, sector.spec)
-    plan = kernel_plan(network, sector, support)
+    plan = kernel_plan(network, sector, support)   # rows as sector positions
     top = sector.n_total
     phi = sector.spec.phi + (math.pi if sector.spec.is_fermionic else 0.0)
     state = np.zeros((values.shape[1], len(plan.rows)), dtype=np.complex128)

@@ -12,14 +12,16 @@ from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
 from anyonlin.dualrail import _circuit_plan, _code_space, auxiliary_occupations, compile_circuit, \
     compile_cp, compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
     simulate_circuit
+from anyonlin import dualrail as dualrail_module
+from anyonlin import fock as fock_module
 from anyonlin import network as network_module
 from anyonlin import operators as operators_module
 from anyonlin.fock import StateVector
 from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_braiding_network, \
     evolve_amplitudes
 
-from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, haar_unitary, \
-    kernel_plan, live_blocks, phase_align, plan_leaves
+from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, evolve_support, \
+    haar_unitary, kernel_plan, live_blocks, phase_align, plan_leaves, positions
 
 
 # dense 2x2 oracles, independent of the compiler's conventions
@@ -480,9 +482,9 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     selections, hop_totals = [], []
     real_live, real_hops = network_module._live_blocks, network_module._pair_hops
 
-    def live_spy(shape, fermionic, live, lo, hi, window):
+    def live_spy(fermionic, live, lo, hi, window):
         selections.append((lo, hi, window))
-        return real_live(shape, fermionic, live, lo, hi, window)
+        return real_live(fermionic, live, lo, hi, window)
 
     def hops_spy(hops, thetas):
         hop_totals.append((tuple(int(round(top)) for top in hops[0].max(axis=1)), len(thetas)))
@@ -518,11 +520,10 @@ def test_one_layer_circuit_runs_on_the_rows_it_reaches(qubits, reached, dim):
     assert sector.dim == dim
     gates = [U1(q, 0.1, 0.2, 0.3, 0.4) for q in range(1, qubits + 1)]
     gates += [CP(q, q + 1) for q in range(1, qubits)]
-    _occupations, code = _code_space(layout, False)
+    code = positions(sector, _code_space(layout))
     # binary order is sector order, so the code rows are a sorted support
     assert (np.diff(code) > 0).all()
-    rows, state = network_module._evolve_support(compile_circuit(layout, gates), sector, code,
-                                                 np.eye(len(code)))
+    rows, state = evolve_support(compile_circuit(layout, gates), sector, code, np.eye(len(code)))
     assert len(rows) == reached and state.shape == (len(code), reached)
     assert (rows[:len(code)] == code).all()
     assert state[:, :len(code)].T.tobytes() == logical_unitary(sector.spec, layout, gates).tobytes()
@@ -563,14 +564,60 @@ def test_circuit_plan_stays_on_its_code_rows_at_any_depth(qubits, layers, fermio
         gates += [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, qubits + 1)]
         gates += [CP(q, q + 1) for q in range(1, qubits)]
     sector = enumerate_sector(layout.m, layout.n_particles, spec)
-    _occupations, code = _code_space(layout, fermionic)
-    rows, state = network_module._evolve_support(compile_circuit(layout, gates), sector, code,
-                                                 np.eye(len(code)))
+    code = positions(sector, _code_space(layout))
+    rows, state = evolve_support(compile_circuit(layout, gates), sector, code, np.eye(len(code)))
     assert len(code) == 2 ** qubits and rows.tobytes() == code.tobytes()
     got = state.T
     assert got.tobytes() == logical_unitary(spec, layout, gates).tobytes()
     want = circuit_oracle(gates, phi, qubits)
     assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
+
+
+def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
+    # a plan names its rows by their occupations, so a cold circuit asks
+    # for no basis of its (m, n_particles) shape: only the braid's small
+    # (3, T) sectors and the two-mode pair shapes its blocks are cut from
+    layout = LogicalLayout(3)
+    asked = []
+
+    def spy(name, real, shape_of):
+        def recorded(*args):
+            asked.append((name, *shape_of(*args)))
+            return real(*args)
+        return recorded
+
+    shapes = {"_shape_basis": lambda m, n, _fermionic: (m, n),
+              "_sector_cached": lambda _spec, m, n: (m, n),
+              "enumerate_sector": lambda m, n, _spec: (m, n)}
+    for module in (fock_module, network_module, dualrail_module, operators_module):
+        for name, shape_of in shapes.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name), shape_of))
+    network_module._KERNEL_CACHE.clear()
+    gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
+    for spec in both_classes(2.345):
+        logical_unitary(spec, layout, gates)
+    assert ("enumerate_sector", 3, 2) in asked and ("_shape_basis", 2, 1) in asked
+    assert all(m in (2, 3) and n <= layout.n_particles for _name, m, n in asked)
+    assert all((m, n) != (layout.m, layout.n_particles) for _name, m, n in asked)
+    network_module._KERNEL_CACHE.clear()
+
+
+@pytest.mark.parametrize("spec", both_classes(1.3), ids=["bosonic", "fermionic"])
+def test_eight_qubit_circuit_runs_on_its_code_rows(spec):
+    # the bosonic sector of 8 dual-rail qubits holds 9.4e9 states and is
+    # never enumerated: the circuit runs on its 256 code rows alone
+    qubits = 8
+    rng = np.random.default_rng(88)
+    layout = LogicalLayout(qubits)
+    gates = [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, qubits + 1)]
+    gates += [CP(q, q + 1) for q in range(1, qubits)]
+    got = logical_unitary(spec, layout, gates)
+    assert got.shape == (2 ** qubits, 2 ** qubits)
+    want = circuit_oracle(gates, spec.phi, qubits)
+    assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
+    leakage = 1.0 - np.sum(np.abs(got) ** 2, axis=0)
+    assert np.max(np.abs(leakage)) <= 1e-10
 
 
 @pytest.mark.parametrize("qubits", [2, 3, 4])
@@ -585,7 +632,7 @@ def test_dual_rail_beam_splitters_run_without_a_dress(qubits):
     network = compile_circuit(layout, gates)
     for spec in both_classes(1.1):
         sector = enumerate_sector(layout.m, layout.n_particles, spec)
-        _occupations, code = _code_space(layout, spec.is_fermionic)
+        code = positions(sector, _code_space(layout))
         plan = kernel_plan(network, sector, code)
         steps = beam_splitter_steps(plan)
         assert len(steps) == qubits + 2     # an Rz compiles to PS-BS(0)-PS too
@@ -623,31 +670,29 @@ def test_logical_unitary_reads_the_code_rows_once_per_shape(monkeypatch):
 
 
 def test_code_space_records_are_held_by_bytes(monkeypatch):
-    # a layout's code-space record is an entry of the kernel's byte-bounded
-    # cache: its counted size is added to what the cache holds, and once a
-    # sweep of layouts under a small budget evicts it, it rebuilds equal
+    # a layout's code-space record, the occupation tuples of its code
+    # states, is an entry of the kernel's byte-bounded cache: its counted
+    # size is added to what the cache holds, and once a sweep of layouts
+    # under a small budget evicts it, it rebuilds equal
     cache = network_module._KERNEL_CACHE
     cache.clear()
     layout = LogicalLayout(3)
-    occupations, rows = _code_space(layout, False)
-    key = (_code_space.__wrapped__, (layout, False))
+    occupations = _code_space(layout)
+    key = (_code_space.__wrapped__, (layout,))
     size = cache.entries[key][1]
     assert cache.held == size
     assert size == network_module._ENTRY_BYTES + network_module._footprint(key) \
-        + network_module._footprint((occupations, rows))
-    assert size > rows.nbytes + 8 * sys.getsizeof(occupations[0])
-    saved = rows.copy()
+        + network_module._footprint(occupations)
+    assert size > 8 * sys.getsizeof(occupations[0])
     monkeypatch.setattr(cache, "budget", 3 * size)
-    for qubits in (1, 2, 4):
-        for fermionic in (False, True):
-            _code_space(LogicalLayout(qubits), fermionic)
-            assert cache.held == sum(size for _value, size in cache.entries.values())
-            assert cache.held <= cache.budget
+    for qubits in (1, 2, 4, 5):
+        _code_space(LogicalLayout(qubits))
+        assert cache.held == sum(size for _value, size in cache.entries.values())
+        assert cache.held <= cache.budget
     assert key not in cache.entries
-    again_occupations, again_rows = _code_space(layout, False)
-    assert again_rows is not rows and again_occupations == occupations
-    assert again_rows.dtype == saved.dtype and again_rows.tobytes() == saved.tobytes()
-    assert not again_rows.flags.writeable
+    again = _code_space(layout)
+    assert again is not occupations and again == occupations
+    assert all(type(occ) is tuple and type(n) is int for occ in again for n in occ)
     cache.clear()
 
 

@@ -21,8 +21,8 @@ from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, evo
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
 from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, dense_unitary, \
-    kernel_plan, live_blocks, plan_leaves, reference_propagate_algebraic, state_deviation, \
-    states_close
+    evolve_support, kernel_plan, live_blocks, occupations, plan_leaves, \
+    reference_propagate_algebraic, state_deviation, states_close
 
 
 def test_element_validation():
@@ -671,12 +671,12 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
         dim = enumerate_sector(m, n, spec).dim
         sub = Network(hi - lo + 1, (BeamSplitter(1, hi - lo + 1, 0.3),))
         step = (lo, hi, True, sub, spec) if window else (lo, hi, False)
-        args = (m, n, False, (step,), np.arange(0, dim, 3).tobytes())
+        args = (n, False, (step,), occupations(enumerate_sector(m, n, spec), np.arange(0, dim, 3)))
         return network_module._plan(*args), (network_module._plan.__wrapped__, args)
 
     first, key = plan(8, 5, 2, 7, False)
     assert first.steps and len(first.rows) > len(np.arange(0, 792, 3))
-    saved = [arr.copy() for arr in first[:5]]
+    saved = [arr.copy() for arr in first[1:5]]
     monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
     for m in range(3, 9):
         for n in range(1, 6):
@@ -689,8 +689,8 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
                     assert cache.held <= cache.budget
     assert key not in cache.entries
     again, _key = plan(8, 5, 2, 7, False)
-    assert again is not first
-    for arr, want in zip(again[:5], saved):
+    assert again is not first and again.rows is not first.rows and again.rows == first.rows
+    for arr, want in zip(again[1:5], saved):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
@@ -698,7 +698,7 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
     assert by_value(again.hop_groups) == by_value(first.hop_groups) and again[7:] == first[7:]
     # every plan has one key: a keyword call fails instead of missing it
     with pytest.raises(TypeError):
-        network_module._plan(*key[1][:4], support=key[1][4])
+        network_module._plan(*key[1][:3], support=key[1][3])
     cache.clear()
 
 
@@ -726,13 +726,15 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     assert skeleton == ((1, 4, False), (2, 4, True, braid, spec), 3, (2, 5, False), 1)
     assert angles == [0.7, 0.2, -0.3, 0.5]
 
+    sector = enumerate_sector(5, 3, spec)
+
     def plan(rows):
-        support = np.array(rows, dtype=np.intp).tobytes()
-        return network_module._plan(5, 3, False, skeleton, support), \
-            (network_module._plan.__wrapped__, (5, 3, False, skeleton, support))
+        support = occupations(sector, rows)
+        return network_module._plan(3, False, skeleton, support), \
+            (network_module._plan.__wrapped__, (3, False, skeleton, support))
 
     first, key = plan([0, 7, 20])
-    arrays = first[:5]
+    arrays = first[1:5]
     assert all(not arr.flags.writeable for arr in arrays)
     # a step's numbers are Python ints, which ``_footprint`` sizes (a numpy
     # scalar would count 0), and the arrays it holds are read-only too
@@ -750,16 +752,16 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
         assert type(hops) is network_module._Hops
         assert network_module._footprint((hops,)) == sys.getsizeof((hops,))
         assert network_module._footprint(hops) > hops.vals.nbytes + hops.vecs.nbytes
-    # the arrays' buffers and the support's bytes, and the Python objects
+    # the arrays' buffers and the support's tuples, and the Python objects
     # of the plan and its key too, but not the network or spec it names
     size = cache.entries[key][1]
-    assert size > sum(arr.nbytes for arr in arrays) + 3 * np.intp(0).nbytes
+    assert size > sum(arr.nbytes for arr in arrays) + sum(map(sys.getsizeof, key[1][3]))
     assert size == network_module._ENTRY_BYTES + network_module._footprint(key) \
         + network_module._footprint(first)
     assert network_module._footprint(braid) == network_module._footprint(spec) == 0
     saved = [arr.copy() for arr in arrays]
     monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
-    dim = enumerate_sector(5, 3, AnyonSpec.bosonic(0.0)).dim
+    dim = sector.dim
     for row in range(dim):
         for other in range(row, dim, 5):
             plan(sorted({row, other}))
@@ -769,8 +771,8 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     again, _key = plan([0, 7, 20])
     assert again is not first and by_value(again.steps) == by_value(first.steps)
     assert by_value(again.hop_groups) == by_value(first.hop_groups)
-    assert again[7:] == first[7:]
-    for arr, want in zip(again[:5], saved):
+    assert again[7:] == first[7:] and again.rows == first.rows
+    for arr, want in zip(again[1:5], saved):
         assert arr.dtype == want.dtype and arr.shape == want.shape
         assert arr.tobytes() == want.tobytes()
         assert not arr.flags.writeable
@@ -787,18 +789,17 @@ def test_kernel_cache_counts_the_objects_of_its_plans():
     net = Network(6, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
                       PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
     skeleton, _angles = network_module._split(net, spec)
-    dim = enumerate_sector(6, 3, spec).dim
+    basis = enumerate_sector(6, 3, spec).basis
     # the whole sector as a support builds the records and small sectors
-    network_module._plan(6, 3, False, skeleton, np.arange(dim).tobytes())
-    supports = [np.array(pair, dtype=np.intp).tobytes()
-                for pair in itertools.combinations(range(dim), 2)]
+    network_module._plan(3, False, skeleton, basis)
+    supports = list(itertools.combinations(basis, 2))
     assert len(supports) == 1540
     gc.collect()
     tracemalloc.start()
     try:
         traced, held = tracemalloc.get_traced_memory()[0], cache.held
         for support in supports:
-            network_module._plan(6, 3, False, skeleton, support)
+            network_module._plan(3, False, skeleton, support)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - traced
     finally:
@@ -884,7 +885,7 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
     alone = Network(5, (Window(2, sub),))
     sector = enumerate_sector(5, 3, AnyonSpec.bosonic(0.9))
     one = np.array([sector.index[(2, 1, 0, 0, 0)]])
-    rows, _state = network_module._evolve_support(alone, sector, one, np.eye(1, dtype=complex))
+    rows, _state = evolve_support(alone, sector, one, np.eye(1, dtype=complex))
     assert len(rows) == (1 if diagonal else 3)
 
 

@@ -24,7 +24,7 @@ from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve, live_blocks, reference_blocks, \
+from conftest import dense_evolve, evolve_support, live_blocks, reference_blocks, \
     reference_propagate_algebraic, shellwise_oracle, stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -407,7 +407,7 @@ def test_inputs_sharing_their_zero_rows_evolve_on_their_support(case):
     for col in range(batch.shape[1]):
         assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
     support = np.flatnonzero(batch.any(axis=1))
-    rows, _state = network_module._evolve_support(network, sector, support, batch[support])
+    rows, _state = evolve_support(network, sector, support, batch[support])
     assert set(support) <= set(rows)
     outside = np.ones(sector.dim, dtype=bool)
     outside[rows] = False
@@ -428,7 +428,7 @@ def test_braid_windows_run_as_diagonal_steps(case):
     for col in range(batch.shape[1]):
         assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
     support = np.flatnonzero(batch.any(axis=1))
-    rows, state = network_module._evolve_support(windows, sector, support, batch[support])
+    rows, state = evolve_support(windows, sector, support, batch[support])
     assert rows.tobytes() == support.tobytes() or sector.m == 3
     want = dense_evolve(windows, sector, batch)
     assert np.max(np.abs(state.T - want[rows]), initial=0.0) <= 1e-12
@@ -441,7 +441,7 @@ def test_batched_angle_pass_keeps_each_steps_bits(case):
     # give each step the bits of its own per-angle formula
     network, sector, batch = case
     support = np.flatnonzero(batch.any(axis=1))
-    rows, state = network_module._evolve_support(network, sector, support, batch[support])
+    rows, state = evolve_support(network, sector, support, batch[support])
     want_rows, want = stepwise_evolve_support(network, sector, support, batch[support])
     assert rows.tobytes() == want_rows.tobytes()
     assert state.tobytes() == want.tobytes()

@@ -5,10 +5,12 @@ pair, at one bosonic phi.  For each qubit count and layer count the
 script runs one fresh interpreter, which reports the sector dimension,
 the rows of the kernel's plan for the circuit's 2^n code rows (read from
 the cached compile that the timed calls ran), the time of the first
-(cold, sector enumeration included) and the median of the next 20 (warm,
-fresh angles each) ``logical_unitary`` calls, and its own peak RSS.  It prints one JSON document.
+(cold: plan and window unitaries built) and the median of the next 20
+(warm, fresh angles each) ``logical_unitary`` calls, and its own peak
+RSS.  The dimension comes from its closed form, so no sector is
+enumerated.  It prints one JSON document.
 
-    python tools/circuit_ladder.py [--qubits 3 4 5] [--layers 1 6]
+    python tools/circuit_ladder.py [--qubits 3 4 5 6 8] [--layers 1 6]
 
 The package is imported as installed or from PYTHONPATH, so
 ``PYTHONPATH=<checkout>/src`` measures that checkout.  BLAS runs on one
@@ -38,7 +40,7 @@ def measure(qubits: int, layers: int) -> dict:
     from anyonlin import AnyonSpec, CP, LogicalLayout, U1
     from anyonlin.cli import haar_unitary
     from anyonlin.dualrail import _circuit_plan, _split_circuit, euler_zxz, logical_unitary
-    from anyonlin.fock import enumerate_sector
+    from anyonlin.fock import sector_dim
 
     rng = np.random.default_rng(0)
     spec = AnyonSpec.bosonic(PHI)
@@ -63,15 +65,15 @@ def measure(qubits: int, layers: int) -> dict:
     # the plan the timed calls ran: the cached compile of their signature
     signature, _angles = _split_circuit(gates)
     plan = _circuit_plan(layout, signature, spec)
-    sector = enumerate_sector(layout.m, layout.n_particles, spec)
-    return {"qubits": qubits, "layers": layers, "dim": sector.dim, "plan_rows": len(plan.rows),
+    dim = sector_dim(layout.m, layout.n_particles, spec.is_fermionic)
+    return {"qubits": qubits, "layers": layers, "dim": dim, "plan_rows": len(plan.rows),
             "cold_s": round(cold, 6), "warm_s": round(statistics.median(warm), 7),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--qubits", type=int, nargs="+", default=[3, 4, 5])
+    parser.add_argument("--qubits", type=int, nargs="+", default=[3, 4, 5, 6, 8])
     parser.add_argument("--layers", type=int, nargs="+", default=[1, 6])
     parser.add_argument("--case", type=int, nargs=2, metavar=("QUBITS", "LAYERS"),
                         help=argparse.SUPPRESS)   # one case in this process, as a child
