@@ -879,7 +879,7 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     occupations = tuple(map(sector.basis.__getitem__, support.tolist()))
     rows, state = _evolve_support(network, sector, occupations, batch[support])
     out = np.zeros((sector.dim, len(state)), dtype=np.complex128)
-    out[np.array([sector.index[row] for row in rows], dtype=np.intp)] = state.T
+    out[np.array(list(map(sector.index.__getitem__, rows)), dtype=np.intp)] = state.T
     return out.reshape(amps.shape)
 
 
