@@ -668,10 +668,10 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
     spec = AnyonSpec.bosonic(0.6)
 
     def plan(m, n, lo, hi, window):
-        dim = enumerate_sector(m, n, spec).dim
+        sector = enumerate_sector(m, n, spec)
         sub = Network(hi - lo + 1, (BeamSplitter(1, hi - lo + 1, 0.3),))
         step = (lo, hi, True, sub, spec) if window else (lo, hi, False)
-        args = (n, False, (step,), occupations(enumerate_sector(m, n, spec), np.arange(0, dim, 3)))
+        args = (n, False, (step,), occupations(sector, np.arange(0, sector.dim, 3)))
         return network_module._plan(*args), (network_module._plan.__wrapped__, args)
 
     first, key = plan(8, 5, 2, 7, False)
