@@ -146,7 +146,7 @@ class TruncatedState:
         return self.amps.shape[0] - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norm(self.amps)
 
     def normalized(self) -> "TruncatedState":
         n = self.norm()
@@ -171,6 +171,15 @@ class TruncatedState:
         if self.num_modes == 1:
             return n
         return n[:, None] if mode == 1 else n[None, :]
+
+
+def _norm(amps: np.ndarray) -> float:
+    """``float(np.linalg.norm(amps))`` of a complex array, bit for bit: the
+    same flattening and real and imaginary dot products, without the
+    wrapper's dispatch."""
+    flat = amps.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _ladder(n_max: int) -> np.ndarray:
@@ -213,8 +222,16 @@ def coherent_amplitudes(g: complex, n_max: int) -> np.ndarray:
         raise ValueError(f"coherent amplitude {g} out of range: |g|^2 is not a finite float")
     factors = np.empty(n_max + 1, dtype=np.complex128)
     factors[0] = math.exp(-0.5 * norm2)
-    factors[1:] = g / np.sqrt(np.arange(1.0, n_max + 1))
+    factors[1:] = g / _sqrt_counts(n_max)
     return np.cumprod(factors)
+
+
+@lru_cache(maxsize=8)
+def _sqrt_counts(n_max: int) -> np.ndarray:
+    """The read-only sqrt(1), ..., sqrt(n_max) that ``coherent_amplitudes`` divides by."""
+    table = np.sqrt(np.arange(1.0, n_max + 1))
+    table.setflags(write=False)
+    return table
 
 
 def _normalized(amps: np.ndarray, mean_name: str, mean: float) -> TruncatedState:
@@ -224,11 +241,15 @@ def _normalized(amps: np.ndarray, mean_name: str, mean: float) -> TruncatedState
     When that mean is so far above the cutoff that the norm underflows
     to 0, raises ValueError naming it as ``mean_name`` and the cutoff.
     """
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if norm == 0.0:
-        raise ValueError(f"{mean_name} = {mean:.6g} is too large for n_max = "
-                         f"{amps.shape[0] - 1}: the truncated amplitudes' norm underflows to 0")
+        raise _underflow(mean_name, mean, amps.shape[0] - 1)
     return TruncatedState(amps / norm)
+
+
+def _underflow(mean_name: str, mean: float, n_max: int) -> ValueError:
+    return ValueError(f"{mean_name} = {mean:.6g} is too large for n_max = "
+                      f"{n_max}: the truncated amplitudes' norm underflows to 0")
 
 
 def _check_mode(mode: int) -> None:
@@ -448,7 +469,9 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     unevolved changes nothing once amplitudes of magnitude <= PRUNE_EPS
     are dropped.
     Amplitude pushed past the per-mode cutoff (only possible on shells
-    above n_max) is dropped with a warning.
+    above n_max) is dropped, with a warning when its probability exceeds
+    1e-12.  That loss is summed only when a live shell lies above n_max;
+    below, it is exactly 0.
     """
     if state.num_modes != 2:
         raise ValueError("expected a two-mode state")
@@ -473,11 +496,12 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     # += into zeros, not assignment, so that a kept -0.0 part reads +0.0
     out = np.zeros_like(state.amps)
     out += shells
-    shells[...] = 0.0
-    lost = np.vdot(evolved, evolved).real
-    if lost > 1e-12:
-        warnings.warn(f"dropped probability {lost:.3g} past the cutoff",
-                      TruncationRiskWarning, stacklevel=2)
+    if top > n_max + 1:     # below, every live shell N <= n_max fits the cutoff whole
+        shells[...] = 0.0
+        lost = np.vdot(evolved, evolved).real
+        if lost > 1e-12:
+            warnings.warn(f"dropped probability {lost:.3g} past the cutoff",
+                          TruncationRiskWarning, stacklevel=2)
     return TruncatedState(out)
 
 
@@ -528,10 +552,13 @@ def cat_closed_form(w: complex, truncation: Truncation = Truncation(),
     far above the cutoff that the norm underflows to 0.
     """
     _check_mode(mode)
-    n_max = truncation.n_max
-    branch = (cmath.exp(1j * math.pi / 4.0) * coherent_amplitudes(-1j * w, n_max)
-              - cmath.exp(3j * math.pi / 4.0) * coherent_amplitudes(1j * w, n_max))
-    return _normalized(_on_mode(branch, mode), "|w|^2", abs(w) ** 2)
+    return _normalized(_on_mode(_cat_branch(w, truncation.n_max), mode), "|w|^2", abs(w) ** 2)
+
+
+def _cat_branch(w: complex, n_max: int) -> np.ndarray:
+    """The unnormalized one-mode amplitudes e^{i pi/4} |-i w> - e^{3 i pi/4} |+i w>."""
+    return (cmath.exp(1j * math.pi / 4.0) * coherent_amplitudes(-1j * w, n_max)
+            - cmath.exp(3j * math.pi / 4.0) * coherent_amplitudes(1j * w, n_max))
 
 
 def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),
@@ -544,9 +571,14 @@ def mirror_cat_reference(u: complex, truncation: Truncation = Truncation(),
     A mode other than 1 or 2 raises ValueError.
     """
     _check_mode(mode)
+    w, live = _mirror_image(u, mode)
+    return cat_closed_form(w, truncation, mode=live)
+
+
+def _mirror_image(u: complex, mode: int) -> tuple[complex, int]:
+    """The mirror's reflection w of an input u on ``mode``, and the mode it lands on."""
     to_two, to_one = _mirror_reflections()
-    w = to_two * u if mode == 1 else to_one * u
-    return cat_closed_form(w, truncation, mode=2 if mode == 1 else 1)
+    return (to_two * u, 2) if mode == 1 else (to_one * u, 1)
 
 
 def mirror_cat(u: complex, spec: AnyonSpec,
@@ -554,9 +586,14 @@ def mirror_cat(u: complex, spec: AnyonSpec,
     """Cat state produced by the mirror at phi = pi on a coherent input.
 
     Evolves the single-mode coherent state through the mirror network by
-    brute force, then checks fidelity >= 1 - 1e-8 against
-    ``mirror_cat_reference``; an ArithmeticError signals a failed
-    self-check.  Returns the evolved state.
+    brute force, then checks its fidelity with ``mirror_cat_reference``,
+    which is nonzero on one live mode only (mode 2 for a mode-1 input):
+    the evolved state is normalized, so that fidelity is
+    |<live mode of the evolved state, b>|^2 / <b, b> for the closed-form
+    branch b of ``cat_closed_form``.  Below 1 - 1e-8 an ArithmeticError
+    signals a failed self-check; a branch whose norm underflows to 0
+    raises the ValueError of ``cat_closed_form``.  Returns the evolved
+    state.
     """
     if spec.is_fermionic:
         raise ValueError("the mirror cat construction needs bosonic anyons")
@@ -564,8 +601,13 @@ def mirror_cat(u: complex, spec: AnyonSpec,
         raise ValueError("the two-branch cat form holds at phi = pi only")
     state = two_mode_family_state(SingleMode(u, mode), spec, truncation)
     evolved = evolve_truncated(state, mirror_network(), spec).normalized()
-    # both states are normalized, so the overlap alone gives the fidelity
-    fidelity = abs(evolved.overlap(mirror_cat_reference(u, truncation, mode))) ** 2
+    w, live = _mirror_image(u, mode)
+    branch = _cat_branch(w, truncation.n_max)
+    weight = float(branch.real.dot(branch.real) + branch.imag.dot(branch.imag))
+    if weight == 0.0:
+        raise _underflow("|w|^2", abs(w) ** 2, truncation.n_max)
+    on_live = evolved.amps[:, 0] if live == 1 else evolved.amps[0]
+    fidelity = abs(complex(np.vdot(on_live, branch))) ** 2 / weight
     if fidelity < 1.0 - 1e-8:
         raise ArithmeticError(
             f"mirror output missed the cat closed form: fidelity {fidelity!r}")

@@ -281,20 +281,19 @@ def evolve(network: Network, state: StateVector) -> StateVector:
 
     The kernel runs on the state's nonzero amplitudes, named by their
     occupation tuples and sorted into sector order (lexicographically
-    decreasing), and the result keeps the entries above PRUNE_EPS in
-    magnitude, keyed by the plan's rows sorted the same way, as
-    ``StateVector.from_vector`` keeps them; no (dim,) vector is built
-    and no sector position is looked up.  Norm is preserved to roundoff since every
-    factor is unitary on the sector.  A network over another mode count
-    raises ModeMismatchError.
+    decreasing), and the result keeps the entries whose Python ``abs``
+    is above PRUNE_EPS, the rule of the ladders and of the algebraic
+    path, keyed by the plan's rows sorted the same way; no (dim,) vector
+    is built and no sector position is looked up.  Norm is preserved to
+    roundoff since every factor is unitary on the sector.  A network over
+    another mode count raises ModeMismatchError.
     """
     # sector order is lexicographically decreasing, and no two keys are equal
     entries = sorted(((occ, amp) for occ, amp in state.amps.items() if amp != 0), reverse=True)
     values = np.array([amp for _occ, amp in entries], dtype=np.complex128)
     rows, out = _evolve_support(network, state.sector, tuple(occ for occ, _amp in entries),
                                 values[:, None])
-    kept = sorted(((row, amp) for row, amp, keep in
-                   zip(rows, out[0].tolist(), (np.abs(out[0]) > PRUNE_EPS).tolist()) if keep),
+    kept = sorted(((row, amp) for row, amp in zip(rows, out[0].tolist()) if abs(amp) > PRUNE_EPS),
                   reverse=True)
     return StateVector._of(state.sector, dict(kept))
 
@@ -311,8 +310,9 @@ class _ByteLRU:
     """Tuples by (build, args) key, held within ``budget`` bytes of their arrays.
 
     An entry is sized by the ``_footprint`` of its key and value, their
-    arrays' buffers and headers and their tuples and numbers (a plan's
-    support and rows are occupation tuples), plus ``_ENTRY_BYTES`` of
+    arrays' buffers and headers and their tuples and numbers, each
+    counted once (a plan's rows are its support key's occupation
+    tuples), plus ``_ENTRY_BYTES`` of
     bookkeeping, so a plan of a tiny support, mostly Python objects,
     counts what it holds; the networks and specs a key names are shared and not
     counted.  When a new value would pass the budget, the least recently used values are
@@ -339,7 +339,7 @@ class _ByteLRU:
                 self.order.move_to_end(id(hit))
                 return hit[0]
         value = build()
-        size = _ENTRY_BYTES + _footprint(key) + _footprint(value)
+        size = _ENTRY_BYTES + _footprint(key, value)
         with self.lock:
             if size <= self.budget and key not in self.entries:
                 while self.held + size > self.budget:
@@ -362,25 +362,39 @@ class _ByteLRU:
 _ENTRY_BYTES = 200
 
 
-def _footprint(obj) -> int:
-    """The bytes ``obj`` holds of its own, as ``_ByteLRU`` sizes an entry.
+def _footprint(*objs) -> int:
+    """The bytes ``objs`` hold of their own, as ``_ByteLRU`` sizes an entry.
 
     A tuple counts itself and what it holds, an array its header and
     buffer, and an int itself, except the ints -5..256, which CPython
-    shares.  Anything else (a bool, a network, a spec, the
+    shares.  Each object counts once however often ``objs`` reach it, so
+    a plan's rows count nothing more when its support key holds the same
+    tuples.  Anything else (a bool, a network, a spec, the
     build function of a key) is shared with its callers and counts
     nothing, and so does a ``_Hops`` record held inside a tuple: it is
     the value of its own ``_pair_hop_eigh`` entry, which counts it, and
     every plan step of its totals shares it.
     """
-    if isinstance(obj, tuple):
-        return sys.getsizeof(obj) + sum(_footprint(x) for x in obj if type(x) is not _Hops)
-    kind = type(obj)
-    if kind is int:
-        return 0 if -5 <= obj <= 256 else sys.getsizeof(obj)
-    if kind is np.ndarray:
-        return sys.getsizeof(obj) + (0 if obj.base is None else obj.nbytes)
-    return 0
+    seen: set[int] = set()
+
+    def walk(obj) -> int:
+        if id(obj) in seen:
+            return 0
+        if isinstance(obj, tuple):
+            seen.add(id(obj))
+            return sys.getsizeof(obj) + sum(walk(x) for x in obj if type(x) is not _Hops)
+        kind = type(obj)
+        if kind is int:
+            if -5 <= obj <= 256:
+                return 0
+            seen.add(id(obj))
+            return sys.getsizeof(obj)
+        if kind is np.ndarray:
+            seen.add(id(obj))
+            return sys.getsizeof(obj) + (0 if obj.base is None else obj.nbytes)
+        return 0
+
+    return sum(map(walk, objs))
 
 
 _KERNEL_CACHE = _ByteLRU(KERNEL_CACHE_BYTES)

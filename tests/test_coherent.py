@@ -623,6 +623,39 @@ def test_mirror_cat_from_mode_two_lands_on_mode_one():
     assert np.max(np.abs(cat.amps[:, 1:])) < 1e-10
 
 
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("wrong", ["unevolved", "cat on the input mode"])
+def test_mirror_cat_self_check_refuses_a_wrong_evolution(monkeypatch, mode, wrong):
+    # the self-check is the only thing between a broken evolution and the
+    # caller: the input left as it is, or the right cat on the wrong mode
+    spec, u = AnyonSpec.bosonic(math.pi), cmath.exp(0.3j)
+    want = coherent.mirror_cat_reference(u, TR, mode)
+
+    def broken(state, network, spec):
+        return state if wrong == "unevolved" else TruncatedState(want.amps.T)
+
+    monkeypatch.setattr(coherent, "evolve_truncated", broken)
+    with pytest.raises(ArithmeticError, match="missed the cat closed form: fidelity"):
+        mirror_cat(u, spec, TR, mode)
+
+
+def test_mirror_cat_names_the_mean_when_the_cat_norm_underflows(monkeypatch):
+    # a closed-form branch whose norm is 0 raises, not a NaN fidelity
+    # that the self-check's < test would let pass
+    real, calls = coherent.coherent_amplitudes, []
+
+    def input_only(g, n_max):
+        calls.append(g)     # the input's amplitudes come first, then the branches'
+        return real(g, n_max) if len(calls) == 1 else np.zeros(n_max + 1, complex)
+
+    monkeypatch.setattr(coherent, "coherent_amplitudes", input_only)
+    with pytest.raises(ValueError) as err:
+        mirror_cat(1.0, AnyonSpec.bosonic(math.pi), TR)
+    assert len(calls) == 3
+    assert str(err.value) == "|w|^2 = 1 is too large for n_max = 40: " \
+                             "the truncated amplitudes' norm underflows to 0"
+
+
 def test_mirror_cat_requires_phi_pi():
     with pytest.raises(ValueError):
         mirror_cat(0.5, AnyonSpec.bosonic(1.0), TR)

@@ -16,7 +16,7 @@ from anyonlin import AnyonSpec, BeamSplitter, GOperator, Network, PhaseShifter, 
     build_braiding_network, enumerate_sector, evolve, propagate_algebraic, \
     single_particle_matrix
 from anyonlin import network as network_module
-from anyonlin.fock import EmptySectorError, StateVector, apply_create, vacuum_state
+from anyonlin.fock import PRUNE_EPS, EmptySectorError, StateVector, apply_create, vacuum_state
 from anyonlin.network import ModeMismatchError, UnsupportedPropagationError, evolve_amplitudes
 from anyonlin.operators import ATOL_ALGEBRA, creation_matrix
 
@@ -126,6 +126,23 @@ def test_evolve_empty_network_is_identity():
     st = StateVector(sector, {(1, 1, 0): 0.6, (0, 1, 1): 0.8j})
     out = evolve(Network(3, ()), st)
     assert states_close(st, out) < 1e-15
+
+
+def test_evolve_prunes_by_python_abs_like_the_ladders():
+    # near PRUNE_EPS, Python's abs and np.abs round some magnitudes
+    # differently; evolve keeps an amplitude exactly when abs (the rule
+    # of fock._ladder and fock._sum) puts it above PRUNE_EPS
+    rng = np.random.default_rng(29)
+    split = {}
+    while len(split) < 2:
+        z = complex(*rng.normal(size=2))
+        z *= PRUNE_EPS / abs(z)
+        if (abs(z) > PRUNE_EPS) != bool(np.abs(z) > PRUNE_EPS):
+            split.setdefault(abs(z) > PRUNE_EPS, z)
+    sector = enumerate_sector(3, 2, AnyonSpec.bosonic(0.4))
+    amps = {(2, 0, 0): 0.6, (1, 1, 0): split[True], (0, 1, 1): split[False]}
+    out = evolve(Network(3, ()), StateVector(sector, amps))
+    assert out.amps == {(2, 0, 0): 0.6, (1, 1, 0): split[True]}
 
 
 def test_evolve_mode_mismatch():
@@ -756,8 +773,7 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     # of the plan and its key too, but not the network or spec it names
     size = cache.entries[key][1]
     assert size > sum(arr.nbytes for arr in arrays) + sum(map(sys.getsizeof, key[1][3]))
-    assert size == network_module._ENTRY_BYTES + network_module._footprint(key) \
-        + network_module._footprint(first)
+    assert size == network_module._ENTRY_BYTES + network_module._footprint(key, first)
     assert network_module._footprint(braid) == network_module._footprint(spec) == 0
     saved = [arr.copy() for arr in arrays]
     monkeypatch.setattr(cache, "budget", 4 * cache.entries[key][1])
@@ -806,6 +822,45 @@ def test_kernel_cache_counts_the_objects_of_its_plans():
         tracemalloc.stop()
     counted = cache.held - held
     assert counted / 1.5 <= grown <= 1.5 * counted
+    cache.clear()
+
+
+def test_kernel_cache_counts_each_object_of_a_plan_once():
+    # a plan's rows hold its support key's occupation tuples, and its
+    # entry counts them once; over the sweep of two-row supports, each
+    # evolved as ``_evolve_support`` does it (a skeleton from its own walk
+    # of the network, the support's tuples from the state's keys, here
+    # the sector basis), the traced heap grows by about what it counts
+    cache = network_module._KERNEL_CACHE
+    cache.clear()
+    spec = AnyonSpec.bosonic(0.3)
+    net = Network(6, (BeamSplitter(1, 4, 0.7), Window(2, build_braiding_network()),
+                      PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
+    basis = enumerate_sector(6, 3, spec).basis
+    network_module._plan(3, False, network_module._split(net, spec)[0], basis)
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    assert len(pairs) == 1540
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced, held = tracemalloc.get_traced_memory()[0], cache.held
+        for first, second in pairs:
+            network_module._plan(3, False, network_module._split(net, spec)[0],
+                                 (basis[first], basis[second]))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+    counted = cache.held - held
+    assert 0.97 <= grown / counted <= 1.15
+    support = (basis[0], basis[7])
+    args = (3, False, network_module._split(net, spec)[0], support)
+    plan = network_module._plan(*args)
+    key = (network_module._plan.__wrapped__, args)
+    assert all(any(row is occ for row in plan.rows) for occ in support)
+    assert cache.entries[key][1] == network_module._ENTRY_BYTES \
+        + network_module._footprint(key) + network_module._footprint(plan) \
+        - sum(map(sys.getsizeof, support))
     cache.clear()
 
 
