@@ -312,10 +312,9 @@ class _ByteLRU:
     An entry is sized by the ``_footprint`` of its key and value, their
     arrays' buffers and headers and their tuples and numbers, each
     counted once (a plan's rows are its support key's occupation
-    tuples), plus ``_ENTRY_BYTES`` of
-    bookkeeping, so a plan of a tiny support, mostly Python objects,
-    counts what it holds; the networks and specs a key names are shared and not
-    counted.  When a new value would pass the budget, the least recently used values are
+    tuples), plus ``_ENTRY_BYTES`` of bookkeeping, so a plan of a tiny
+    support, mostly Python objects, counts what it holds; the networks
+    and specs a key names are shared and not counted.  When a new value would pass the budget, the least recently used values are
     dropped first; a value larger than the whole budget is built and
     returned but not kept.  ``entries`` maps each key to its (value,
     size) pair and ``order`` lists the keys by the id of that pair, least
