@@ -22,8 +22,7 @@ _HOMES = {
                  "Truncation", "Type1", "Type2", "coherence_function", "coherent_state",
                  "displacement", "evolve_family", "kerr_interconvert", "mirror_cat",
                  "two_mode_family_state"),
-    "dualrail": ("CP", "CompileError", "LogicalLayout", "Rx", "Rz", "U1", "compile_cp",
-                 "compile_single_qubit", "decode", "encode", "simulate_circuit"),
+    "dualrail": ("CP", "CompileError", "LogicalLayout", "Rx", "Rz", "U1", "decode", "encode"),
 }
 _MODULES = {name: module for module, names in _HOMES.items() for name in names}
 

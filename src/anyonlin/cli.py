@@ -43,7 +43,6 @@ __all__ = [
     "parse_angle",
     "parse_complex",
     "parse_network",
-    "serialize_network",
     "parse_state",
     "haar_unitary",
     "main",
@@ -165,22 +164,6 @@ def parse_network(text: str) -> Network:
     return Network(m, tuple(elements))
 
 
-def serialize_network(network: Network) -> str:
-    """DSL text whose parse reproduces the network exactly.
-
-    The DSL has no window, so a network holding one raises ValueError.
-    """
-    lines = [f"modes {network.m}"]
-    for el in network.elements:
-        if isinstance(el, PhaseShifter):
-            lines.append(f"ps {el.mode} {el.tau!r}")
-        elif isinstance(el, BeamSplitter):
-            lines.append(f"bs {el.mode_i} {el.mode_j} {el.theta!r}")
-        else:
-            raise ValueError(f"the network DSL has no form for {el!r}")
-    return "\n".join(lines) + "\n"
-
-
 _KET_RE = re.compile(r"\|\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*>")
 
 
@@ -188,7 +171,9 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     """Parse ``a*|n1,...,nm> + b*|...>`` into a sector state.
 
     All kets must share one total particle number; fermionic occupancies
-    above one are rejected.  The result is normalized unless disabled.
+    above one, a coefficient that is not finite and a state whose norm
+    overflows a float are rejected.  The result is normalized unless
+    disabled.
     """
     matches = list(_KET_RE.finditer(text))
     if not matches:
@@ -201,6 +186,8 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
         if coef_text.endswith("*"):
             coef_text = coef_text[:-1]
         coef = parse_complex(coef_text)
+        if not (math.isfinite(coef.real) and math.isfinite(coef.imag)):
+            raise CliError(f"coefficient {coef_text!r} of |{match.group(1)}> is not finite")
         occ = tuple(int(tok) for tok in match.group(1).replace(" ", "").split(","))
         if len(occ) != m:
             raise CliError(f"ket |{match.group(1)}> has {len(occ)} modes, expected {m}")
@@ -220,8 +207,14 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     for coef, occ in terms:
         amps[occ] = amps.get(occ, 0.0) + coef
     state = StateVector(sector, amps)
+    try:
+        norm = state.norm()
+    except OverflowError:   # a squared amplitude above the float range
+        norm = math.inf
+    if norm == math.inf:
+        raise CliError("state norm overflows a float")
     if normalize:
-        if state.norm() == 0.0:
+        if norm == 0.0:
             raise CliError("state has zero norm")
         state = state.normalized()
     return state

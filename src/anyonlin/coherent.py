@@ -89,8 +89,6 @@ __all__ = [
     "cat_closed_form",
     "deformed_binomial_coeffs",
     "deformed_binomial_prefactor",
-    "family_to_jsonable",
-    "family_from_jsonable",
 ]
 
 DEFAULT_N_MAX = 40
@@ -303,7 +301,7 @@ def coherence_function(state: TruncatedState, mode: int, n: int) -> float:
     probs = np.abs(state.amps) ** 2
     total = probs.sum()
     occ = state.occupations(mode)
-    mean = float((probs * occ).sum() / total)
+    mean = float((probs * occ).sum() / total) if total > 0.0 else 0.0
     if mean <= 0.0:
         raise DegenerateStateError("mean occupation is zero")
     falling = np.ones_like(occ, dtype=np.float64)
@@ -635,46 +633,3 @@ def deformed_binomial_prefactor(n: int, phi: float) -> complex:
         = e^{-i phi n (n - 1) / 2} prod_{k} (e^{i k phi} a b†_i + b b†_j).
     """
     return cmath.exp(-1j * phi * n * (n - 1) / 2.0)
-
-
-_FAMILY_TAGS = {"exact_less": ExactLess, "exact_greater": ExactGreater,
-                "type1": Type1, "type2": Type2, "single": SingleMode}
-
-
-def _complex_doc(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def family_to_jsonable(family: CoherentFamily,
-                       truncation: Truncation = Truncation()) -> dict:
-    """JSON document for a coherent-family spec, e.g.
-    {"family": "type1", "u": {"re": 0.5, "im": 0}, "v": ..., "nmax": 40}."""
-    tag = {v: k for k, v in _FAMILY_TAGS.items()}[type(family)]
-    doc: dict = {"family": tag}
-    if isinstance(family, SingleMode):
-        doc["g"] = _complex_doc(complex(family.g))
-        doc["mode"] = family.mode
-    else:
-        doc["u"] = _complex_doc(complex(family.u))
-        doc["v"] = _complex_doc(complex(family.v))
-    doc["nmax"] = truncation.n_max
-    return doc
-
-
-def family_from_jsonable(doc: dict) -> tuple[CoherentFamily, Truncation]:
-    """Inverse of ``family_to_jsonable``."""
-    try:
-        kind = _FAMILY_TAGS[doc["family"]]
-        truncation = Truncation(int(doc.get("nmax", DEFAULT_N_MAX)))
-
-        def as_complex(key: str) -> complex:
-            entry = doc[key]
-            return complex(float(entry["re"]), float(entry["im"]))
-
-        if kind is SingleMode:
-            family: CoherentFamily = SingleMode(as_complex("g"), int(doc["mode"]))
-        else:
-            family = kind(as_complex("u"), as_complex("v"))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"bad coherent-family document: {err}") from None
-    return family, truncation

@@ -47,12 +47,8 @@ __all__ = [
     "encode",
     "decode",
     "euler_zxz",
-    "compile_single_qubit",
-    "compile_cp",
-    "compile_gate",
     "compile_circuit",
     "run_circuit",
-    "simulate_circuit",
     "logical_unitary",
 ]
 
@@ -188,32 +184,6 @@ def _check_qubit(layout: LogicalLayout, qubit: int) -> None:
         raise CompileError(f"qubit {qubit} outside 1..{layout.num_qubits}")
 
 
-def compile_single_qubit(layout: LogicalLayout, qubit: int, alpha: float,
-                         beta: float, gamma: float, delta: float) -> Network:
-    """PS-BS-PS network realizing the ZXZ gate on one qubit pair.
-
-    alpha only contributes a global phase and is dropped.
-    """
-    return compile_circuit(layout, [U1(qubit, alpha, beta, gamma, delta)])
-
-
-def compile_cp(layout: LogicalLayout, qubit_a: int, qubit_b: int) -> Network:
-    """Braiding network between adjacent qubits through their auxiliary.
-
-    The three braided modes are (second mode of qubit_a, auxiliary,
-    first mode of qubit_b), and the network holds the braid as one
-    ``Window`` on them, which the block kernel applies as one step
-    through a cached unitary per window total.  Non-adjacent qubits
-    raise CompileError: routing is out of scope, chain CPs or compile
-    SWAPs explicitly.
-    """
-    return compile_circuit(layout, [CP(qubit_a, qubit_b)])
-
-
-def compile_gate(layout: LogicalLayout, gate: LogicalGate) -> Network:
-    return compile_circuit(layout, [gate])
-
-
 def _gate_angles(gate: LogicalGate) -> tuple[float, ...]:
     """The network angles of the gate's elements, in order: none for a CP's
     braid window, (delta, -gamma / 2, beta) for a single-qubit gate's
@@ -248,7 +218,15 @@ def _gate_elements(layout: LogicalLayout, gate: LogicalGate) -> tuple[Element, .
 
 
 def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Network:
-    """The per-gate elements in circuit order, as one network."""
+    """The per-gate elements in circuit order, as one network.
+
+    A single-qubit gate is a PS-BS-PS sandwich on its qubit's two modes;
+    its global phase alpha is dropped.  A CP braids the second mode of
+    its first qubit, the auxiliary and the first mode of its second
+    qubit, held as one ``Window`` on them, which the block kernel applies
+    as one step.  Non-adjacent qubits raise CompileError: routing is out
+    of scope, chain CPs or compile SWAPs explicitly.
+    """
     return Network(layout.m, tuple(el for gate in gates for el in _gate_elements(layout, gate)))
 
 
@@ -256,13 +234,6 @@ def run_circuit(spec: AnyonSpec, layout: LogicalLayout,
                 gates: Sequence[LogicalGate], bits: str) -> StateVector:
     """Physical state after evolving the encoded input through the circuit."""
     return evolve(compile_circuit(layout, gates), encode(spec, layout, bits))
-
-
-def simulate_circuit(spec: AnyonSpec, layout: LogicalLayout,
-                     gates: Sequence[LogicalGate], bits: str) -> np.ndarray:
-    """Logical amplitudes after the compiled circuit on the given input."""
-    amps, _leak = decode(layout, run_circuit(spec, layout, gates, bits))
-    return amps
 
 
 @_kernel_cached

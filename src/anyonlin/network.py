@@ -240,41 +240,6 @@ class Network:
         # networks and are hashed on every lookup, and this walks every element
         return hash((self.m, self.elements))
 
-    def to_jsonable(self) -> dict:
-        """A JSON document; a window holds its start and its sub-network's document."""
-        elements = []
-        for el in self.elements:
-            if isinstance(el, PhaseShifter):
-                elements.append({"type": "ps", "i": el.mode, "tau": el.tau})
-            elif isinstance(el, BeamSplitter):
-                elements.append({"type": "bs", "i": el.mode_i, "j": el.mode_j,
-                                 "theta": el.theta})
-            else:
-                elements.append({"type": "window", "first": el.first, **el.network.to_jsonable()})
-        return {"m": self.m, "elements": elements}
-
-    @classmethod
-    def from_jsonable(cls, doc: dict) -> "Network":
-        """Inverse of ``to_jsonable``.  A malformed document raises
-        ValueError naming the bad entry: a missing key, a value of the
-        wrong type or an unknown element type."""
-        try:
-            elements: list[Element] = []
-            for entry in doc["elements"]:
-                if entry["type"] == "ps":
-                    elements.append(PhaseShifter(entry["i"], entry["tau"]))
-                elif entry["type"] == "bs":
-                    elements.append(BeamSplitter(entry["i"], entry["j"], entry["theta"]))
-                elif entry["type"] == "window":
-                    elements.append(Window(entry["first"], cls.from_jsonable(entry)))
-                else:
-                    raise ValueError(f"unknown element type {entry['type']!r}")
-            return cls(doc["m"], tuple(elements))
-        except KeyError as err:
-            raise ValueError(f"bad network document: missing key {err}") from None
-        except TypeError as err:
-            raise ValueError(f"bad network document: {err}") from None
-
 
 def evolve(network: Network, state: StateVector) -> StateVector:
     """Exact evolution of a state through the network on the block kernel.

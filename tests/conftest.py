@@ -15,6 +15,7 @@ import numpy as np
 from anyonlin import AnyonSpec
 from anyonlin.fock import StateVector, apply_create, enumerate_sector, vacuum_state
 from anyonlin.cli import haar_unitary  # noqa: F401  (shared with the test modules)
+from anyonlin.dualrail import CP, Rx, Rz, U1
 from anyonlin import network as network_module
 from anyonlin.network import BeamSplitter, PhaseShifter, UnsupportedPropagationError, Window
 from anyonlin.operators import quadratic_matrix
@@ -303,3 +304,44 @@ def phase_align(reference, candidate):
     """Scale candidate by a global phase to match reference's largest entry."""
     idx = np.unravel_index(np.argmax(np.abs(reference)), np.shape(reference))
     return candidate * (np.asarray(reference)[idx] / np.asarray(candidate)[idx])
+
+
+# dense 2x2 oracles, independent of the compiler's conventions
+def rz_mat(beta):
+    return np.diag([cmath.exp(-1j * beta / 2), cmath.exp(1j * beta / 2)])
+
+
+def rx_mat(gamma):
+    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def embed(gate, qubit, n):
+    out = np.eye(1)
+    for q in range(1, n + 1):
+        out = np.kron(out, gate if q == qubit else np.eye(2))
+    return out
+
+
+def cp_embed(phi, a, b, n):
+    """CP(phi) between qubits a and b of n; qubit 1 is the leading bit."""
+    both = [(idx >> (n - a)) & 1 and (idx >> (n - b)) & 1 for idx in range(2 ** n)]
+    return np.diag([cmath.exp(1j * phi) if hit else 1.0 for hit in both])
+
+
+def circuit_oracle(gates, phi, n):
+    """Dense 2^n matrix of the logical circuit."""
+    total = np.eye(2 ** n, dtype=complex)
+    for gate in gates:
+        if isinstance(gate, Rz):
+            factor = embed(rz_mat(gate.beta), gate.qubit, n)
+        elif isinstance(gate, Rx):
+            factor = embed(rx_mat(gate.gamma), gate.qubit, n)
+        elif isinstance(gate, U1):
+            u = cmath.exp(1j * gate.alpha) * rz_mat(gate.beta) @ rx_mat(gate.gamma) \
+                @ rz_mat(gate.delta)
+            factor = embed(u, gate.qubit, n)
+        elif isinstance(gate, CP):
+            factor = cp_embed(phi, gate.qubit_a, gate.qubit_b, n)
+        total = factor @ total
+    return total

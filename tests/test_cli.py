@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from anyonlin import AnyonSpec, BeamSplitter, Network, ParticleClass, PhaseShifter, \
-    StateVector, Window, build_braiding_network
+    StateVector, build_braiding_network
 from anyonlin import operators as operators_module
 from anyonlin.cli import CliError, build_parser, main, parse_angle, parse_complex, \
-    parse_network, parse_state, serialize_network
+    parse_network, parse_state
 from anyonlin.coherent import TruncatedState, mirror_network
 
 from conftest import dense_evolve, shellwise_oracle, state_deviation
@@ -94,18 +94,24 @@ def test_parse_network_allows_comments_and_blank_lines():
     assert len(net.elements) == 3
 
 
-def test_serialize_round_trip():
-    for net in (build_braiding_network(),
-                Network(4, (BeamSplitter(2, 4, 0.123456789), PhaseShifter(1, -2.5),
-                            BeamSplitter(1, 2, 1e-3))),):
-        assert parse_network(serialize_network(net)) == net
+def test_parse_network_reads_each_angle_exactly():
+    text = ("modes 4\n"
+            "ps 1 0.1\n"
+            "bs 2 4 -2.718281828459045\n"
+            "ps 3 1e-300\n"
+            "bs 1 2 pi/2\n"
+            "bs 3 4 3*pi/4\n")
+    net = parse_network(text)
+    assert net == Network(4, (PhaseShifter(1, 0.1), BeamSplitter(2, 4, -2.718281828459045),
+                              PhaseShifter(3, 1e-300), BeamSplitter(1, 2, math.pi / 2),
+                              BeamSplitter(3, 4, 3 * math.pi / 4)))
+    assert all(type(el.tau if isinstance(el, PhaseShifter) else el.theta) is float
+               for el in net.elements)
 
 
-def test_serialize_refuses_a_window():
-    # the DSL has no window line, and a window must not pass for a beam splitter
-    net = Network(4, (PhaseShifter(1, 0.3), Window(2, build_braiding_network())))
-    with pytest.raises(ValueError, match="no form"):
-        serialize_network(net)
+def test_parse_network_has_no_window_line():
+    with pytest.raises(CliError, match="line 2: unknown keyword 'window'"):
+        parse_network("modes 5\nwindow 2 3 pi/2\n")
 
 
 def test_parse_state_basis_and_superposition():
@@ -180,6 +186,24 @@ def test_run_command_dump_unitary(tmp_path):
     im = doc["unitary"]["im"]
     assert abs(re[0][0] - math.cos(math.pi / 4)) < 1e-12
     assert abs(im[1][0] - math.sin(math.pi / 4)) < 1e-12
+
+
+@pytest.mark.parametrize("normalize", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+@pytest.mark.parametrize("ket, message", [
+    ("nan*|1,0>", "coefficient 'nan' of |1,0> is not finite"),
+    ("1e400*|1,0>", "coefficient '1e400' of |1,0> is not finite"),
+    ("1e308*|1,0> + 1e308*|0,1>", "state norm overflows a float"),
+], ids=["nan", "inf", "norm-overflow"])
+def test_non_finite_or_overflowing_ket_exits_2(tmp_path, capsys, ket, message, normalize):
+    # these printed an empty amplitude list with exit 0, or exited 3 as a
+    # self-check failure that no one asked for
+    net_file = tmp_path / "bs.net"
+    net_file.write_text("modes 2\nbs 1 2 0.3\n")
+    code, out = run_cli(["run", "--phi", "0.5", "--network", str(net_file),
+                         "--input", ket, *normalize])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"anyonlin: {message}\n"
 
 
 def test_cat_command_reports_unit_fidelity():

@@ -10,8 +10,7 @@ import pytest
 from anyonlin import AnyonSpec, CP, CompileError, LogicalLayout, Rx, Rz, U1, \
     decode, encode, enumerate_sector, evolve
 from anyonlin.dualrail import _circuit_plan, _code_space, auxiliary_occupations, compile_circuit, \
-    compile_cp, compile_gate, compile_single_qubit, euler_zxz, logical_unitary, run_circuit, \
-    simulate_circuit
+    euler_zxz, logical_unitary, run_circuit
 from anyonlin import dualrail as dualrail_module
 from anyonlin import fock as fock_module
 from anyonlin import network as network_module
@@ -20,53 +19,13 @@ from anyonlin.fock import StateVector
 from anyonlin.network import BeamSplitter, Network, PhaseShifter, Window, build_braiding_network, \
     evolve_amplitudes
 
-from conftest import PHI_GRID, beam_splitter_steps, both_classes, dense_evolve, evolve_support, \
-    haar_unitary, kernel_plan, live_blocks, phase_align, plan_leaves, positions
-
-
-# dense 2x2 oracles, independent of the compiler's conventions
-def rz_mat(beta):
-    return np.diag([cmath.exp(-1j * beta / 2), cmath.exp(1j * beta / 2)])
-
-
-def rx_mat(gamma):
-    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def embed(gate, qubit, n):
-    out = np.eye(1)
-    for q in range(1, n + 1):
-        out = np.kron(out, gate if q == qubit else np.eye(2))
-    return out
+from conftest import PHI_GRID, beam_splitter_steps, both_classes, circuit_oracle, dense_evolve, \
+    evolve_support, haar_unitary, kernel_plan, live_blocks, phase_align, plan_leaves, positions, \
+    rx_mat, rz_mat
 
 
 def cp_mat(phi):
     return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)])
-
-
-def cp_embed(phi, a, b, n):
-    """CP(phi) between qubits a and b of n; qubit 1 is the leading bit."""
-    both = [(idx >> (n - a)) & 1 and (idx >> (n - b)) & 1 for idx in range(2 ** n)]
-    return np.diag([cmath.exp(1j * phi) if hit else 1.0 for hit in both])
-
-
-def circuit_oracle(gates, phi, n):
-    """Dense 2^n matrix of the logical circuit."""
-    total = np.eye(2 ** n, dtype=complex)
-    for gate in gates:
-        if isinstance(gate, Rz):
-            factor = embed(rz_mat(gate.beta), gate.qubit, n)
-        elif isinstance(gate, Rx):
-            factor = embed(rx_mat(gate.gamma), gate.qubit, n)
-        elif isinstance(gate, U1):
-            u = cmath.exp(1j * gate.alpha) * rz_mat(gate.beta) @ rx_mat(gate.gamma) \
-                @ rz_mat(gate.delta)
-            factor = embed(u, gate.qubit, n)
-        elif isinstance(gate, CP):
-            factor = cp_embed(phi, gate.qubit_a, gate.qubit_b, n)
-        total = factor @ total
-    return total
 
 
 def test_layout_modes():
@@ -153,10 +112,10 @@ def test_compile_not_gate():
     # angle is -pi/2 under the exp(i theta X) convention
     spec = AnyonSpec.fermionic(1.0)
     layout = LogicalLayout(1)
-    net = compile_single_qubit(layout, 1, *euler_zxz(np.array([[0, 1], [1, 0]], dtype=complex)))
-    bs = [el for el in net.elements if isinstance(el, BeamSplitter)]
+    gates = [U1(1, *euler_zxz(np.array([[0, 1], [1, 0]], dtype=complex)))]
+    bs = [el for el in compile_circuit(layout, gates).elements if isinstance(el, BeamSplitter)]
     assert len(bs) == 1 and abs(abs(bs[0].theta) - math.pi / 2) < 1e-12
-    got = logical_unitary(spec, layout, [U1(1, *euler_zxz(np.array([[0, 1], [1, 0]], dtype=complex)))])
+    got = logical_unitary(spec, layout, gates)
     assert abs(abs(got[1, 0]) - 1.0) < 1e-12
     assert abs(abs(got[0, 1]) - 1.0) < 1e-12
     assert abs(got[0, 0]) < 1e-12
@@ -220,18 +179,20 @@ def test_cp_is_entangling_for_nonzero_phi():
 
 def test_cp_requires_adjacent_qubits():
     layout = LogicalLayout(3)
-    with pytest.raises(CompileError):
-        compile_cp(layout, 1, 3)
-    with pytest.raises(CompileError):
-        compile_cp(layout, 2, 1)
-    with pytest.raises(CompileError):
-        compile_cp(layout, 3, 4)
+    for bad in ((1, 3), (2, 1)):
+        with pytest.raises(CompileError, match="CP needs adjacent qubits"):
+            compile_circuit(layout, [CP(*bad)])
+    for bad in ((3, 4), (0, 1)):
+        with pytest.raises(CompileError, match="outside 1..3"):
+            compile_circuit(layout, [CP(*bad)])
+    with pytest.raises(CompileError, match="qubit 4 outside 1..3"):
+        compile_circuit(layout, [U1(4, 0.0, 0.0, 0.0, 0.0)])
 
 
 def test_empty_circuit_round_trips():
     spec = AnyonSpec.bosonic(0.9)
     layout = LogicalLayout(2)
-    amps = simulate_circuit(spec, layout, [], "10")
+    amps = decode(layout, run_circuit(spec, layout, [], "10"))[0]
     assert abs(amps[0b10] - 1.0) < 1e-15
 
 
@@ -254,7 +215,7 @@ def test_cp_on_plus_plus_matches_oracle():
     layout = LogicalLayout(2)
     h_angles = euler_zxz(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     gates = [U1(1, *h_angles), U1(2, *h_angles), CP(1, 2)]
-    got = simulate_circuit(spec, layout, gates, "00")
+    got = decode(layout, run_circuit(spec, layout, gates, "00"))[0]
     want = circuit_oracle(gates, phi, 2) @ np.array([1.0, 0, 0, 0])
     assert np.max(np.abs(phase_align(want, got) - want)) < 1e-10
 
@@ -293,7 +254,7 @@ def test_compile_circuit_concatenates_elements():
 
 def test_cp_window_braids_the_left_qubit_aux_and_right_qubit_modes():
     layout = LogicalLayout(3)
-    (window,) = compile_cp(layout, 2, 3).elements
+    (window,) = compile_circuit(layout, [CP(2, 3)]).elements
     braid_modes = (layout.qubit_modes[1][1], layout.aux_modes[1], layout.qubit_modes[2][0])
     assert window.modes == braid_modes == (5, 6, 7)
     remapped = []
@@ -309,7 +270,7 @@ def test_cp_window_braids_the_left_qubit_aux_and_right_qubit_modes():
 def test_compile_circuit_validates_one_network(monkeypatch):
     layout = LogicalLayout(3)
     gates = [Rz(1, 0.5), Rx(2, -0.7), U1(3, 0.1, 0.2, 0.3, 0.4), CP(1, 2), CP(2, 3)]
-    per_gate = tuple(el for gate in gates for el in compile_gate(layout, gate).elements)
+    per_gate = tuple(el for gate in gates for el in compile_circuit(layout, [gate]).elements)
     built = []
     post_init = Network.__post_init__
 
@@ -321,26 +282,6 @@ def test_compile_circuit_validates_one_network(monkeypatch):
     net = compile_circuit(layout, gates)
     assert built == [net]
     assert net.elements == per_gate
-
-
-def test_one_gate_compilers_are_compile_circuit_of_that_gate():
-    layout = LogicalLayout(3)
-    for qubit in (1, 2, 3):
-        assert compile_single_qubit(layout, qubit, 0.1, 0.2, -0.3, 0.4) \
-            == compile_circuit(layout, [U1(qubit, 0.1, 0.2, -0.3, 0.4)])
-        for gate in (Rz(qubit, 0.5), Rx(qubit, -0.7), U1(qubit, 0.0, 1.1, 2.2, 3.3)):
-            assert compile_gate(layout, gate) == compile_circuit(layout, [gate])
-    for a in (1, 2):
-        assert compile_cp(layout, a, a + 1) == compile_circuit(layout, [CP(a, a + 1)]) \
-            == compile_gate(layout, CP(a, a + 1))
-    for bad in ((1, 3), (2, 1), (3, 4), (0, 1)):
-        with pytest.raises(CompileError) as direct:
-            compile_cp(layout, *bad)
-        with pytest.raises(CompileError) as batched:
-            compile_circuit(layout, [CP(*bad)])
-        assert str(direct.value) == str(batched.value)
-    with pytest.raises(CompileError, match="qubit 4 outside 1..3"):
-        compile_single_qubit(layout, 4, 0.0, 0.0, 0.0, 0.0)
 
 
 def dense_logical_unitary(spec, layout, gates):

@@ -72,17 +72,6 @@ def test_numpy_integer_modes_evolve_like_python_ints():
             assert evolve(net(idx), state).amps == evolve(net(int), state).amps
 
 
-@pytest.mark.parametrize("doc, named", [
-    ({"m": 3, "elements": [{"type": "bs", "i": 1, "theta": 0.4}]}, "missing key 'j'"),
-    ({"m": 3}, "missing key 'elements'"),
-    ({"m": "2", "elements": []}, "m must be an integer, got '2'"),
-])
-def test_malformed_network_documents_raise_value_error_naming_the_entry(doc, named):
-    # these raised KeyError 'j', KeyError 'elements' and TypeError
-    with pytest.raises(ValueError, match=named):
-        Network.from_jsonable(doc)
-
-
 def test_bs_zero_angle_is_identity():
     sector = enumerate_sector(3, 2, AnyonSpec.bosonic(1.9))
     u = dense_unitary(sector, BeamSplitter(1, 3, 0.0))
@@ -394,18 +383,6 @@ def test_single_particle_matrix_composition():
     st = evolve(net, StateVector.basis_state(sector, (1, 0)))
     assert abs(st.amplitude((1, 0)) - u[0, 0]) < 1e-12
     assert abs(st.amplitude((0, 1)) - u[1, 0]) < 1e-12
-
-
-def test_network_json_round_trip():
-    net = build_braiding_network()
-    doc = net.to_jsonable()
-    assert doc["m"] == 3
-    assert doc["elements"][0] == {"type": "bs", "i": 2, "j": 3, "theta": math.pi / 2}
-    assert Network.from_jsonable(doc) == net
-    windowed = Network(5, (PhaseShifter(1, 0.2), Window(2, net)))
-    doc = windowed.to_jsonable()
-    assert doc["elements"][1] == {"type": "window", "first": 2, **net.to_jsonable()}
-    assert Network.from_jsonable(doc) == windowed
 
 
 def test_window_acts_as_its_placed_elements():

@@ -22,8 +22,7 @@ PUBLIC = {
                  "Truncation", "Type1", "Type2", "coherence_function", "coherent_state",
                  "displacement", "evolve_family", "kerr_interconvert", "mirror_cat",
                  "two_mode_family_state"],
-    "dualrail": ["CP", "CompileError", "LogicalLayout", "Rx", "Rz", "U1", "compile_cp",
-                 "compile_single_qubit", "decode", "encode", "simulate_circuit"],
+    "dualrail": ["CP", "CompileError", "LogicalLayout", "Rx", "Rz", "U1", "decode", "encode"],
 }
 
 

@@ -21,11 +21,14 @@ from anyonlin import network as network_module  # noqa: E402
 from anyonlin import operators as operators_module  # noqa: E402
 from anyonlin.coherent import TruncatedState, TruncationRiskWarning, \
     evolve_truncated  # noqa: E402
+from anyonlin.dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, logical_unitary, \
+    run_circuit  # noqa: E402
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import dense_evolve, evolve_support, live_blocks, reference_blocks, \
-    reference_propagate_algebraic, shellwise_oracle, stepwise_evolve_support  # noqa: E402
+from conftest import circuit_oracle, dense_evolve, evolve_support, live_blocks, phase_align, \
+    reference_blocks, reference_propagate_algebraic, shellwise_oracle, \
+    stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -479,3 +482,58 @@ def test_truncated_evolution_matches_the_shellwise_oracle(case):
     # clear of the 1e-12 bound must meet the same decision
     if abs(lost - 1e-12) > 1e-15:
         assert warned == (lost > 1e-12)
+
+
+def single_qubit_gates(qubit):
+    """An Rz, Rx or U1 gate with random angles on the given qubit."""
+    return st.one_of(st.builds(Rz, qubit, angles), st.builds(Rx, qubit, angles),
+                     st.builds(U1, qubit, angles, angles, angles, angles))
+
+
+@st.composite
+def circuit_cases(draw):
+    """A class, phi (0 and pi among them), 1-8 qubits, rarely more than 5,
+    and 1-10 gates: Rz, Rx, U1 and CP on adjacent qubits, in any
+    order and with repeats."""
+    phi = draw(st.sampled_from([0.0, math.pi]) | phis)
+    spec = AnyonSpec.fermionic(phi) if draw(st.booleans()) else AnyonSpec.bosonic(phi)
+    n = draw(st.sampled_from([6, 7, 8]) if draw(st.integers(0, 7)) == 0 else st.integers(1, 5))
+    gate = single_qubit = single_qubit_gates(st.integers(1, n))
+    if n > 1:   # as many CPs as single-qubit gates
+        cp = st.builds(lambda a: CP(a, a + 1), st.integers(1, n - 1))
+        gate = st.booleans().flatmap(lambda pick_cp: cp if pick_cp else single_qubit)
+    return spec, LogicalLayout(n), draw(st.lists(gate, min_size=1, max_size=10))
+
+
+def check_circuit(spec, layout, gates):
+    """``logical_unitary`` against the logical oracle after phase alignment,
+    with no leakage out of the code space; up to 4 qubits, every column of
+    ``run_circuit`` decoded as well."""
+    n = layout.num_qubits
+    got = logical_unitary(spec, layout, gates)
+    want = circuit_oracle(gates, spec.phi, n)
+    assert np.max(np.abs(phase_align(want, got) - want)) <= 1e-9
+    assert np.max(1.0 - np.sum(np.abs(got) ** 2, axis=0)) <= 1e-10
+    if n <= 4:
+        runs = [decode(layout, run_circuit(spec, layout, gates, format(col, f"0{n}b")))
+                for col in range(2 ** n)]
+        columns = np.column_stack([amps for amps, _leakage in runs])
+        assert np.max(np.abs(phase_align(want, columns) - want)) <= 1e-9
+        assert max(leakage for _amps, leakage in runs) <= 1e-10
+
+
+@PROPERTY
+@given(circuit_cases())
+def test_random_circuits_match_the_logical_oracle(case):
+    check_circuit(*case)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_a_circuit_run_again_with_fresh_angles_matches_the_logical_oracle(data):
+    # the second run finds the first one's plan in the kernel cache
+    spec, layout, gates = data.draw(circuit_cases())
+    check_circuit(spec, layout, gates)
+    fresh = [gate if isinstance(gate, CP) else data.draw(single_qubit_gates(st.just(gate.qubit)))
+             for gate in gates]
+    check_circuit(spec, layout, fresh)
