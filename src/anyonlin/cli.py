@@ -173,7 +173,8 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     All kets must share one total particle number; fermionic occupancies
     above one, a coefficient that is not finite and a state whose norm
     overflows a float are rejected.  The result is normalized unless
-    disabled.
+    disabled; a nonzero state whose squared amplitudes all underflow is
+    first divided by its largest coefficient's magnitude.
     """
     matches = list(_KET_RE.finditer(text))
     if not matches:
@@ -214,6 +215,11 @@ def parse_state(text: str, m: int, spec: AnyonSpec, normalize: bool = True) -> S
     if norm == math.inf:
         raise CliError("state norm overflows a float")
     if normalize:
+        if norm == 0.0 and any(amps.values()):
+            # every square underflowed: scale the largest coefficient to 1 first
+            scale = max(map(abs, amps.values()))
+            state = StateVector(sector, {occ: amp / scale for occ, amp in amps.items()})
+            norm = state.norm()
         if norm == 0.0:
             raise CliError("state has zero norm")
         state = state.normalized()

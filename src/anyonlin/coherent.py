@@ -36,7 +36,7 @@ coherent branches, i.e. a cat state.
 exactly.  Total occupation is conserved and, on two modes, each shell N
 is one block of the network kernel, so the network acts on it as one
 (N + 1) x (N + 1) unitary.  The kernel builds these 16 shells to a band
-the way it builds a window's unitaries, by running each shell's identity
+(``network._window_unitaries``) by running each shell's identity
 through the network, and keeps them in its byte-bounded cache.
 
 States here are dense amplitude arrays over a per-mode occupation cutoff
@@ -458,8 +458,8 @@ def evolve_truncated(state: TruncatedState, network: Network, spec: AnyonSpec
     laid into a zero-padded (2 n_max + 1)^2 grid, row N = l + k holding
     shell N in column l = n_1, and each band of 16 shells that holds a
     live one is multiplied in one batched product, cut to the top live
-    shell, by its stack of shell unitaries: the kernel's window
-    unitaries of the whole network on the band's totals
+    shell, by its stack of shell unitaries: the kernel's unitaries of
+    the whole network on the band's totals
     (``network._window_unitaries``), whose n_1 = 0..N order is the
     grid's column order and whose zero padding keeps each shell inside
     its N + 1 columns.  A shell of norm <= PRUNE_EPS / 2 is not live: a

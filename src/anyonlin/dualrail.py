@@ -223,8 +223,8 @@ def compile_circuit(layout: LogicalLayout, gates: Sequence[LogicalGate]) -> Netw
     A single-qubit gate is a PS-BS-PS sandwich on its qubit's two modes;
     its global phase alpha is dropped.  A CP braids the second mode of
     its first qubit, the auxiliary and the first mode of its second
-    qubit, held as one ``Window`` on them, which the block kernel applies
-    as one step.  Non-adjacent qubits raise CompileError: routing is out
+    qubit, held as one ``Window`` on them, which the block kernel runs
+    as one diagonal step of exact phases.  Non-adjacent qubits raise CompileError: routing is out
     of scope, chain CPs or compile SWAPs explicitly.
     """
     return Network(layout.m, tuple(el for gate in gates for el in _gate_elements(layout, gate)))

@@ -19,29 +19,27 @@ Two independent evolution paths are provided:
   arrays; each beam splitter acts on blocks of fixed pair total as the
   phi = 0 rotation dressed by a diagonal winding phase, applied as one
   gather of its live blocks' rows, one matrix product per pair total and
-  one scatter, so nothing of size dim x dim is built.  A window is one
-  such step too: its blocks are the states of equal occupations outside
-  the window, and on the blocks of window total T it is the sub-network's
-  unitary U_T on the small (width, T) sector, built once by running that
-  sector's identity through this same kernel and cached.  The input's
-  support, the basis states nonzero in some batch column, decides which
-  blocks are live: a step multiplies only the blocks that hold a live
-  row and marks every row of them live.  Any other block holds exact
-  zeros, which a unitary maps to zeros, so skipping it is exact, not a
-  tolerance cut.  A window whose U_T are diagonal on the totals its live
-  blocks hold, as the CP braid's are (every particle returns to its own
-  mode and picks up a phase), is a diagonal step instead: like a phase
-  shifter it multiplies each live row by a phase, read off U_T's
-  diagonal, and marks no row live.  Dropping U_T's off-diagonal roundoff,
-  at most 1e-14, is the only change that makes to the numbers.  All of
-  this depends on the network's skeleton (its modes, and each window's
-  sub-network and spec, not the angles around them) and the support
-  alone, so it is planned once and cached.  A plan names each row by
-  its occupation tuple, never by a rank in its sector, and builds each
-  step's live blocks from the rows it already holds, each live row's
-  occupations outside the step's modes completed by every inside
+  one scatter, so nothing of size dim x dim is built.  A window runs as
+  the phase shifters and beam splitters it places, unless it is a
+  quarter-turn window, as the CP braid is: every angle a whole number of
+  quarter turns, and its beam splitters' swaps returning every mode to
+  its own.  Then each of its beam splitters maps a block state to its
+  mirror with a phase i^a exp(i phi b) of integers a and b, so the
+  window is a diagonal step: like a phase shifter it multiplies each
+  live row by its exact phase, tracked through the window's elements,
+  and marks no row live.  The input's support, the basis states nonzero
+  in some batch column, decides which blocks are live: a beam splitter
+  multiplies only the blocks that hold a live row and marks every row of
+  them live.  Any other block holds exact zeros, which a unitary maps to
+  zeros, so skipping it is exact, not a tolerance cut.  All of this
+  depends on the network's skeleton (its modes, and each quarter-turn
+  window's sub-network and spec, not the angles around them) and the
+  support alone, so it is planned once and cached.  A plan names each
+  row by its occupation tuple, never by a rank in its sector, and builds
+  each step's live blocks from the rows it already holds, each live
+  row's occupations outside the step's modes completed by every inside
   occupation of the same total, so no plan enumerates its sector.  The
-  plan holds what each step needs that no angle changes: a diagonal
+  plan holds what each step needs that no angle changes: a quarter-turn
   window's phase per row, a beam splitter's hop eigenpairs and whether
   its kept rows wind at all (a pair of adjacent modes holding at most
   one particle needs no dress).  The state is then a (k, L) array over
@@ -183,8 +181,9 @@ class BeamSplitter:
 class Window:
     """A fixed sub-network on the contiguous modes first .. first + network.m - 1.
 
-    It acts as its placed elements would, one after another, but the
-    kernel applies it as one block step (see ``evolve_amplitudes``).
+    It acts as its placed elements would, one after another, and the
+    kernel runs it as those elements, or as one diagonal step when it is
+    a quarter-turn window like the CP braid (see ``evolve_amplitudes``).
     """
 
     first: int
@@ -264,10 +263,8 @@ def evolve(network: Network, state: StateVector) -> StateVector:
 
 
 #: Bytes that the kernel's cached plans (with their support keys),
-#: eigenpair stacks and window unitary stacks may hold together.  The
-#: window stacks hold every fixed network's per-total unitaries: each CP
-#: braid's, and the band stacks of 16 shell unitaries of the cat path's
-#: two-mode networks.
+#: eigenpair stacks and the cat path's band stacks of 16 shell unitaries
+#: of its two-mode networks (``_window_unitaries``) may hold together.
 KERNEL_CACHE_BYTES = 256 * 2 ** 20
 
 
@@ -284,7 +281,7 @@ class _ByteLRU:
     returned but not kept.  ``entries`` maps each key to its (value,
     size) pair and ``order`` lists the keys by the id of that pair, least
     recent first, so a hit hashes its key once.  The lock guards the
-    bookkeeping only: a build may look up other keys (a window unitary
+    bookkeeping only: a build may look up other keys (a band stack
     is built through the kernel), and two threads that miss one key both
     build it.
     """
@@ -432,16 +429,12 @@ def _window_unitaries(network: Network, spec: AnyonSpec,
 
     Each U_T comes from running the identity of that small sector through
     ``evolve_amplitudes``; its rows and columns are then reversed from the
-    sector's decreasing lexicographic order into the order of a window
-    block's members (see ``_live_blocks``), the inside occupations
-    lexicographically increasing, which on two modes is n_1 = 0..T.
-    Entry f of the one read-only stack holds U_T of T = totals[f] in its
-    top-left dim_T x dim_T corner and zeros elsewhere, padded like
-    ``_pair_hops`` to the largest dim_T.  A plan
-    reads the stack of the totals a window's live blocks hold; when no
-    off-diagonal entry passes ``_DIAGONAL_TOL`` the window runs as a
-    diagonal step on the stack's diagonal, dropping that roundoff, and
-    otherwise as one product per total.
+    sector's decreasing lexicographic order into increasing order, which
+    on two modes is n_1 = 0..T.  Entry f of the one read-only stack holds
+    U_T of T = totals[f] in its top-left dim_T x dim_T corner and zeros
+    elsewhere, padded like ``_pair_hops`` to the largest dim_T.  The cat
+    path (``coherent.evolve_truncated``) multiplies each band of shells
+    of a two-mode state by such a stack; no plan reads one.
     """
     smalls = [enumerate_sector(network.m, total, spec) for total in totals]
     top = max(small.dim for small in smalls)
@@ -464,57 +457,40 @@ def _lookup_exp(x: float | np.ndarray, codes: np.ndarray, top: int) -> np.ndarra
     return np.exp(1j * x * np.arange(top + 1)).ravel()[codes]
 
 
-def _live_blocks(fermionic: bool, live, lo: int, hi: int, window: bool):
-    """The blocks of BS_{lo,hi}, or of a window on lo..hi, that hold one
-    of the occupation tuples ``live``, built from those tuples alone.
+def _live_blocks(fermionic: bool, live, lo: int, hi: int):
+    """The blocks of BS_{lo,hi} that hold one of the occupation tuples
+    ``live``, built from those tuples alone.
 
-    A block is the states with equal occupations outside the step's
-    modes (lo and hi for a pair, every mode lo..hi for a window): a live
-    row's outside occupations with every inside occupation of their
-    total T that the class admits, in increasing lexicographic order,
-    which for a pair is n_lo = 0..T.  A block with no live row holds
-    exact zeros, which its unitary maps to zeros, so no step needs it.
-    Blocks the step leaves alone are left out: a pair's of a single
-    state (T = 0, and T = 2 for fermions), on which the hop vanishes,
-    and a window's of T = 0, on which every element is the identity (a
-    window's other single-state blocks, all modes filled with fermions,
-    can still take a phase).
+    A block is the states with equal occupations outside lo and hi: a
+    live row's outside occupations with every (n_lo, n_hi) of their pair
+    total N that the class admits, n_lo = 0..N.  A block with no live row
+    holds exact zeros, which its unitary maps to zeros, so no step needs
+    it.  Blocks of a single state (N = 0, and N = 2 for fermions), on
+    which the hop vanishes, are left out too.
 
-    Returns the blocks' rows as occupation tuples, one family per T in
-    increasing T, its blocks by their outside occupations in increasing
+    Returns the blocks' rows as occupation tuples, one family per N in
+    increasing N, its blocks by their outside occupations in increasing
     lexicographic order and laid out member by member, so a family's
-    span reshapes to (block size, B) with one block per column; the
-    families as (T, size, start, stop) spans of those rows in Python
-    ints, which a plan holds and ``_footprint`` sizes; and for a pair the
-    winding k(k - 1)/2 + s k of each row, k = n_lo and s the particles
-    strictly between lo and hi (None for a window).
+    span reshapes to (N + 1, B) with one block per column; the families
+    as (N, size, start, stop) spans of those rows in Python ints, which a
+    plan holds and ``_footprint`` sizes; and the winding k(k - 1)/2 + s k
+    of each row, k = n_lo and s the particles strictly between lo and hi.
     """
-    if window:
-        def cut(row):
-            return sum(row[lo - 1:hi]), row[:lo - 1] + row[hi:]
-
-        def join(outer, inner):
-            return outer[:lo - 1] + inner + outer[lo - 1:]
-    else:
-        def cut(row):
-            return row[lo - 1] + row[hi - 1], row[:lo - 1] + row[lo:hi - 1] + row[hi:]
-
-        def join(outer, inner):
-            return outer[:lo - 1] + inner[:1] + outer[lo - 1:hi - 2] + inner[1:] + outer[hi - 2:]
-    blocks = sorted(set(map(cut, live)))
+    blocks = sorted({(row[lo - 1] + row[hi - 1], row[:lo - 1] + row[lo:hi - 1] + row[hi:])
+                     for row in live})
     rows, winding, families = [], [], []
     for total, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
-        members = _shape_basis(hi - lo + 1 if window else 2, total, fermionic).basis[::-1]
-        if total == 0 or len(members) == 1 and not window:
+        members = _shape_basis(2, total, fermionic).basis[::-1]
+        if len(members) == 1:
             continue
         rest = [outer for _total, outer in group]
         start = len(rows)
-        rows += [join(outer, inner) for inner in members for outer in rest]
-        if not window:
-            between = [sum(outer[lo - 1:hi - 2]) for outer in rest]
-            winding += [k * (k - 1) // 2 + s * k for (k, _n_hi) in members for s in between]
+        rows += [outer[:lo - 1] + inner[:1] + outer[lo - 1:hi - 2] + inner[1:] + outer[hi - 2:]
+                 for inner in members for outer in rest]
+        between = [sum(outer[lo - 1:hi - 2]) for outer in rest]
+        winding += [k * (k - 1) // 2 + s * k for (k, _n_hi) in members for s in between]
         families.append((total, len(members), start, len(rows)))
-    return rows, families, None if window else winding
+    return rows, families, winding
 
 
 def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray:
@@ -522,12 +498,11 @@ def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray
 
     ``families`` holds (f, size, start, stop) as a plan step gives them,
     and family f's matrix is the top-left size x size corner of
-    ``stack[f]``, a padded stack as ``_pair_hops`` and
-    ``_window_unitaries`` give it.  One (size x size) by (size x B) BLAS
-    call per family and batch column, so every column meets the same
-    calls whatever the batch width; B counts the blocks kept for the
-    step, so a vector and a batch column agree bit for bit when the same
-    blocks are live.
+    ``stack[f]``, a padded stack as ``_pair_hops`` gives it.  One (size x
+    size) by (size x B) BLAS call per family and batch column, so every
+    column meets the same calls whatever the batch width; B counts the
+    blocks kept for the step, so a vector and a batch column agree bit
+    for bit when the same blocks are live.
     """
     out = np.empty_like(part)
     for f, size, start, stop in families:
@@ -537,56 +512,97 @@ def _block_products(part: np.ndarray, stack: np.ndarray, families) -> np.ndarray
     return out
 
 
-def _steps(elements, m: int):
-    """The elements in order, with each window as wide as all m modes run in place."""
-    for element in elements:
-        if isinstance(element, Window) and element.network.m == m:
-            yield from _steps(element.network.elements, m)
-        else:
-            yield element
+def _quarter_turns(network: Network):
+    """The placed elements of a window of ``network``, each with its whole
+    number q of quarter turns, when the window is quarter-turn; else None.
+
+    A window is quarter-turn when each angle over pi / 2 is a whole float
+    (no tolerance) and the swaps of its beam splitters of odd q compose
+    to the identity: each such beam splitter swaps its two modes'
+    occupations, so the window then returns every mode's occupation and
+    is diagonal (see ``_quarter_turn_phase``).
+    """
+    turns, modes = [], list(range(network.m))
+    for el in Window(1, network).placed():
+        q = (el.tau if isinstance(el, PhaseShifter) else el.theta) / (math.pi / 2)
+        if not q.is_integer():
+            return None
+        turns.append((el, int(q)))
+        if isinstance(el, BeamSplitter) and q % 2:
+            i, j = el.mode_i - 1, el.mode_j - 1
+            modes[i], modes[j] = modes[j], modes[i]
+    return turns if modes == sorted(modes) else None
+
+
+def _quarter_turn_phase(turns, inner: tuple, fermionic: bool, phi: float) -> complex:
+    """The phase i^a exp(i phi b) that a quarter-turn window (``_quarter_turns``)
+    gives the states whose window occupations are ``inner``.
+
+    The integers a and b follow the occupations through the window by
+    the kernel's own rule.  A phase shifter of q quarter turns is i^{q n}.
+    A beam splitter of q quarter turns acts on a block of pair total N as
+    D W_N D† with W_N = i^{q N} times the q-th power of the anti-identity
+    on n_lo = 0..N, so for odd q it maps n_lo = k to N - k and adds the
+    dress difference w(N - k) - w(k) to b, w(k) = k(k - 1)/2 + s k with s
+    the particles strictly between its modes.  It skips the blocks
+    ``_live_blocks`` leaves out: N = 0, and the one state of fermionic
+    N = 2.  The fermionic dress has phi + pi in place of phi, and its
+    (-1)^{b} goes into a as i^{2b}, so the phase is exact up to exp.
+    """
+    occ, a, b = list(inner), 0, 0
+    for el, q in turns:
+        if isinstance(el, PhaseShifter):
+            a += q * occ[el.mode - 1]
+            continue
+        lo, hi = sorted(el.modes)
+        k, total = occ[lo - 1], occ[lo - 1] + occ[hi - 1]
+        if total == 0 or fermionic and total == 2:
+            continue
+        a += q * total
+        if q % 2:
+            s = sum(occ[lo:hi - 1])
+            dress = (total - k) * (total - k - 1) // 2 - k * (k - 1) // 2 + s * (total - 2 * k)
+            a += 2 * dress if fermionic else 0
+            b += dress
+            occ[lo - 1], occ[hi - 1] = occ[hi - 1], occ[lo - 1]
+    return (1, 1j, -1, -1j)[a % 4] * cmath.exp(1j * phi * b)
 
 
 def _split(network: Network, spec: AnyonSpec) -> tuple[tuple, list]:
-    """The network's skeleton and its angles, from one walk of its steps.
+    """The network's skeleton and its angles, from one walk of its elements.
 
     The skeleton holds each step's mode for a phase shifter, its modes
-    (lo, hi, False) for a beam splitter, and (lo, hi, True, sub-network,
-    spec) for a window, led by the ``_live_blocks`` arguments; the
-    angles list each phase shifter's tau and each beam splitter's theta,
-    in step order.  A window's entry holds what the plan's diagonal
-    decision reads (see ``_plan``), so a network without windows has an
-    angle-free skeleton, and the angles are all a plan leaves to each
-    run.
+    (lo, hi) for a beam splitter, and (first, sub-network, spec) for a
+    quarter-turn window (``_quarter_turns``); any other window is walked
+    as its placed phase shifters and beam splitters.  The angles list
+    each phase shifter's tau and each beam splitter's theta, in step
+    order.  A quarter-turn window's entry holds what its phases are
+    derived from (see ``_plan``), shared objects only, so a network
+    without one has an angle-free skeleton, and the angles are all a plan
+    leaves to each run.
     """
     skeleton, angles = [], []
-    for step in _steps(network.elements, network.m):
-        if isinstance(step, PhaseShifter):
-            skeleton.append(step.mode)
-            angles.append(step.tau)
-        elif isinstance(step, BeamSplitter):
-            i, j = step.mode_i, step.mode_j
-            skeleton.append((i, j, False) if i < j else (j, i, False))
-            angles.append(step.theta)
+    for element in network.elements:
+        if isinstance(element, Window):
+            if _quarter_turns(element.network) is not None:
+                skeleton.append((element.first, element.network, spec))
+                continue
+            steps = element.placed()
         else:
-            skeleton.append((step.first, step.first + step.network.m - 1, True,
-                             step.network, spec))
+            steps = (element,)
+        for step in steps:
+            if isinstance(step, PhaseShifter):
+                skeleton.append(step.mode)
+                angles.append(step.tau)
+            else:
+                i, j = step.mode_i, step.mode_j
+                skeleton.append((i, j) if i < j else (j, i))
+                angles.append(step.theta)
     return tuple(skeleton), angles
 
 
-#: A window whose unitaries have no off-diagonal entry above this on the
-#: totals a plan reaches runs as a diagonal step; the CP braid's stay
-#: below 1.5e-15 on the totals 1..3 a code row reaches, and reach 1-2e-14
-#: only from T = 13 on.
-_DIAGONAL_TOL = 1e-14
-
-
-def _is_diagonal(stack: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of the padded stack is at most ``_DIAGONAL_TOL``."""
-    return bool(np.abs(stack - stack * np.eye(stack.shape[1])).max() <= _DIAGONAL_TOL)
-
-
 #: The kinds of plan step (see ``_Plan``), the first entry of each.
-_PHASE, _DIAGONAL, _WINDOW, _HOP = range(4)
+_PHASE, _DIAGONAL, _HOP = range(3)
 
 #: The read-only empty ``gathered``, ``winding`` or ``codes`` and empty
 #: ``taus`` that every plan without such entries holds.
@@ -601,37 +617,33 @@ class _Plan(NamedTuple):
 
     ``rows`` lists the occupation tuples of the support-sized state in
     the order they first become live: the support, in sector order, then
-    the rows of each block step's kept blocks that were not live before,
-    so the rows live before any step are a prefix; a row is named by its
-    occupations alone, never by a rank in its sector.  ``steps`` holds
-    one entry per step that acts, everything about it that no angle
+    the rows of each beam splitter's kept blocks that were not live
+    before, so the rows live before any step are a prefix; a row is named
+    by its occupations alone, never by a rank in its sector.  ``steps``
+    holds one entry per step that acts, everything about it that no angle
     changes, led by its kind.  A phase shifter's is (_PHASE, width,
     first): it multiplies the live prefix of that width by its factors,
     entries first:first + width of one gather ``_lookup_exp(angles[taus],
     codes, top)``; the code of a prefix row is o (top + 1) + c, with c its
     occupation of the shifter's mode, o the shifter's ordinal among the
-    network's phase shifters and top = n_total.  A window whose unitaries
-    U_T are diagonal on its kept totals (see ``_plan``) has (_DIAGONAL,
-    width, phases, totals): ``phases`` holds, for each row of the prefix,
-    its entry of U_T's diagonal, or 1 for a row in no block (window total
-    0), and ``totals`` the kept totals.  Any other window and every beam
-    splitter with a kept block is a block step; one with no kept block
-    acts on exact zeros and has no entry.  ``gathered[start:stop]`` holds
-    the state positions of its kept blocks' rows in ``_live_blocks``
-    order, and ``families`` its kept families as (f, size, start, stop),
-    with f counted over its kept totals.  A window's is (_WINDOW, start,
-    stop, families, sub-network, totals).  A beam splitter's is (_HOP,
-    start, stop, families, first, w_max, group, member): the winding codes of
-    its kept rows run from ``winding[first]``, w_max is their largest, 0
-    when no kept row winds (then the step has no dress and no codes), and
-    its W_N(theta) is entry ``member`` of the product of
-    ``hop_groups[group]``.  ``hop_groups`` holds, per ``_pair_hop_eigh``
-    record of the kept totals the beam splitters share, (eigenpairs, the
-    positions of their angles as a (B, 1, 1) column), so one batched
-    product forms every W_N of a record.  ``taus`` holds the angle
-    position of each phase shifter as an (n_ps, 1) column, ``w_top`` the
-    largest winding code.  The arrays are read-only and every number is a
-    Python int.
+    network's phase shifters and top = n_total.  A quarter-turn window's
+    is (_DIAGONAL, width, phases): ``phases`` holds each prefix row's
+    exact phase (``_quarter_turn_phase``).  A beam splitter with a kept
+    block is (_HOP, start, stop, families, first, w_max, group, member);
+    one with no kept block acts on exact zeros and has no entry.
+    ``gathered[start:stop]`` holds the state positions of its kept
+    blocks' rows in ``_live_blocks`` order, and ``families`` its kept
+    families as (f, size, start, stop), with f counted over its kept
+    totals.  The winding codes of its kept rows run from
+    ``winding[first]``, w_max is their largest, 0 when no kept row winds
+    (then the step has no dress and no codes), and its W_N(theta) is
+    entry ``member`` of the product of ``hop_groups[group]``.
+    ``hop_groups`` holds, per ``_pair_hop_eigh`` record of the kept
+    totals the beam splitters share, (eigenpairs, the positions of their
+    angles as a (B, 1, 1) column), so one batched product forms every W_N
+    of a record.  ``taus`` holds the angle position of each phase shifter
+    as an (n_ps, 1) column, ``w_top`` the largest winding code.  The
+    arrays are read-only and every number is a Python int.
     """
 
     rows: tuple
@@ -653,14 +665,11 @@ def _plan(n_total: int, fermionic: bool, skeleton: tuple, support: tuple) -> _Pl
     nonzero in some input column, in sector order (lexicographically
     decreasing), and every row the plan adds is an occupation tuple too,
     so no sector is enumerated: each row's place in the state is kept in
-    a dict by its tuple.  Each beam splitter or window keeps the blocks
-    that hold a live row, built by ``_live_blocks`` from the rows the
-    plan holds.  A window whose cached unitaries (``_window_unitaries``)
-    have no off-diagonal entry above ``_DIAGONAL_TOL`` on the kept totals
-    becomes a diagonal step holding their diagonal, and marks no row
-    live; this reads the totals the plan reaches only, so the stack it
-    builds is the one the run would ask for.  Any other window, and
-    every beam splitter, marks every row of its kept blocks live.
+    a dict by its tuple.  Each beam splitter keeps the blocks that hold a
+    live row, built by ``_live_blocks`` from the rows the plan holds, and
+    marks every row of them live.  A quarter-turn window gives each live
+    row its exact phase, from the window's occupations of the row and
+    the quarter turns of its sub-network, and marks no row live.
     """
     place = {row: pos for pos, row in enumerate(support)}   # each live row's state position
     gathered, winding, codes = [], [], []
@@ -673,39 +682,30 @@ def _plan(n_total: int, fermionic: bool, skeleton: tuple, support: tuple) -> _Pl
             angle += 1
             steps.append((_PHASE, len(place), len(codes) - len(place)))
             continue
-        if not step[2]:
-            angle += 1      # a beam splitter's; a window takes no angle
-        kept_rows, kept, step_winding = _live_blocks(fermionic, place, *step[:3])
-        if not kept:
-            continue
-        totals = tuple(total for total, *_span in kept)
-        stack = _window_unitaries(*step[3:], totals)[0] if step[2] else None
-        if stack is not None and _is_diagonal(stack):
-            # a live row's phase is its block's U_T diagonal at its rank in the
-            # block, its row in the family's (size, B) layout, and 1 in no
-            # block (window total 0)
-            phases = np.ones(len(place), dtype=np.complex128)
-            for pos, (_total, size, start, stop) in enumerate(kept):
-                for offset, row in enumerate(kept_rows[start:stop]):
-                    if row in place:
-                        rank = offset * size // (stop - start)
-                        phases[place[row]] = stack[pos, rank, rank]
+        if len(step) == 3:      # a quarter-turn window: a phase per window occupation
+            first, network, spec = step
+            turns, inside = _quarter_turns(network), slice(first - 1, first - 1 + network.m)
+            phase = {inner: _quarter_turn_phase(turns, inner, fermionic, spec.phi)
+                     for inner in {row[inside] for row in place}}
+            phases = np.array([phase[row[inside]] for row in place], dtype=np.complex128)
             phases.setflags(write=False)
-            steps.append((_DIAGONAL, len(place), phases, totals))
+            steps.append((_DIAGONAL, len(place), phases))
+            continue
+        angle += 1
+        kept_rows, kept, step_winding = _live_blocks(fermionic, place, *step)
+        if not kept:
             continue
         for row in kept_rows:
             place.setdefault(row, len(place))
         families = tuple((pos, *extent) for pos, (_total, *extent) in enumerate(kept))
-        head = (len(gathered), len(gathered) + len(kept_rows), families)
-        gathered += [place[row] for row in kept_rows]
-        if step[2]:
-            steps.append((_WINDOW, *head, step[3], totals))
-            continue
         w_max = max(step_winding, default=0)
         # beam splitters of the same kept totals share one eigenpair record
+        totals = tuple(total for total, *_span in kept)
         group, members = groups.setdefault(totals, (len(groups), []))
-        steps.append((_HOP, *head, len(winding), w_max, group, len(members)))
+        steps.append((_HOP, len(gathered), len(gathered) + len(kept_rows), families,
+                      len(winding), w_max, group, len(members)))
         members.append(angle - 1)
+        gathered += [place[row] for row in kept_rows]
         if w_max:
             winding += step_winding
     # angle positions as columns, so a gather of the angles broadcasts
@@ -763,17 +763,11 @@ def _run(plan: _Plan, angles, spec: AnyonSpec, values: np.ndarray) -> np.ndarray
                 part *= dress
             flat[where] = part
             continue
-        if kind == _WINDOW:
-            _kind, start, stop, families, network, totals = step
-            where = plan.gathered[start:stop] + columns
-            stack, = _window_unitaries(network, spec, totals)
-            flat[where] = _block_products(flat[where], stack, families)
-            continue
         if kind == _PHASE:
             _kind, width, first = step
             phases = factors[first:first + width]
         else:
-            _kind, width, phases, _totals = step
+            _kind, width, phases = step
         if width == 1:
             # numpy would run one strided loop down the batch, whose complex
             # multiply can round apart from a lone vector's loop of one
@@ -818,33 +812,28 @@ def evolve_amplitudes(network: Network, sector: FockSector, amps: np.ndarray) ->
     phi = 0 hop exponentiated through a cached small eigendecomposition
     and D_k = exp(i phi (k(k-1)/2 + s k)) (-1)^{s k} dresses it with the
     statistical winding of the k = n_lo particles (the sign only for
-    fermions).  A window conserves its modes' total T and leaves the
-    other modes alone; the phases of its elements count only particles
-    between their own modes, all inside the window, so on a block of
-    total T it is the sub-network's unitary U_T on the (width, T) sector,
-    cached per (sub-network, spec, totals).  A window as wide as the
-    sector runs its elements in place instead, so no sector-sized U_T is
-    built.  Each beam splitter or window is one gather of its live
-    blocks' rows, one matrix product per kept total over those blocks
-    (one BLAS call per batch column), and one scatter; nothing of size
-    dim x dim is built.  A block is live when one of its rows is in the
-    support, nonzero in some batch column, or was in a block an earlier
-    step kept; the other blocks hold exact zeros and stay zero, so
-    skipping them is exact.  A window whose U_T have no off-diagonal
-    entry above 1e-14 on the kept totals, such as the CP braid, is
-    instead a diagonal step like a phase shifter: it multiplies each
-    live row by its U_T's diagonal entry and keeps no other row, so it
-    differs from the product only by that dropped roundoff.  Which blocks
-    are live, and where their rows sit in the support-sized state, is a
-    cached plan per network skeleton and support, built from the live
-    rows' occupations alone (``_live_blocks``), so a network of fresh
-    angles on the same support selects no block again, and its angles go
-    through that plan in one batched pass (``_run``); a diagonal step
-    multiplies only the rows live before it.  The plan names its rows by
-    their occupation tuples; this function, whose interface is a (dim,)
-    vector, alone turns the support's positions into tuples and the
-    plan's rows back into positions.  Rows that never become live read
-    exactly +0.
+    fermions).  Each beam splitter is one gather of its live blocks'
+    rows, one matrix product per kept total over those blocks (one BLAS
+    call per batch column), and one scatter; nothing of size dim x dim
+    is built.  A block is live when one of its rows is in the support,
+    nonzero in some batch column, or was in a block an earlier step
+    kept; the other blocks hold exact zeros and stay zero, so skipping
+    them is exact.  A window runs as its placed elements, unless every
+    angle in it is a whole number of quarter turns and its beam
+    splitters' swaps return every mode, as in the CP braid: then W_N is
+    i^{qN} times a power of the anti-identity, so the window is diagonal
+    with phases i^a exp(i phi b) of integers a and b, and it runs as a
+    diagonal step like a phase shifter, each live row multiplied by its
+    exact phase and no other row kept.  Which blocks are live, and where
+    their rows sit in the support-sized state, is a cached plan per
+    network skeleton and support, built from the live rows' occupations
+    alone (``_live_blocks``), so a network of fresh angles on the same
+    support selects no block again, and its angles go through that plan
+    in one batched pass (``_run``); a diagonal step multiplies only the
+    rows live before it.  The plan names its rows by their occupation
+    tuples; this function, whose interface is a (dim,) vector, alone
+    turns the support's positions into tuples and the plan's rows back
+    into positions.  Rows that never become live read exactly +0.
     Each batch column goes through the same arithmetic as a lone vector,
     bit for bit, when it has the batch's zero rows, which always holds
     for inputs with no zero amplitude.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,9 +31,8 @@ from .fock import (
     AnyonSpec,
     FockSector,
     _check_mode,
-    _shape_basis,
+    _ladder,
     enumerate_sector,
-    ladder_factor,
     sign_eps,
 )
 
@@ -61,57 +59,28 @@ ATOL_ALGEBRA = 1e-12
 ATOL_PHYSICS = 1e-10
 
 
-@lru_cache(maxsize=512)
-def _ladder_map(m: int, n_total: int, fermionic: bool,
-                ladders: tuple[tuple[int, bool], ...]) -> tuple:
-    """The phi-independent part of ``_ladder_matrix`` on the shape (m, n_total, class).
-
-    Returns the kept columns, their rows in the target shape read from its
-    ``index`` (a state it does not hold, with a negative or, for fermions,
-    a doubled occupation, is dropped) and, per ladder, the code s (n_total + 2) + k
-    of the (s, k) each entry shows the phase rule, with the distinct codes.
-    """
-    occ = _shape_basis(m, n_total, fermionic).occ
-    new = occ.copy()
-    keep = np.ones(len(occ), dtype=bool)
-    codes = []
-    for mode, create in ladders:
-        keep &= create | (new[:, mode - 1] > 0)     # chi_i on an empty mode i is zero
-        codes.append(new[:, : mode - 1].sum(axis=1) * (n_total + 2) + new[:, mode - 1])
-        new[:, mode - 1] += 1 if create else -1
-    n_target = n_total + sum(1 if create else -1 for _, create in ladders)
-    index = _shape_basis(m, n_target, fermionic).index
-    rows = np.array([index.get(row, -1) for row in map(tuple, new.tolist())], dtype=np.intp)
-    keep &= rows >= 0
-    codes = [code[keep] for code in codes]
-    return np.flatnonzero(keep), rows[keep], tuple(
-        (np.flatnonzero(np.bincount(code, minlength=(n_total + 2) ** 2)), code) for code in codes)
-
-
 def _ladder_matrix(sector: FockSector, target: FockSector,
                    ladders: tuple[tuple[int, bool], ...]) -> np.ndarray:
     """Dense matrix of a ladder product from sector to target; ``ladders``
     lists (mode, create) in the order they act, annihilations first.
 
-    Each entry is a unit amplitude times every ladder's ``ladder_factor``,
-    formed as the state rule forms it, so the matrix is bit-for-bit the
-    per-basis-state one: products go part by part like Python's complex
-    product (numpy's may fuse them), and adding 0.0 turns -0.0 into 0.0.
+    Column c is basis state c run through the ladder loop ``fock._ladder``
+    once per ladder, so each entry is the state rule's own product of
+    ``ladder_factor``s, bit for bit; annihilating the vacuum gives a zero
+    column.
     """
     for mode, _ in ladders:
         _check_mode(sector.m, mode)
-    spec, radix = sector.spec, sector.n_total + 2
-    cols, rows, codes = _ladder_map(sector.m, sector.n_total, spec.is_fermionic, ladders)
-    re, im = np.ones(len(cols)), np.zeros(len(cols))
-    for (_, create), (distinct, code) in zip(ladders, codes):
-        table = np.zeros(radix * radix, dtype=np.complex128)
-        table[distinct] = [ladder_factor(spec.phi, spec.is_fermionic, *divmod(c, radix), create)
-                           for c in distinct.tolist()]
-        f = table[code]
-        re, im = 0.0 + (re * f.real - im * f.imag), 0.0 + (re * f.imag + im * f.real)
     mat = np.zeros((target.dim, sector.dim), dtype=np.complex128)
-    mat.real[rows, cols] = re
-    mat.imag[rows, cols] = im
+    for col, occ in enumerate(sector.basis):
+        inner, amps = sector, {occ: 1.0}
+        for mode, create in ladders:
+            if not (amps and (create or inner.n_total)):
+                amps = {}   # a zero column: nothing left, or the vacuum annihilated
+                break
+            inner, amps = _ladder(inner, amps, mode, create)
+        for row, amp in amps.items():
+            mat[target.index[row], col] = amp
     return mat
 
 

@@ -133,31 +133,28 @@ def evolve_support(network, sector, support, values):
     return positions(sector, rows), state
 
 
-def live_blocks(sector, live, lo, hi, window):
-    """The kernel's live blocks of BS_{lo,hi}, or of a window on lo..hi, for
-    the sector rows ``live``: (rows, families, winding) of ``_live_blocks``,
-    rows as sector positions and winding as an intp array."""
+def live_blocks(sector, live, lo, hi):
+    """The kernel's live blocks of BS_{lo,hi} for the sector rows ``live``:
+    (rows, families, winding) of ``_live_blocks``, rows as sector
+    positions and winding as an intp array."""
     rows, families, winding = network_module._live_blocks(
-        sector.spec.is_fermionic, occupations(sector, live), lo, hi, window)
-    return (positions(sector, rows), families,
-            None if winding is None else np.array(winding, dtype=np.intp))
+        sector.spec.is_fermionic, occupations(sector, live), lo, hi)
+    return positions(sector, rows), families, np.array(winding, dtype=np.intp)
 
 
-def reference_blocks(sector, live, lo, hi, window):
+def reference_blocks(sector, live, lo, hi):
     """Reference of ``live_blocks`` from the definition, in plain Python.
 
-    Groups ``sector.basis`` by the occupations outside the step's modes
-    (lo and hi for a pair, lo..hi for a window), each group a block whose
-    members run by their inside occupations in increasing order.  Keeps
-    the blocks holding a row of ``live`` that the step acts on: a pair's
-    of more than one state, a window's of inside total T > 0.  Orders
-    them by T, then by their outside occupations, and lays each family
-    of one T out member by member, block by block.  Returns the rows as
-    a list, the families as (T, size, start, stop) and, for a pair, each
+    Groups ``sector.basis`` by the occupations outside lo and hi, each
+    group a block whose members run by n_lo in increasing order.  Keeps
+    the blocks of more than one state holding a row of ``live``.  Orders
+    them by pair total N, then by their outside occupations, and lays
+    each family of one N out member by member, block by block.  Returns
+    the rows as a list, the families as (N, size, start, stop) and each
     row's winding k(k - 1)/2 + s k, with k = n_lo and s the particles
-    strictly between lo and hi (None for a window).
+    strictly between lo and hi.
     """
-    inside = list(range(lo - 1, hi)) if window else [lo - 1, hi - 1]
+    inside = [lo - 1, hi - 1]
     groups = {}
     for row, occ in enumerate(sector.basis):
         outside = tuple(n for mode, n in enumerate(occ) if mode not in inside)
@@ -165,8 +162,7 @@ def reference_blocks(sector, live, lo, hi, window):
     live = set(np.asarray(live).tolist())
     kept = sorted((sum(members[0][0]), outside, sorted(members))
                   for outside, members in groups.items()
-                  if any(row in live for _inner, row in members)
-                  and (sum(members[0][0]) > 0 if window else len(members) > 1))
+                  if any(row in live for _inner, row in members) and len(members) > 1)
     rows, winding, families = [], [], []
     for total in sorted({block[0] for block in kept}):
         family = [members for block_total, _outside, members in kept if block_total == total]
@@ -178,7 +174,7 @@ def reference_blocks(sector, live, lo, hi, window):
                 k, between = inner[0], sum(sector.basis[row][lo:hi - 1])
                 winding.append(k * (k - 1) // 2 + between * k)
         families.append((total, len(family[0]), start, len(rows)))
-    return rows, families, None if window else winding
+    return rows, families, winding
 
 
 def plan_leaves(obj):
@@ -201,8 +197,9 @@ def stepwise_evolve_support(network, sector, support, values):
     its own formula: exp(1j * tau * arange(n + 1))[codes] for a phase
     shifter, W_N(theta) = V exp(i theta lambda) V^T of its eigenpairs for a
     beam splitter and exp(1j * phi * arange(w_max + 1))[winding] for its
-    dress.  The reference of the batched angle pass; returns (rows, state)
-    as ``_evolve_support`` does."""
+    dress, and a quarter-turn window's phases as the plan holds them.
+    The reference of the batched angle pass; returns (rows, state) as
+    ``_evolve_support`` does."""
     _skeleton, angles = network_module._split(network, sector.spec)
     plan = kernel_plan(network, sector, support)   # rows as sector positions
     top = sector.n_total
@@ -231,12 +228,6 @@ def stepwise_evolve_support(network, sector, support, values):
                 part *= dress
             flat[where] = part
             continue
-        if kind == network_module._WINDOW:
-            _kind, start, stop, families, sub, totals = step
-            where = plan.gathered[start:stop] + columns
-            stack, = network_module._window_unitaries(sub, sector.spec, totals)
-            flat[where] = network_module._block_products(flat[where], stack, families)
-            continue
         if kind == network_module._PHASE:
             _kind, width, first = step
             tau = angles[plan.taus[ordinal, 0]]
@@ -244,7 +235,7 @@ def stepwise_evolve_support(network, sector, support, values):
             phases = np.exp(1j * tau * np.arange(top + 1))[codes]
             ordinal += 1
         else:
-            _kind, width, phases, _totals = step
+            _kind, width, phases = step
         if width == 1:
             for row in state:
                 row[:1] *= phases

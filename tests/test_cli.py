@@ -206,6 +206,36 @@ def test_non_finite_or_overflowing_ket_exits_2(tmp_path, capsys, ket, message, n
     assert capsys.readouterr().err == f"anyonlin: {message}\n"
 
 
+@pytest.mark.parametrize("command, tiny, plain", [
+    (["run"], "1e-200*|1,0>", "|1,0>"),
+    (["run"], "5e-324*|1,0> + 5e-324i*|0,1>", "|1,0> + 1i*|0,1>"),
+    (["braid"], "1e-200*|1,1,0>", "|1,1,0>"),
+    (["braid"], "5e-324*|1,1,0> + 5e-324i*|0,1,1>", "|1,1,0> + 1i*|0,1,1>"),
+], ids=["run-1e-200", "run-subnormal", "braid-1e-200", "braid-subnormal"])
+def test_ket_whose_squares_underflow_normalizes_like_its_scaled_ket(tmp_path, command, tiny,
+                                                                    plain):
+    # every squared amplitude underflowed to 0, so the ket exited 2 as
+    # "state has zero norm"; it prints the amplitudes of the same ket scaled up
+    net_file = tmp_path / "bs.net"
+    net_file.write_text("modes 2\nbs 1 2 0.3\n")
+    args = command + ["--phi", "0.5"] + (["--network", str(net_file)] if command == ["run"] else [])
+    outputs = []
+    for ket in (tiny, plain):
+        code, out = run_cli(args + ["--input", ket])
+        assert code == 0
+        outputs.append(json.loads(out)["amplitudes"])
+    assert outputs[0] == outputs[1]
+
+
+def test_zero_ket_still_exits_2(tmp_path, capsys):
+    net_file = tmp_path / "bs.net"
+    net_file.write_text("modes 2\nbs 1 2 0.3\n")
+    code, out = run_cli(["run", "--phi", "0.5", "--network", str(net_file),
+                         "--input", "0*|1,0> + 0i*|0,1>"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "anyonlin: state has zero norm\n"
+
+
 def test_cat_command_reports_unit_fidelity():
     code, out = run_cli(["cat", "--u", "1", "--nmax", "30"])
     assert code == 0

@@ -357,8 +357,9 @@ def test_circuit_paths_build_no_sector_matrix(monkeypatch):
 
 
 def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
-    # a braid's unitaries depend on phi and the class only, so fresh U1
-    # angles reuse the ones the first operation built
+    # each braid is a quarter-turn window, whose exact phases the plan
+    # holds, so neither the first operation nor one of fresh U1 angles
+    # builds a window unitary or runs a network through the kernel
     rng = np.random.default_rng(8)
     layout = LogicalLayout(3)
 
@@ -373,14 +374,12 @@ def test_second_circuit_at_one_phi_builds_no_window_unitary(monkeypatch):
         built.append(network)
         return real_evolve(network, sector, amps)
 
-    # the kernel builds window unitaries through this module name; the
-    # circuit itself goes straight to ``_evolve_support``
+    # window unitaries are built through this module name; the circuit
+    # itself goes straight to ``_run``
     monkeypatch.setattr(network_module, "evolve_amplitudes", spy)
     network_module._KERNEL_CACHE.clear()
     for spec in both_classes(1.7):
         logical_unitary(spec, layout, gates())
-        assert built and set(built) == {build_braiding_network()}
-        built.clear()
         logical_unitary(spec, layout, gates())
         assert built == []
 
@@ -396,15 +395,11 @@ def test_first_beam_splitter_gathers_only_the_code_rows(monkeypatch):
         shapes.append(part.shape)
         return real_products(part, stack, families)
 
-    # the plan reads each CP window's unitaries on the totals 1..3 its code
-    # rows reach; built here, their small products stay out of the spy
-    for spec in both_classes(1.1):
-        network_module._window_unitaries(build_braiding_network(), spec, (1, 2, 3))
     monkeypatch.setattr(network_module, "_block_products", spy)
     layout = LogicalLayout(3)
     gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
     sector = enumerate_sector(layout.m, layout.n_particles, AnyonSpec.bosonic(1.1))
-    rows, _families, _winding = live_blocks(sector, np.arange(sector.dim), 1, 2, False)
+    rows, _families, _winding = live_blocks(sector, np.arange(sector.dim), 1, 2)
     assert len(rows) == 540
     for spec in both_classes(1.1):
         shapes.clear()
@@ -423,9 +418,9 @@ def test_second_circuit_on_a_layout_reuses_its_plan(monkeypatch):
     selections, hop_totals = [], []
     real_live, real_hops = network_module._live_blocks, network_module._pair_hops
 
-    def live_spy(fermionic, live, lo, hi, window):
-        selections.append((lo, hi, window))
-        return real_live(fermionic, live, lo, hi, window)
+    def live_spy(fermionic, live, lo, hi):
+        selections.append((lo, hi))
+        return real_live(fermionic, live, lo, hi)
 
     def hops_spy(hops, thetas):
         hop_totals.append((tuple(int(round(top)) for top in hops[0].max(axis=1)), len(thetas)))
@@ -516,8 +511,8 @@ def test_circuit_plan_stays_on_its_code_rows_at_any_depth(qubits, layers, fermio
 
 def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
     # a plan names its rows by their occupations, so a cold circuit asks
-    # for no basis of its (m, n_particles) shape: only the braid's small
-    # (3, T) sectors and the two-mode pair shapes its blocks are cut from
+    # for no sector at all and for no basis but the two-mode pair shapes
+    # its blocks are cut from; its CP braids build no window unitary
     layout = LogicalLayout(3)
     asked = []
 
@@ -534,13 +529,14 @@ def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
         for name, shape_of in shapes.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name), shape_of))
+    monkeypatch.setattr(network_module, "_window_unitaries",
+                        spy("_window_unitaries", network_module._window_unitaries,
+                            lambda network, _spec, totals: (network.m, totals)))
     network_module._KERNEL_CACHE.clear()
     gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
     for spec in both_classes(2.345):
         logical_unitary(spec, layout, gates)
-    assert ("enumerate_sector", 3, 2) in asked and ("_shape_basis", 2, 1) in asked
-    assert all(m in (2, 3) and n <= layout.n_particles for _name, m, n in asked)
-    assert all((m, n) != (layout.m, layout.n_particles) for _name, m, n in asked)
+    assert set(asked) == {("_shape_basis", 2, 1)}
     network_module._KERNEL_CACHE.clear()
 
 

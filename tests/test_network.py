@@ -471,8 +471,7 @@ def test_every_beam_splitter_block_is_a_full_pair_multiplet():
             sector = enumerate_sector(m, n, spec)
             occ = sector.occ
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                rows, families, _winding = live_blocks(sector, np.arange(sector.dim), lo, hi,
-                                                       False)
+                rows, families, _winding = live_blocks(sector, np.arange(sector.dim), lo, hi)
                 for n_pair, size, start, stop in families:
                     assert size == n_pair + 1
                     idx = rows[start:stop].reshape(size, -1)
@@ -523,8 +522,7 @@ def test_phase_tables_match_direct_exponentials_byte_for_byte():
                 sector = enumerate_sector(m, n, spec)
                 occ = sector.occ
                 for lo, hi in itertools.combinations(range(1, m + 1), 2):
-                    _rows, _families, winding = live_blocks(sector, np.arange(sector.dim), lo, hi,
-                                                            False)
+                    _rows, _families, winding = live_blocks(sector, np.arange(sector.dim), lo, hi)
                     got = network_module._lookup_exp(x, winding, int(winding.max(initial=0)))
                     want = np.exp(1j * x * winding.astype(float))
                     assert got.tobytes() == want.tobytes()
@@ -655,7 +653,7 @@ def test_block_kernel_multiplies_only_the_blocks_that_hold_amplitude(monkeypatch
 
 def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
     # one-step plans over a sweep of sector shapes, beam splitters and
-    # dense windows, under a small budget evict the first plan; its
+    # quarter-turn windows, under a small budget evict the first plan; its
     # rebuild is byte-identical and read-only like the first
     cache = network_module._KERNEL_CACHE
     cache.clear()
@@ -663,8 +661,8 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
 
     def plan(m, n, lo, hi, window):
         sector = enumerate_sector(m, n, spec)
-        sub = Network(hi - lo + 1, (BeamSplitter(1, hi - lo + 1, 0.3),))
-        step = (lo, hi, True, sub, spec) if window else (lo, hi, False)
+        sub = Network(hi - lo + 1, (BeamSplitter(1, hi - lo + 1, math.pi),))
+        step = (lo, sub, spec) if window else (lo, hi)
         args = (n, False, (step,), occupations(sector, np.arange(0, sector.dim, 3)))
         return network_module._plan(*args), (network_module._plan.__wrapped__, args)
 
@@ -676,8 +674,6 @@ def test_plans_of_a_shape_sweep_are_held_by_bytes(monkeypatch):
         for n in range(1, 6):
             for lo, hi in itertools.combinations(range(1, m + 1), 2):
                 for window in (False, True):
-                    if window and hi - lo + 1 == m:
-                        continue    # a window as wide as the sector runs in place
                     plan(m, n, lo, hi, window)
                     assert cache.held == sum(size for _value, size in cache.entries.values())
                     assert cache.held <= cache.budget
@@ -715,9 +711,9 @@ def test_plans_are_held_by_bytes_with_their_support_keys(monkeypatch):
     net = Network(5, (BeamSplitter(1, 4, 0.7), Window(2, braid),
                       PhaseShifter(3, 0.2), BeamSplitter(2, 5, -0.3), PhaseShifter(1, 0.5)))
     skeleton, angles = network_module._split(net, spec)
-    # a window's entry holds what the plan's diagonal decision reads, and
-    # the angles are the phase shifters' and beam splitters' in step order
-    assert skeleton == ((1, 4, False), (2, 4, True, braid, spec), 3, (2, 5, False), 1)
+    # a quarter-turn window's entry holds what its phases are derived from,
+    # and the angles are the phase shifters' and beam splitters' in step order
+    assert skeleton == ((1, 4), (2, braid, spec), 3, (2, 5), 1)
     assert angles == [0.7, 0.2, -0.3, 0.5]
 
     sector = enumerate_sector(5, 3, spec)
@@ -857,68 +853,90 @@ def test_plans_with_nothing_to_hold_share_one_empty_array_each():
         assert first is second is third and not first.flags.writeable
 
 
-def assert_diagonal_phases(sub, sector, plan):
-    """The diagonal window step plan.steps[1] holds, for each live row, U_T's
-    diagonal entry at the row's rank in its block (the window occupations
-    lexicographically increasing, the small sector's order reversed), and 1
-    at window total 0."""
-    _kind, width, phases, totals = plan.steps[1]
-    stack, = network_module._window_unitaries(sub, sector.spec, totals)
-    want = np.ones(width, dtype=complex)
-    for pos, row in enumerate(plan.rows[:width]):
-        inside = tuple(sector.occ[row, 1:4].tolist())
-        if sum(inside):
-            small = enumerate_sector(3, sum(inside), sector.spec)
-            rank = small.dim - 1 - small.index[inside]
-            want[pos] = stack[totals.index(sum(inside)), rank, rank]
-    assert phases.tobytes() == want.tobytes() and not phases.flags.writeable
-
-
 @pytest.mark.parametrize("sub, diagonal", [
     (build_braiding_network(), True),
-    (Network(3, (PhaseShifter(1, 0.3), PhaseShifter(3, -1.2), PhaseShifter(1, 2.0))), True),
+    # odd swaps of one pair, and a half turn, which swaps nothing
+    (Network(3, (PhaseShifter(1, math.pi / 2), BeamSplitter(1, 3, -math.pi / 2),
+                 PhaseShifter(2, math.pi), BeamSplitter(3, 1, math.pi / 2),
+                 BeamSplitter(2, 3, math.pi))), True),
     (Network(3, (BeamSplitter(1, 3, 0.5), PhaseShifter(2, -1.1), BeamSplitter(2, 1, 0.8))), False),
+    # diagonal unitaries, but not quarter turns: three phase steps
+    (Network(3, (PhaseShifter(1, 0.3), PhaseShifter(3, -1.2), PhaseShifter(1, 2.0))), False),
+    # quarter turns whose swaps move a particle: a permutation
+    (Network(3, (BeamSplitter(1, 2, math.pi / 2), BeamSplitter(2, 3, math.pi / 2))), False),
+    # one ulp off a quarter turn: no tolerance
+    (Network(3, (BeamSplitter(1, 2, math.pi / 2),
+                 BeamSplitter(1, 2, math.nextafter(math.pi / 2, 4.0)))), False),
 ])
-def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, diagonal):
-    # a diagonal window multiplies the rows live before it and adds none;
-    # any other window gathers its kept blocks and marks their rows live
+def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, diagonal, monkeypatch):
+    # a quarter-turn window multiplies the rows live before it by their
+    # exact phases and adds none; any other window runs as its placed
+    # elements, with their plan; neither builds a window unitary
     rng = np.random.default_rng(3)
     net = Network(5, (PhaseShifter(2, 0.4), Window(2, sub), BeamSplitter(1, 2, 0.6)))
+    placed = Network(5, (net.elements[0],) + Window(2, sub).placed() + (net.elements[2],))
+
+    def no_stack(*args):
+        raise AssertionError("window unitaries built")
+
+    monkeypatch.setattr(network_module, "_window_unitaries", no_stack)
+    assert (network_module._quarter_turns(sub) is not None) == diagonal
     for spec in both_classes(0.9):
         sector = enumerate_sector(5, 3, spec)
         support = np.sort(rng.choice(sector.dim, size=3, replace=False))
         batch = np.zeros((sector.dim, 2), dtype=complex)
         batch[support] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         plan = kernel_plan(net, sector, support)
-        window_step = plan.steps[1]
-        kept_rows, kept, _winding = live_blocks(sector, support, 2, 4, True)
-        assert kept
+        kinds = [step[0] for step in plan.steps]
         if diagonal:
-            assert window_step[0] == network_module._DIAGONAL
-            assert window_step[1] == len(support)
-            assert window_step[3] == tuple(total for total, *_span in kept)
+            assert kinds[1] == network_module._DIAGONAL and kinds.count(kinds[1]) == 1
+            _kind, width, phases = plan.steps[1]
+            assert width == len(support) and not phases.flags.writeable
+            # the dense window unitary is diagonal there, with these phases;
             # bosonic |1,0,0,0,2> has window total 0, so its phase is 1
             empty = [sector.index[occ] for occ in [(1, 0, 0, 0, 2)] if occ in sector]
-            for rows in (support, np.union1d(support, empty)):
-                assert_diagonal_phases(sub, sector, kernel_plan(net, sector, rows))
+            dense = dense_unitary(sector, Window(2, sub))
+            for rows in (support, np.union1d(support, empty).astype(np.intp)):
+                _kind, width, phases = kernel_plan(net, sector, rows).steps[1]
+                off = dense[:, rows] * (1 - np.eye(sector.dim)[:, rows])
+                assert np.max(np.abs(off)) <= 1e-13
+                assert np.max(np.abs(phases - np.diagonal(dense)[rows])) <= 1e-13
+            assert all(phases[list(rows).index(row)] == 1 for row in empty)
         else:
-            assert window_step[0] == network_module._WINDOW
-            assert window_step[2] - window_step[1] == len(kept_rows)
-            assert set(kept_rows) <= set(plan.rows[:len(kept_rows) + len(support)])
-        reached = set(support) | (set() if diagonal else set(kept_rows))
-        # the beam splitter after the window marks its own blocks
-        assert reached <= set(plan.rows) and len(plan.rows) > len(support)
+            assert network_module._DIAGONAL not in kinds
+            assert by_value(plan) == by_value(kernel_plan(placed, sector, support))
         out = evolve_amplitudes(net, sector, batch)
         assert np.max(np.abs(out - dense_evolve(net, sector, batch))) <= 1e-12
         for col in range(2):
             assert evolve_amplitudes(net, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
-    # alone, a diagonal window leaves the plan on its support; |2,1,0,0,0>
-    # shares its block of window total 1 with two other states
+    # alone, a diagonal window leaves the plan on its support
     alone = Network(5, (Window(2, sub),))
     sector = enumerate_sector(5, 3, AnyonSpec.bosonic(0.9))
     one = np.array([sector.index[(2, 1, 0, 0, 0)]])
     rows, _state = evolve_support(alone, sector, one, np.eye(1, dtype=complex))
-    assert len(rows) == (1 if diagonal else 3)
+    assert len(rows) == 1 or not diagonal
+
+
+@pytest.mark.parametrize("fermionic, top", [(False, 12), (True, 3)])
+def test_braid_window_phases_are_its_aharonov_bohm_phases(fermionic, top):
+    # every particle returns to its own mode, and the plan gives each row
+    # the phase exp(i phi q), q = n1 n2 - n1 n3 + [n3(n3 - 1) - n2(n2 - 1)] / 2
+    # over the window's occupations (n1, n2, n3) and the bracket 0 for
+    # fermions, from the exact quarter turns of the braid's elements; the
+    # one mode outside holds what the window does not, so the whole
+    # sector holds every window occupation of total T <= top
+    for phi in (0.3, 0.7, 2.1, math.pi, 5.9):
+        spec = AnyonSpec.fermionic(phi) if fermionic else AnyonSpec.bosonic(phi)
+        sector = enumerate_sector(4 + 2 * fermionic, top, spec)
+        net = Network(sector.m, (Window(2, build_braiding_network()),))
+        plan = kernel_plan(net, sector, np.arange(sector.dim))
+        (step,) = plan.steps
+        _kind, width, phases = step
+        assert step[0] == network_module._DIAGONAL and width == sector.dim == len(plan.rows)
+        n1, n2, n3 = sector.occ[plan.rows, 1:4].T
+        bracket = 0 if fermionic else (n3 * (n3 - 1) - n2 * (n2 - 1)) // 2
+        assert set((n1 + n2 + n3).tolist()) == set(range(top + 1))
+        assert np.max(np.abs(phases - np.exp(1j * phi * (n1 * n2 - n1 * n3 + bracket)))) <= 1e-15
 
 
 @pytest.mark.parametrize("fermionic, phis, top", [
@@ -928,10 +946,10 @@ def test_window_is_a_diagonal_step_only_when_its_unitaries_are_diagonal(sub, dia
 def test_braid_unitaries_are_its_aharonov_bohm_phases(fermionic, phis, top):
     # every particle returns to its own mode: U_T is diagonal with phases
     # exp(i phi q), q = n1 n2 - n1 n3 + [n3(n3 - 1) - n2(n2 - 1)] / 2 and
-    # the bracket 0 for fermions.  On the totals 1..3 a code row reaches
-    # the off-diagonal roundoff (at most 1.45e-15 with numpy 2.4) stays five
-    # times below the kernel's 1e-14 decision, so a numpy or BLAS change
-    # that erodes that margin fails here
+    # the bracket 0 for fermions.  The braid run as beam splitters, each
+    # W_N(pi / 2) through the eigendecomposition of its hop, as the cat
+    # path's band stacks are built, is these phases to eigh roundoff:
+    # at most 1.45e-15 off the diagonal on the totals 1..3 with numpy 2.4
     braid = build_braiding_network()
     for phi in phis:
         spec = AnyonSpec.fermionic(phi) if fermionic else AnyonSpec.bosonic(phi)

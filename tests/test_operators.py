@@ -82,7 +82,6 @@ def test_quadratic_matrix_builds_no_state_vector(monkeypatch):
     for module in (fock, operators):
         monkeypatch.setattr(module, "apply_create", refuse, raising=False)
         monkeypatch.setattr(module, "apply_annihilate", refuse, raising=False)
-    operators._ladder_map.cache_clear()
     for spec in both_classes(0.8123):
         sector = enumerate_sector(4, 3, spec)
         for i in range(1, 5):

@@ -26,8 +26,8 @@ from anyonlin.dualrail import CP, LogicalLayout, Rx, Rz, U1, decode, logical_uni
 from anyonlin.fock import PRUNE_EPS, StateVector, apply_create, enumerate_sector, \
     vacuum_state  # noqa: E402
 
-from conftest import circuit_oracle, dense_evolve, evolve_support, live_blocks, phase_align, \
-    reference_blocks, reference_propagate_algebraic, shellwise_oracle, \
+from conftest import circuit_oracle, dense_evolve, evolve_support, kernel_plan, live_blocks, \
+    phase_align, reference_blocks, reference_propagate_algebraic, shellwise_oracle, \
     stepwise_evolve_support  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -171,6 +171,68 @@ def braided_cases(draw):
 
 
 @st.composite
+def quarter_turn_cases(draw):
+    """A class, phi (0 and pi among them), a network of 4-6 modes holding
+    one window of 2-4 modes among random elements, its sector, a (dim, k)
+    batch, k <= 3, of Gaussian amplitudes on a random sparse set of rows
+    shared by every column, and whether the window's swaps return every
+    mode.
+
+    The window's phase shifters and beam splitters sit at k (pi / 2),
+    k in {-1, 0, 1, 2, 3}.  A beam splitter of odd k swaps its modes'
+    occupations.  Half the time beam splitters of odd k follow: two that
+    cycle three modes, when the window has three, then one per misplaced
+    mode that puts it back, so the window is quarter-turn.  Like the
+    braid's, such a path winds particles around each other and picks up
+    powers of exp(i phi); undoing the swaps in mirror order would cancel
+    every such phase.
+    """
+    phi = draw(st.sampled_from([0.0, math.pi]) | st.floats(0.1, TWO_PI - 0.1))
+    spec = AnyonSpec.fermionic(phi) if draw(st.booleans()) else AnyonSpec.bosonic(phi)
+    m = draw(st.integers(4, 6))
+    width = draw(st.integers(2, min(4, m)))
+    quarter = st.integers(-1, 3).map(lambda k: k * (math.pi / 2))
+    odd = st.sampled_from([-1, 1, 3]).map(lambda k: k * (math.pi / 2))
+    inner = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.sampled_from(["ps", "bs", "bs"])) == "ps":
+            inner.append(PhaseShifter(draw(st.integers(1, width)), draw(quarter)))
+        else:
+            i, j = draw(st.lists(st.integers(1, width), min_size=2, max_size=2, unique=True))
+            inner.append(BeamSplitter(i, j, draw(quarter)))
+    modes = list(range(width))     # the mode each position's occupation came from
+
+    def swap(i, j):
+        modes[i - 1], modes[j - 1] = modes[j - 1], modes[i - 1]
+
+    for el in inner:
+        if isinstance(el, BeamSplitter) and round(el.theta / (math.pi / 2)) % 2:
+            swap(el.mode_i, el.mode_j)
+    if draw(st.booleans()):
+        cycle = draw(st.permutations(range(1, width + 1)))[:3] if width > 2 else []
+        pairs = list(zip(cycle, cycle[1:]))
+        for pair in pairs:
+            swap(*pair)
+        for pos in range(1, width + 1):
+            if modes[pos - 1] != pos - 1:
+                pairs.append((pos, modes.index(pos - 1) + 1))
+                swap(*pairs[-1])
+        for pair in pairs:
+            inner.append(BeamSplitter(*draw(st.permutations(pair)), draw(odd)))
+    elements = list(draw(networks(m)).elements)
+    elements.insert(draw(st.integers(0, len(elements))),
+                    Window(draw(st.integers(1, m - width + 1)), Network(width, tuple(inner))))
+    # one particle picks up no exp(i phi): it winds around no other
+    n = draw(st.integers(2, m if spec.is_fermionic else 4))
+    sector = enumerate_sector(m, n, spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (sector.dim, draw(st.integers(1, 3)))
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    batch[rng.random(sector.dim) < draw(st.sampled_from([0.3, 0.7, 0.95]))] = 0
+    return Network(m, tuple(elements)), sector, batch, modes == list(range(width))
+
+
+@st.composite
 def batched_pass_cases(draw):
     """A class, phi, a network of 3 <= m <= 6 modes of up to ten phase
     shifters and beam splitters of angles up to 20 in magnitude, among
@@ -231,25 +293,18 @@ def truncated_cases(draw):
 
 @st.composite
 def live_block_cases(draw):
-    """A sector of m <= 6 modes and n <= 4 particles, one kernel step on it
-    (an adjacent pair, a long-range pair or a window) as (lo, hi, window),
-    and live rows in a random order: none, one, a random set or the whole
-    sector."""
+    """A sector of m <= 6 modes and n <= 4 particles, one beam splitter's
+    pair on it (adjacent or long-range) as (lo, hi), and live rows in a
+    random order: none, one, a random set or the whole sector."""
     spec = draw(specs())
     m = draw(st.integers(2, 6))
     sector = enumerate_sector(m, draw(st.integers(0, min(m, 4) if spec.is_fermionic else 4)), spec)
-    kind = draw(st.sampled_from(["adjacent", "long-range", "window"]))
-    if kind == "window":
-        width = draw(st.integers(1, m))
-        lo = draw(st.integers(1, m - width + 1))
-        hi = lo + width - 1
-    else:
-        lo = draw(st.integers(1, m - 1))
-        hi = lo + 1 if kind == "adjacent" else draw(st.integers(min(lo + 2, m), m))
+    lo = draw(st.integers(1, m - 1))
+    hi = lo + 1 if draw(st.booleans()) else draw(st.integers(min(lo + 2, m), m))
     rows = st.integers(0, sector.dim - 1)
     live = draw(st.one_of(st.just([]), st.lists(rows, min_size=1, max_size=1),
                           st.lists(rows, unique=True), st.just(list(range(sector.dim)))))
-    return sector, draw(st.permutations(live)), lo, hi, kind == "window"
+    return sector, draw(st.permutations(live)), lo, hi
 
 
 def creation_monomial(spec, m, monomial):
@@ -438,6 +493,23 @@ def test_braid_windows_run_as_diagonal_steps(case):
 
 
 @PROPERTY
+@given(quarter_turn_cases())
+def test_quarter_turn_windows_match_the_dense_oracle(case):
+    # a window of quarter turns whose swaps return every mode is one
+    # diagonal step of exact phases; any other runs as its own elements.
+    # The columns share one support and so one plan: each is its lone
+    # vector's bits
+    network, sector, batch, returns = case
+    out = evolve_amplitudes(network, sector, batch)
+    assert np.max(np.abs(out - dense_evolve(network, sector, batch))) <= 1e-12
+    for col in range(batch.shape[1]):
+        assert evolve_amplitudes(network, sector, batch[:, col]).tobytes() == out[:, col].tobytes()
+    support = np.flatnonzero(batch.any(axis=1))
+    plan = kernel_plan(network, sector, support)
+    assert any(step[0] == network_module._DIAGONAL for step in plan.steps) == returns
+
+
+@PROPERTY
 @given(batched_pass_cases())
 def test_batched_angle_pass_keeps_each_steps_bits(case):
     # one exp for every phase shifter and one product per eigenpair record
@@ -456,16 +528,13 @@ def test_live_blocks_match_the_grouped_sector_basis(case):
     # blocks built from the live rows alone are the sector's blocks that
     # hold a live row: same rows in the same order, same families, same
     # windings, whatever order the live rows come in
-    sector, live, lo, hi, window = case
-    rows, families, winding = live_blocks(sector, live, lo, hi, window)
-    want_rows, want_families, want_winding = reference_blocks(sector, live, lo, hi, window)
+    sector, live, lo, hi = case
+    rows, families, winding = live_blocks(sector, live, lo, hi)
+    want_rows, want_families, want_winding = reference_blocks(sector, live, lo, hi)
     assert rows.dtype == np.intp and rows.tolist() == want_rows
     assert families == want_families
     assert all(type(number) is int for family in families for number in family)
-    if window:
-        assert winding is None
-    else:
-        assert winding.dtype == np.intp and winding.tolist() == want_winding
+    assert winding.dtype == np.intp and winding.tolist() == want_winding
 
 
 @PROPERTY

@@ -40,7 +40,8 @@ def test_circuit_ladder_measures_a_plan_on_the_code_rows():
     # 35-state bosonic sector
     case = load("circuit_ladder").measure(2, 6)
     assert (case["qubits"], case["layers"], case["dim"], case["plan_rows"]) == (2, 6, 35, 4)
-    assert 0 < case["warm_s"] and 0 < case["cold_s"] and case["peak_rss_mb"] > 0
+    assert 0 < case["warm_s"] and 0 < case["cold_s"] and 0 < case["new_phi_s"]
+    assert case["peak_rss_mb"] > 0
 
 
 def test_cli_startup_measures_a_fresh_hom_process(tmp_path):

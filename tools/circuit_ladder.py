@@ -5,10 +5,12 @@ pair, at one bosonic phi.  For each qubit count and layer count the
 script runs one fresh interpreter, which reports the sector dimension,
 the rows of the kernel's plan for the circuit's 2^n code rows (read from
 the cached compile that the timed calls ran), the time of the first
-(cold: plan and window unitaries built) and the median of the next 20
-(warm, fresh angles each) ``logical_unitary`` calls, and its own peak
-RSS.  The dimension comes from its closed form, so no sector is
-enumerated.  It prints one JSON document.
+(cold: plan built) and the median of the next 20 (warm, fresh angles
+each) ``logical_unitary`` calls, the median of 20 more at a fresh phi
+each (``new_phi_s``: the signature's plan is cached at another phi, so
+each call plans the circuit again), and its own peak RSS.  The
+dimension comes from its closed form, so no sector is enumerated.  It
+prints one JSON document.
 
     python tools/circuit_ladder.py [--qubits 3 4 5 6 8] [--layers 1 6]
 
@@ -62,12 +64,19 @@ def measure(qubits: int, layers: int) -> dict:
         start = time.perf_counter()
         logical_unitary(spec, layout, gates)
         warm.append(time.perf_counter() - start)
+    new_phi = []
+    for run in range(WARM_RUNS):
+        gates, fresh = circuit(), AnyonSpec.bosonic(PHI + 0.01 * (run + 1))
+        start = time.perf_counter()
+        logical_unitary(fresh, layout, gates)
+        new_phi.append(time.perf_counter() - start)
     # the plan the timed calls ran: the cached compile of their signature
     signature, _angles = _split_circuit(gates)
     plan = _circuit_plan(layout, signature, spec)
     dim = sector_dim(layout.m, layout.n_particles, spec.is_fermionic)
     return {"qubits": qubits, "layers": layers, "dim": dim, "plan_rows": len(plan.rows),
             "cold_s": round(cold, 6), "warm_s": round(statistics.median(warm), 7),
+            "new_phi_s": round(statistics.median(new_phi), 7),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
