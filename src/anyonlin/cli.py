@@ -53,13 +53,13 @@ class CliError(ValueError):
     """Validation or parse failure; maps to exit code 2."""
 
 
-#: Largest sector ``hom``, ``braid`` and ``run`` accept.  It bounds the
-#: dim^2 complex matrix of ``run --dump-unitary`` (256 MiB) and the widest
-#: beam-splitter block, whose eigendecomposition on two modes is the
-#: whole sector.
+#: Largest sector ``hom``, ``braid`` and ``run`` accept, and largest code
+#: space, 2^qubits states, a ``compile`` circuit may have (12 qubits).  It
+#: bounds the dim^2 complex matrix of ``run --dump-unitary`` (256 MiB) and
+#: the widest beam-splitter block, whose eigendecomposition on two modes
+#: is the whole sector.  A circuit's state never leaves its code rows, so
+#: its sector, however large, is never enumerated.
 MAX_DENSE_DIM = 4096
-#: Largest sector ``compile`` accepts; the block kernel holds only (dim,) vectors.
-MAX_KERNEL_DIM = 10 ** 6
 #: Largest ``cat`` cutoff.  The band stacks of shell unitaries the cat
 #: path keeps stay within the kernel cache's 256 MiB at any cutoff; what
 #: this bounds is the (n_max + 1)^2 output and the widest band a call may
@@ -344,8 +344,10 @@ def _parse_circuit(doc: dict) -> tuple[AnyonSpec, LogicalLayout, list]:
         raw_gates = doc["gates"]
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CliError(f"bad circuit document: {err}") from None
+    if qubits > MAX_DENSE_DIM.bit_length() - 1:   # the most qubits whose code rows fit
+        raise CliError(f"{qubits} qubits: 2^{qubits} code states exceed the limit of "
+                       f"{MAX_DENSE_DIM}")
     layout = dualrail.LogicalLayout(qubits)
-    _check_dim(layout.m, layout.n_particles, spec, MAX_KERNEL_DIM)
 
     def angle(value) -> float:
         return parse_angle(value) if isinstance(value, str) else float(value)

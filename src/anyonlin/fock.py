@@ -22,7 +22,11 @@ Jordan-Wigner parity sign (-1)^s and creation on an occupied mode (or
 annihilation of an empty one) gives the zero vector.
 
 Everything here is restricted to sectors of fixed total particle number,
-which every phase shifter and beam splitter conserves.  Mode indices are
+which every phase shifter and beam splitter conserves.  A sector is its
+spec and shape (m, n_total): its size has a closed form and membership
+is a rule on the occupation tuple, so a sector, a state and a ladder
+enumerate no basis; the basis of a shape is built once, when a caller
+first reads it, and shared by every phi.  Mode indices are
 1-based in all public signatures.  Values are immutable after
 construction and all operations are pure, so sectors and states can be
 shared freely across threads.
@@ -35,6 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -158,36 +163,42 @@ def sector_dim(m: int, n_total: int, fermionic: bool) -> int:
 
 
 class FockSector:
-    """Canonically ordered basis of a fixed-particle-number sector.
+    """A fixed-particle-number sector: its spec and its shape (m, n_total).
 
-    The basis lists every occupation vector with the given total that
-    the particle class admits (at most one particle per mode for
-    fermions), in lexicographically decreasing order, so matrix
-    representations are reproducible bit-for-bit across runs.  ``basis``,
-    ``index`` and the (dim, m) array ``occ`` belong to the sector shape
-    and are shared by every phi.
+    The sector is a value.  ``dim`` comes from the closed form
+    ``sector_dim``, and membership is a rule on the tuple: m entries,
+    each an integer from 0 to the class's cap (one particle per mode for
+    fermions, n_total for bosons), summing to n_total.  ``basis`` (every
+    member in lexicographically decreasing order, so matrix
+    representations are reproducible bit-for-bit across runs), ``index``
+    and the (dim, m) array ``occ`` are read from the record of the shape
+    (``_shape_basis``), shared by every phi, and enumerated only when a
+    caller first reads one of them.
     """
 
-    __slots__ = ("spec", "m", "n_total", "basis", "index", "occ", "_hash")
+    __slots__ = ("spec", "m", "n_total")
 
-    def __init__(self, spec: AnyonSpec, m: int, n_total: int, shape: _ShapeBasis):
+    def __init__(self, spec: AnyonSpec, m: int, n_total: int):
         self.spec = spec
         self.m = m
         self.n_total = n_total
-        self.basis, self.index, self.occ = shape
-        # hash once, from numbers only: their hashes (unlike the enum's) are
-        # the same in every process, so a pickled sector keeps a valid hash
-        self._hash = hash((spec.phi, spec.is_fermionic, m, n_total))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return sector_dim(self.m, self.n_total, self.spec.is_fermionic)
 
-    def __len__(self) -> int:
-        return len(self.basis)
+    def _shape(self) -> _ShapeBasis:
+        return _shape_basis(self.m, self.n_total, self.spec.is_fermionic)
+
+    basis = property(lambda self: self._shape().basis)
+    index = property(lambda self: self._shape().index)
+    occ = property(lambda self: self._shape().occ)
 
     def __contains__(self, occ: tuple[int, ...]) -> bool:
-        return occ in self.index
+        cap = 1 if self.spec.is_fermionic else self.n_total
+        return (len(occ) == self.m
+                and all((type(k) is int or isinstance(k, Integral)) and 0 <= k <= cap for k in occ)
+                and sum(occ) == self.n_total)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockSector):
@@ -195,29 +206,23 @@ class FockSector:
         return (self.spec, self.m, self.n_total) == (other.spec, other.m, other.n_total)
 
     def __hash__(self) -> int:
-        return self._hash
+        # from numbers only (a spec hashes its phi and class flag), so a
+        # pickled sector keeps a valid hash
+        return hash((self.spec, self.m, self.n_total))
 
     def __repr__(self) -> str:
         return (f"FockSector(m={self.m}, n_total={self.n_total}, "
                 f"dim={self.dim}, {self.spec.particle_class.value}, phi={self.spec.phi:g})")
 
 
-# bounded because every new phi makes new sectors
-@lru_cache(maxsize=256)
-def _sector_cached(spec: AnyonSpec, m: int, n_total: int) -> FockSector:
-    shape = _shape_basis(m, n_total, spec.is_fermionic)
-    if not shape.basis:
-        raise EmptySectorError(
-            f"no {spec.particle_class.value} occupation vectors for m={m}, n_total={n_total}")
-    return FockSector(spec, m, n_total, shape)
-
-
 def enumerate_sector(m: int, n_total: int, spec: AnyonSpec) -> FockSector:
-    """Build the complete canonical basis of the (m, n_total) sector.
+    """The (m, n_total) sector of ``spec``.
 
     The particle class fixes each mode's limit: one particle for
     fermions, n_total for bosons, so the sector is exact.  Its size is
-    C(m + n - 1, n) bosonic and C(m, n) fermionic.
+    C(m + n - 1, n) bosonic and C(m, n) fermionic.  Nothing is
+    enumerated here: the basis is read from its shape's record when a
+    caller first asks for it.
 
     Raises EmptySectorError when the class admits no states, i.e.
     fermions with n_total > m.
@@ -226,7 +231,10 @@ def enumerate_sector(m: int, n_total: int, spec: AnyonSpec) -> FockSector:
         raise ValueError(f"mode count must be >= 1, got {m}")
     if n_total < 0:
         raise ValueError(f"total particle number must be >= 0, got {n_total}")
-    return _sector_cached(spec, m, n_total)
+    if spec.is_fermionic and n_total > m:
+        raise EmptySectorError(
+            f"no {spec.particle_class.value} occupation vectors for m={m}, n_total={n_total}")
+    return FockSector(spec, m, n_total)
 
 
 def _sum(first: Mapping, second: Mapping) -> dict:
@@ -248,7 +256,7 @@ class StateVector:
 
     def __init__(self, sector: FockSector, amps: Mapping[tuple[int, ...], complex]):
         for occ in amps:
-            if occ not in sector.index:
+            if occ not in sector:
                 raise ValueError(f"occupation {occ} not in sector {sector!r}")
         self.sector = sector
         self.amps = {occ: complex(a) for occ, a in amps.items()}
@@ -256,8 +264,8 @@ class StateVector:
     @classmethod
     def _of(cls, sector: FockSector, amps: dict[tuple[int, ...], complex]) -> "StateVector":
         """A state holding ``amps`` itself, unchecked: for dicts the engine
-        built, keyed by occupations of the sector's ``basis`` or ``index``
-        and valued by Python complex numbers."""
+        built, keyed by occupation tuples of the sector's members and
+        valued by Python complex numbers."""
         state = cls.__new__(cls)
         state.sector = sector
         state.amps = amps
@@ -325,14 +333,14 @@ class StateVector:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        terms = sorted(self.amps.items(), key=lambda kv: self.sector.index[kv[0]])
+        # sector order is lexicographically decreasing, and no two keys are equal
+        terms = sorted(self.amps.items(), key=lambda kv: kv[0], reverse=True)
         body = " + ".join(f"({a:.4g})|{','.join(map(str, occ))}>" for occ, a in terms)
         return body or "0"
 
 
 def vacuum_state(m: int, spec: AnyonSpec) -> StateVector:
-    sector = enumerate_sector(m, 0, spec)
-    return StateVector.basis_state(sector, (0,) * m)
+    return StateVector._of(enumerate_sector(m, 0, spec), {(0,) * m: 1.0 + 0.0j})
 
 
 def _check_mode(m: int, i: int) -> None:
@@ -361,24 +369,24 @@ def _ladder(sector: FockSector, amps: Mapping, i: int,
     The one loop over basis states of a ladder: returns the target
     sector, one particle more or fewer, and its amplitudes above
     PRUNE_EPS in magnitude, in the order of their sources in ``amps``.
-    Raises EmptySectorError when the class admits no target state.
+    A source whose mode i would fall below zero, or above one for
+    fermions, has no target state and is skipped.  Raises
+    EmptySectorError when the class admits no target state.
     """
     spec = sector.spec
     phi, fermionic = spec.phi, spec.is_fermionic
     step = 1 if create else -1
-    target = _sector_cached(spec, sector.m, sector.n_total + step)
-    index = target.index
+    target = enumerate_sector(sector.m, sector.n_total + step, spec)
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in amps.items():
         k = occ[i - 1]
-        new_occ = occ[: i - 1] + (k + step,) + occ[i:]
-        if new_occ not in index:
+        if k + step < 0 or fermionic and k + step > 1:
             continue
         # a target has this one source; adding it to 0.0, as a sum over
         # sources would, turns a -0.0 part into +0.0
         amp = 0.0 + amp * ladder_factor(phi, fermionic, sum(occ[: i - 1]), k, create)
         if abs(amp) > PRUNE_EPS:
-            out[new_occ] = amp
+            out[occ[: i - 1] + (k + step,) + occ[i:]] = amp
     return target, out
 
 

@@ -478,11 +478,22 @@ def test_oversized_dense_sectors_exit_2_before_enumeration(tmp_path):
 
 
 def test_oversized_circuit_sector_exits_2(tmp_path):
+    # an 8-qubit circuit's sector (23 modes, 15 bosons) holds C(37, 15)
+    # states, but its state never leaves the 256 code rows, so it runs;
+    # 13 qubits pass the 4096 code rows of the limit
+    gates = [{"type": "u1", "q": q, "alpha": 0.1, "beta": 0.2 * q, "gamma": 0.3, "delta": 0.4}
+             for q in range(1, 9)] + [{"type": "cp", "a": q, "b": q + 1} for q in range(1, 8)]
     circuit = tmp_path / "circuit.json"
-    circuit.write_text(json.dumps({"qubits": 8, "phi": 1.0, "gates": []}))
+    for particle_class in ("bosonic", "fermionic"):
+        circuit.write_text(json.dumps({"qubits": 8, "phi": 1.0, "class": particle_class,
+                                       "gates": gates}))
+        proc = run_capped(["compile", "--circuit", str(circuit), "--self-check"])
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["leakage"]) <= 1e-10
+    circuit.write_text(json.dumps({"qubits": 13, "phi": 1.0, "gates": []}))
     proc = run_capped(["compile", "--circuit", str(circuit)])
     assert proc.returncode == 2, proc.stderr
-    assert str(math.comb(37, 15)) in proc.stderr   # 23 modes, 15 bosons
+    assert proc.stderr == "anyonlin: 13 qubits: 2^13 code states exceed the limit of 4096\n"
 
 
 @pytest.mark.parametrize("qubits", [10 ** 5, 10 ** 7])
@@ -491,7 +502,8 @@ def test_huge_qubit_counts_exit_2_without_building_the_dimension(tmp_path, qubit
     circuit.write_text(json.dumps({"qubits": qubits, "phi": 1.0, "gates": []}))
     proc = run_capped(["compile", "--circuit", str(circuit)])
     assert proc.returncode == 2, proc.stderr
-    assert "exceeds the limit of 1000000" in proc.stderr
+    assert proc.stderr == f"anyonlin: {qubits} qubits: 2^{qubits} code states exceed " \
+                          "the limit of 4096\n"
 
 
 def test_oversized_cat_cutoff_exits_2():

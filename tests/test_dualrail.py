@@ -509,11 +509,9 @@ def test_circuit_plan_stays_on_its_code_rows_at_any_depth(qubits, layers, fermio
     assert np.max(np.abs(phase_align(want, got) - want)) < 1e-9
 
 
-def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
-    # a plan names its rows by their occupations, so a cold circuit asks
-    # for no sector at all and for no basis but the two-mode pair shapes
-    # its blocks are cut from; its CP braids build no window unitary
-    layout = LogicalLayout(3)
+def spy_on_sectors(monkeypatch):
+    """The list that records every sector, basis record and window unitary
+    asked for from here on, by name and shape."""
     asked = []
 
     def spy(name, real, shape_of):
@@ -523,7 +521,6 @@ def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
         return recorded
 
     shapes = {"_shape_basis": lambda m, n, _fermionic: (m, n),
-              "_sector_cached": lambda _spec, m, n: (m, n),
               "enumerate_sector": lambda m, n, _spec: (m, n)}
     for module in (fock_module, network_module, dualrail_module, operators_module):
         for name, shape_of in shapes.items():
@@ -532,11 +529,47 @@ def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
     monkeypatch.setattr(network_module, "_window_unitaries",
                         spy("_window_unitaries", network_module._window_unitaries,
                             lambda network, _spec, totals: (network.m, totals)))
+    return asked
+
+
+def test_cold_circuit_never_asks_for_its_own_sector(monkeypatch):
+    # a plan names its rows by their occupations, so a cold circuit asks
+    # for no sector at all and for no basis but the two-mode pair shapes
+    # its blocks are cut from; its CP braids build no window unitary
+    layout = LogicalLayout(3)
+    asked = spy_on_sectors(monkeypatch)
     network_module._KERNEL_CACHE.clear()
     gates = [U1(q, 0.1 * q, 0.2, 0.3, 0.4) for q in range(1, 4)] + [CP(1, 2), CP(2, 3)]
     for spec in both_classes(2.345):
         logical_unitary(spec, layout, gates)
     assert set(asked) == {("_shape_basis", 2, 1)}
+    network_module._KERNEL_CACHE.clear()
+
+
+@pytest.mark.parametrize("spec", both_classes(1.3), ids=["bosonic", "fermionic"])
+def test_cold_encoded_circuit_reads_no_basis_of_its_sector(monkeypatch, spec):
+    # the 8-qubit bosonic sector holds 9.4e9 states: encoding, running,
+    # decoding and printing a state read no basis but the pair shapes'
+    qubits, bits = 8, "10110010"
+    rng = np.random.default_rng(8)
+    layout = LogicalLayout(qubits)
+    gates = [U1(q, *euler_zxz(haar_unitary(rng))) for q in range(1, qubits + 1)]
+    gates += [CP(q, q + 1) for q in range(1, qubits)]
+    asked = spy_on_sectors(monkeypatch)
+    network_module._KERNEL_CACHE.clear()
+    state = encode(spec, layout, bits)
+    final = run_circuit(spec, layout, gates, bits)
+    amps, leakage = decode(layout, final)
+    assert repr(state) == f"(1+0j)|{','.join(map(str, layout.code_occupation(bits)))}>"
+    assert repr(final).count("|") == len(final.amps) > 1
+    assert set(asked) <= {("enumerate_sector", layout.m, layout.n_particles),
+                          ("_shape_basis", 2, 1)}
+    assert ("_shape_basis", 2, 1) in asked
+    assert abs(leakage) <= 1e-10
+    # a lone column and the batch of all 2^n go through the same steps on
+    # arrays of different widths, whose loops may round apart by an ulp
+    column = logical_unitary(spec, layout, gates)[:, int(bits, 2)]
+    assert np.max(np.abs(amps - column)) <= 1e-14
     network_module._KERNEL_CACHE.clear()
 
 

@@ -1,6 +1,7 @@
 """Fock sector enumeration and the anyonic ladder-operator rules."""
 
 import cmath
+import copy
 import itertools
 import math
 import pickle
@@ -11,7 +12,7 @@ import pytest
 
 from anyonlin import AnyonSpec, EmptySectorError, ParticleClass, enumerate_sector, \
     number_expectation
-from anyonlin.fock import PRUNE_EPS, StateVector, _sector_cached, _shape_basis, \
+from anyonlin.fock import PRUNE_EPS, StateVector, _shape_basis, \
     apply_annihilate, apply_create, sector_dim, sign_eps, vacuum_state
 from anyonlin.operators import annihilation_matrix, creation_matrix
 
@@ -102,24 +103,65 @@ def test_equal_specs_hash_equal():
 
 
 def test_sector_cache_stays_bounded_over_a_phi_sweep():
+    # a sector is its shape: a phi sweep builds no basis record, and
+    # sectors of one shape share the one record of that shape
     first = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
     other = enumerate_sector(3, 2, AnyonSpec.fermionic(1.0))
-    # the basis belongs to the shape: sectors differing in phi share it
     assert other.basis is first.basis and other.index is first.index
     assert other.occ is first.occ and not other.occ.flags.writeable
+    assert first.occ.tolist() == [list(occ) for occ in first.basis]
     shapes = _shape_basis.cache_info().currsize
     for phi in np.linspace(0.001, 6.0, 3000):
-        enumerate_sector(3, 2, AnyonSpec.fermionic(float(phi)))
-    info = _sector_cached.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize < 3000
+        sector = enumerate_sector(3, 2, AnyonSpec.fermionic(float(phi)))
+        assert sector.basis is first.basis
     assert _shape_basis.cache_info().currsize == shapes
     again = enumerate_sector(3, 2, AnyonSpec.fermionic(0.0))
-    assert again is not first                # evicted and rebuilt
     assert again == first and hash(again) == hash(first)
-    assert again.basis is first.basis and again.index is first.index
-    assert again.occ is first.occ
-    assert again.occ.tolist() == [list(occ) for occ in again.basis]
+
+
+@pytest.mark.parametrize("spec", both_classes(0.7), ids=["bosonic", "fermionic"])
+def test_sectors_and_states_survive_pickle_and_deepcopy(spec):
+    sector = enumerate_sector(4, 2, spec)
+    state = apply_create(apply_create(vacuum_state(4, spec), 1), 3)
+    for copy_of in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy):
+        twin = copy_of(sector)
+        assert twin == sector and hash(twin) == hash(sector)
+        assert twin.basis == sector.basis and twin.dim == sector.dim
+        twin_state = copy_of(state)
+        assert twin_state.sector == state.sector == sector
+        assert hash(twin_state.sector) == hash(sector)
+        assert twin_state.amps == state.amps
+        assert twin_state.sector.basis == sector.basis
+        assert np.array_equal(twin_state.to_vector(), state.to_vector())
+
+
+@pytest.mark.parametrize("spec", both_classes(0.9), ids=["bosonic", "fermionic"])
+def test_state_repr_lists_its_terms_in_sector_order(spec):
+    sector = enumerate_sector(4, 2, spec)
+    shuffled = sorted(sector.basis, key=lambda occ: hash(occ) % 7)
+    state = StateVector(sector, {occ: 0.5 + rank for rank, occ in enumerate(shuffled)})
+    kets = [term.split("|")[1].rstrip(">") for term in repr(state).split(" + ")]
+    assert kets == [",".join(map(str, occ)) for occ in sector.basis]
+    assert repr(StateVector.zero(sector)) == "0"
+
+
+@pytest.mark.parametrize("spec", both_classes(0.4), ids=["bosonic", "fermionic"])
+def test_membership_rule_equals_the_basis(spec):
+    # every tuple of the box [-1, n + 1]^m: wrong totals, negative and
+    # over-cap entries, as Python ints and as numpy integers
+    for m in range(1, 5):
+        for n in range(0, 5):
+            if spec.is_fermionic and n > m:
+                continue
+            sector = enumerate_sector(m, n, spec)
+            index = sector.index
+            for occ in itertools.product(range(-1, n + 2), repeat=m):
+                wide = tuple(np.int64(k) for k in occ)
+                assert (occ in sector) == (occ in index) == (wide in sector), (m, n, occ)
+    sector = enumerate_sector(2, 1, spec)
+    for bad in ((0.5, 0.5), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            StateVector(sector, {bad: 1.0})
 
 
 def test_sign_eps():

@@ -42,6 +42,8 @@ def test_circuit_ladder_measures_a_plan_on_the_code_rows():
     assert (case["qubits"], case["layers"], case["dim"], case["plan_rows"]) == (2, 6, 35, 4)
     assert 0 < case["warm_s"] and 0 < case["cold_s"] and 0 < case["new_phi_s"]
     assert case["peak_rss_mb"] > 0
+    # one fresh compile --circuit process of the same circuit
+    assert case["cli_compile_s"] > 0 and case["cli_peak_rss_mb"] > 0
 
 
 def test_cli_startup_measures_a_fresh_hom_process(tmp_path):

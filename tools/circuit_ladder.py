@@ -9,8 +9,12 @@ the cached compile that the timed calls ran), the time of the first
 each) ``logical_unitary`` calls, the median of 20 more at a fresh phi
 each (``new_phi_s``: the signature's plan is cached at another phi, so
 each call plans the circuit again), and its own peak RSS.  The
-dimension comes from its closed form, so no sector is enumerated.  It
-prints one JSON document.
+dimension comes from its closed form, so no sector is enumerated.  Each
+case also runs the cold call's circuit through ``compile --circuit
+--self-check`` in one fresh interpreter, as ``python -m anyonlin`` would,
+and reports its wall time (``cli_compile_s``: interpreter start,
+imports, encode, run and decode) and that process's own peak RSS
+(``cli_peak_rss_mb``; Linux only).  It prints one JSON document.
 
     python tools/circuit_ladder.py [--qubits 3 4 5 6 8] [--layers 1 6]
 
@@ -29,12 +33,52 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 PHI = 1.3
 WARM_RUNS = 20
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+#: The fresh process of ``cli_compile``: what ``python -m anyonlin`` runs,
+#: then its exit code and its own peak RSS in kB.  VmHWM is read because
+#: the kernel's ru_maxrss of an exec'd child also counts the parent it was
+#: forked from.
+CHILD = """\
+import contextlib, io, sys
+from anyonlin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+def cli_compile(qubits: int, gates: list) -> tuple[float, float]:
+    """Wall time and peak RSS (MB) of one fresh ``compile --circuit`` process on ``gates``."""
+    from anyonlin import CP
+
+    doc = {"qubits": qubits, "phi": PHI, "gates": [
+        {"type": "cp", "a": gate.qubit_a, "b": gate.qubit_b} if isinstance(gate, CP) else
+        {"type": "u1", "q": gate.qubit, "alpha": gate.alpha, "beta": gate.beta,
+         "gamma": gate.gamma, "delta": gate.delta} for gate in gates]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "circuit.json")
+        with open(path, "w", encoding="utf-8") as out:
+            json.dump(doc, out)
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, "compile", "--circuit", path, "--self-check"],
+            env=dict(os.environ, **ONE_THREAD), check=True, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+    code, peak_kb = child.stdout.split()
+    if code != "0":
+        raise RuntimeError(f"compile --circuit exited {code}: {child.stderr}")
+    return wall, int(peak_kb) / 1024
 
 
 def measure(qubits: int, layers: int) -> dict:
@@ -55,8 +99,9 @@ def measure(qubits: int, layers: int) -> dict:
             gates += [CP(q, q + 1) for q in range(1, qubits)]
         return gates
 
+    first = circuit()
     start = time.perf_counter()
-    logical_unitary(spec, layout, circuit())
+    logical_unitary(spec, layout, first)
     cold = time.perf_counter() - start
     warm = []
     for _run in range(WARM_RUNS):
@@ -74,10 +119,12 @@ def measure(qubits: int, layers: int) -> dict:
     signature, _angles = _split_circuit(gates)
     plan = _circuit_plan(layout, signature, spec)
     dim = sector_dim(layout.m, layout.n_particles, spec.is_fermionic)
+    cli_s, cli_rss = cli_compile(qubits, first)
     return {"qubits": qubits, "layers": layers, "dim": dim, "plan_rows": len(plan.rows),
             "cold_s": round(cold, 6), "warm_s": round(statistics.median(warm), 7),
             "new_phi_s": round(statistics.median(new_phi), 7),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "cli_compile_s": round(cli_s, 4), "cli_peak_rss_mb": round(cli_rss, 1)}
 
 
 def main(argv: list[str]) -> int:
@@ -90,7 +137,7 @@ def main(argv: list[str]) -> int:
     if args.case:
         print(json.dumps(measure(*args.case)))
         return 0
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, **ONE_THREAD)
     cases = []
     for qubits in args.qubits:
         for layers in args.layers:
